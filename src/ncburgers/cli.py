@@ -15,7 +15,9 @@ Subcommands:
 Exit codes: 0 all checks passed, 1 failed or nonzero verification,
 2 usage error, 3 inconclusive (integration-by-parts bound exhausted).
 The NCBURGERS_IBP_DEPTH environment variable sets the default nesting
-depth for the bounded integration-by-parts strategy.
+depth for the bounded integration-by-parts strategy; a value that is not an
+integer is a usage error.  ``verify commute`` also runs the exact matrix
+oracle on the two halves of the Lie bracket.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .hierarchy import EquationFamily, hierarchy_member, recursion_operator, red
 from .lang import ParseError, parse_field, parse_op, print_expr, print_field
 from .oracle import (
     CHSolution,
-    check_zero,
+    check_commute,
     cole_hopf_numeric,
     default_scenes,
     eval_field,
@@ -46,6 +48,7 @@ from .verify import (
     Status,
     VerificationReport,
     flow_commutation,
+    flow_members,
     hereditary_defect,
     strong_symmetry_member,
     verify_cole_hopf,
@@ -62,10 +65,11 @@ def _family(name: str) -> EquationFamily:
 
 
 def _default_depth() -> int:
+    text = os.environ.get("NCBURGERS_IBP_DEPTH", "4")
     try:
-        return int(os.environ.get("NCBURGERS_IBP_DEPTH", "4"))
+        return int(text)
     except ValueError:
-        return 4
+        raise ValueError("NCBURGERS_IBP_DEPTH must be an integer, not %r" % text) from None
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -182,13 +186,15 @@ def _cmd_verify(args) -> int:
             reports = [hereditary_defect(fam, ctx)]
         elif args.claim == "commute":
             report = flow_commutation(fam, args.m, args.n, ctx)
-            if report.ok and report.defect is not None:
-                oracle = check_zero(report.defect, default_scenes(args.scenes))
+            if report.ok:
+                km, kn = flow_members(fam, args.m, args.n, ctx)
+                oracle = check_commute(km, kn, fam.base, default_scenes(args.scenes))
                 report.log.append(
-                    "oracle scenes: %d, points: %d, passed: %s"
+                    "oracle K'[G] vs G'[K] scenes: %d, points: %d, passed: %s"
                     % (oracle.scenes, oracle.points, oracle.passed)
                 )
                 if not oracle.passed:
+                    report.log.append("oracle failed at %s" % oracle.first_failure)
                     report.status = Status.NONZERO
             reports = [report]
         else:

@@ -7,6 +7,12 @@ concatenation and is not commutative.  All coefficients are exact
 :class:`fractions.Fraction` values; there is no floating point anywhere in
 the symbolic layer.
 
+The arithmetic of such combinations lives in one place,
+:class:`LinearCombination` with the in-place accumulator :func:`add_into`
+and the product :func:`mul_terms`; field expressions, operator expressions
+(``operators.OpExpr``) and the eta-coordinate dicts of ``reduction`` all
+use it.
+
 Derivations come in three flavours, selected by :class:`DerivationTag`:
 
 * ``PLAIN``   -- the total x-derivative ``D``,
@@ -21,14 +27,13 @@ with ``r`` replaced by ``u_x u^-1``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
+from functools import reduce
+from operator import mul
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 Rat = Union[int, Fraction]
-
-JET_SYMBOLS = ("r", "s", "u", "v")
-TEST_NAMES = ("V", "W", "sigma")
 
 
 class DerivationTag(enum.Enum):
@@ -95,49 +100,41 @@ Atom = Union[Jet, TestField, InverseSymbol, Integral]
 Word = Tuple[Atom, ...]
 
 
-def _atom_key(a: Atom):
-    if isinstance(a, Jet):
-        return (0, a.symbol, a.order)
-    if isinstance(a, TestField):
-        return (1, a.name, a.order)
-    if isinstance(a, InverseSymbol):
-        return (2, a.base, 0)
-    # Integral: order by tag then body terms, recursively
-    return (
-        3,
-        a.tag.value,
-        tuple(sorted((word_key(w), c) for w, c in a.body.terms.items())),
-    )
+def _word_key(w: Word, jet_sign: int):
+    """Total order on words: length first, then atom by atom, antiderivatives
+    by tag and then by their sorted body terms.  ``jet_sign`` -1 puts higher
+    derivatives of a symbol first."""
+    keys = []
+    for a in w:
+        if isinstance(a, Jet):
+            keys.append((0, a.symbol, jet_sign * a.order))
+        elif isinstance(a, TestField):
+            keys.append((1, a.name, jet_sign * a.order))
+        elif isinstance(a, InverseSymbol):
+            keys.append((2, a.base, 0))
+        else:
+            body = sorted((_word_key(bw, jet_sign), c) for bw, c in a.body.terms.items())
+            keys.append((3, a.tag.value, tuple(body)))
+    return (len(w), tuple(keys))
 
 
 def word_key(w: Word):
-    """Total order on words: length first, then atom-wise keys."""
-    return (len(w), tuple(_atom_key(a) for a in w))
-
-
-def _print_atom_key(a: Atom):
-    # like _atom_key but with jets sorted highest-derivative first,
-    # which matches the conventional way hierarchy members are written
-    if isinstance(a, Jet):
-        return (0, a.symbol, -a.order)
-    if isinstance(a, TestField):
-        return (1, a.name, -a.order)
-    if isinstance(a, InverseSymbol):
-        return (2, a.base, 0)
-    return (
-        3,
-        a.tag.value,
-        tuple(sorted((print_word_key(w), c) for w, c in a.body.terms.items())),
-    )
+    """Canonical total order on words."""
+    return _word_key(w, 1)
 
 
 def print_word_key(w: Word):
-    return (len(w), tuple(_print_atom_key(a) for a in w))
+    """Printing order: as :func:`word_key` but highest derivative first,
+    which matches the conventional way hierarchy members are written."""
+    return _word_key(w, -1)
 
 
 def _cancel_uinv(word: Word) -> Word:
     """Apply u u^-1 -> 1 and u^-1 u -> 1 until no adjacent pair remains."""
-    if not any(isinstance(a, InverseSymbol) for a in word):
+    for a in word:
+        if type(a) is InverseSymbol:
+            break
+    else:
         return word
     factors = list(word)
     changed = True
@@ -162,38 +159,175 @@ def _cancel_uinv(word: Word) -> Word:
     return tuple(factors)
 
 
-class FieldExpr:
-    """Immutable linear combination of words with Fraction coefficients."""
+# ---------------------------------------------------------------------------
+# the linear-combination core
+
+
+def add_into(acc: dict, word, coeff) -> None:
+    """Add ``coeff`` to the coefficient of ``word`` in ``acc``, in place,
+    dropping the word when its coefficient cancels to zero."""
+    cur = acc.get(word)
+    if cur is not None:
+        coeff += cur
+    if coeff:
+        acc[word] = coeff
+    elif cur is not None:
+        del acc[word]
+
+
+def sum_terms(pairs: Iterable[Tuple[Mapping, Rat]]) -> dict:
+    """The sum of ``c * terms`` over ``(terms, c)`` pairs, accumulated in
+    one dict."""
+    acc: dict = {}
+    for terms, c in pairs:
+        for w, k in terms.items():
+            add_into(acc, w, c * k)
+    return acc
+
+
+def mul_terms(a: Mapping, b: Mapping, canon: Optional[Callable]) -> dict:
+    """Product of two word -> coefficient dicts: words concatenate (and pass
+    through ``canon`` unless it is None), coefficients multiply."""
+    acc: dict = {}
+    get = acc.get
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = w1 + w2
+            if canon is not None:
+                w = canon(w)
+            c = c1 * c2
+            cur = get(w)
+            acc[w] = c if cur is None else cur + c
+    return {w: c for w, c in acc.items() if c}
+
+
+class LinearCombination:
+    """Immutable linear combination of words with nonzero Fraction
+    coefficients, held in ``terms``.
+
+    A subclass may set ``_canon`` to a canonicalizer that every word passes
+    through on construction and in products.  Combinations of different
+    classes are never equal, even when their terms are.
+    """
 
     __slots__ = ("terms", "_hash")
+    _canon: Optional[Callable[[tuple], tuple]] = None
 
-    def __init__(self, terms: Optional[Mapping[Word, Rat]] = None):
+    def __init__(self, terms: Optional[Mapping] = None):
         acc: dict = {}
+        canon = self._canon
         if terms:
             for word, coeff in terms.items():
-                c = Fraction(coeff)
-                if c == 0:
-                    continue
-                w = _cancel_uinv(tuple(word))
-                acc[w] = acc.get(w, Fraction(0)) + c
-                if acc[w] == 0:
-                    del acc[w]
-        object.__setattr__(self, "terms", acc)
-        object.__setattr__(self, "_hash", None)
+                word = tuple(word)
+                add_into(acc, word if canon is None else canon(word), Fraction(coeff))
+        self.terms = acc
+        self._hash = None
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def _raw(acc: dict) -> "FieldExpr":
+    @classmethod
+    def _raw(cls, acc: dict):
         """Trusted constructor: canonical words, Fraction coefficients, no zeros."""
-        self = object.__new__(FieldExpr)
-        object.__setattr__(self, "terms", acc)
-        object.__setattr__(self, "_hash", None)
+        self = object.__new__(cls)
+        self.terms = acc
+        self._hash = None
         return self
 
-    @staticmethod
-    def zero() -> "FieldExpr":
-        return FieldExpr()
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    @classmethod
+    def sum(cls, pairs: Iterable[Tuple["LinearCombination", Rat]]):
+        """The sum of ``c * e`` over ``(e, c)`` pairs, accumulated in place."""
+        return cls._raw(sum_terms((e.terms, c) for e, c in pairs))
+
+    def map_atoms(self, atom_value: Callable):
+        """Substitute ``atom_value(atom)``, an expression of this class, for
+        every atom: each word becomes the product of its atoms' values."""
+        one = self._raw({(): Fraction(1)})
+        return self.sum(
+            (reduce(mul, map(atom_value, word), one), c) for word, c in self.terms.items()
+        )
+
+    def leibniz(self, atom_derivative: Callable):
+        """The derivation that takes each atom to ``atom_derivative(atom)``,
+        an expression of this class or None for zero, and each word to the
+        sum over its positions given by the Leibniz rule."""
+        canon = self._canon
+        acc: dict = {}
+        for word, c in self.terms.items():
+            for i, atom in enumerate(word):
+                d = atom_derivative(atom)
+                if d is None:
+                    continue
+                pre, post = word[:i], word[i + 1 :]
+                for dw, dc in d.terms.items():
+                    w = pre + dw + post
+                    add_into(acc, w if canon is None else canon(w), c * dc)
+        return self._raw(acc)
+
+    # -- linear / ring structure -------------------------------------------
+
+    def __add__(self, other):
+        if not other.terms:
+            return self
+        acc = dict(self.terms)
+        for w, c in other.terms.items():
+            add_into(acc, w, c)
+        return self._raw(acc)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._raw({w: -c for w, c in self.terms.items()})
+
+    def scale(self, c: Rat):
+        c = Fraction(c)
+        if not c:
+            return self.zero()
+        return self._raw({w: c * k for w, k in self.terms.items()})
+
+    def __mul__(self, other):
+        return self._raw(mul_terms(self.terms, other.terms, self._canon))
+
+    # -- inspection ---------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __iter__(self) -> Iterator[Tuple[tuple, Fraction]]:
+        return iter(self.terms.items())
+
+    def coefficient(self, word) -> Fraction:
+        return self.terms.get(tuple(word), Fraction(0))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(frozenset(self.terms.items()))
+        return h
+
+    def __repr__(self) -> str:
+        # the printer imports this module
+        from .lang import print_expr
+
+        return print_expr(self)
+
+
+class FieldExpr(LinearCombination):
+    """Linear combination of field words; u u^-1 pairs cancel on construction."""
+
+    __slots__ = ()
+    _canon = staticmethod(_cancel_uinv)
 
     @staticmethod
     def unit() -> "FieldExpr":
@@ -211,128 +345,22 @@ class FieldExpr:
     def from_atom(atom: Atom, coeff: Rat = 1) -> "FieldExpr":
         return FieldExpr({(atom,): coeff})
 
-    # -- linear / ring structure -------------------------------------------
-
-    def __add__(self, other: "FieldExpr") -> "FieldExpr":
-        if not other.terms:
-            return self
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = acc.get(w)
-            new = c if cur is None else cur + c
-            if new == 0:
-                acc.pop(w, None)
-            else:
-                acc[w] = new
-        return FieldExpr._raw(acc)
-
-    def __sub__(self, other: "FieldExpr") -> "FieldExpr":
-        if not other.terms:
-            return self
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = acc.get(w)
-            new = -c if cur is None else cur - c
-            if new == 0:
-                acc.pop(w, None)
-            else:
-                acc[w] = new
-        return FieldExpr._raw(acc)
-
-    def __neg__(self) -> "FieldExpr":
-        return FieldExpr._raw({w: -c for w, c in self.terms.items()})
-
-    def scale(self, c: Rat) -> "FieldExpr":
-        c = Fraction(c)
-        if c == 0:
-            return FieldExpr()
-        return FieldExpr._raw({w: c * k for w, k in self.terms.items()})
-
-    def __mul__(self, other: "FieldExpr") -> "FieldExpr":
-        acc: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = _cancel_uinv(w1 + w2)
-                coeff = c1 * c2
-                cur = acc.get(w)
-                new = coeff if cur is None else cur + coeff
-                if new == 0:
-                    acc.pop(w, None)
-                else:
-                    acc[w] = new
-        return FieldExpr._raw(acc)
-
-    # -- inspection ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self) -> Iterator[Tuple[Word, Fraction]]:
-        return iter(self.terms.items())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FieldExpr) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __repr__(self) -> str:
-        from .lang import print_field
-
-        return print_field(self)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: print_word_key(kv[0]))
-
-    def coefficient(self, word: Word) -> Fraction:
-        return self.terms.get(tuple(word), Fraction(0))
-
     def atoms(self) -> Iterator[Atom]:
+        """Every atom of every word, descending into antiderivative bodies."""
         for w in self.terms:
-            yield from w
+            for a in w:
+                yield a
+                if isinstance(a, Integral):
+                    yield from a.body.atoms()
 
     def contains_integral(self) -> bool:
         return any(isinstance(a, Integral) for a in self.atoms())
 
     def jet_symbols(self) -> set:
-        out = set()
-
-        def walk(atom):
-            if isinstance(atom, Jet):
-                out.add(atom.symbol)
-            elif isinstance(atom, Integral):
-                for w in atom.body.terms:
-                    for b in w:
-                        walk(b)
-
-        for a in self.atoms():
-            walk(a)
-        return out
+        return {a.symbol for a in self.atoms() if isinstance(a, Jet)}
 
     def test_names(self) -> set:
-        out = set()
-
-        def walk(atom):
-            if isinstance(atom, TestField):
-                out.add(atom.name)
-            elif isinstance(atom, Integral):
-                for w in atom.body.terms:
-                    for b in w:
-                        walk(b)
-
-        for a in self.atoms():
-            walk(a)
-        return out
+        return {a.name for a in self.atoms() if isinstance(a, TestField)}
 
 
 ZERO = FieldExpr.zero()
@@ -353,7 +381,7 @@ def uinv(base: str = "u") -> FieldExpr:
 
 def combine(a: FieldExpr, b: FieldExpr, c1: Rat = 1, c2: Rat = 1) -> FieldExpr:
     """c1*a + c2*b with zero terms dropped."""
-    return a.scale(c1) + b.scale(c2)
+    return FieldExpr.sum(((a, c1), (b, c2)))
 
 
 def commutator(a: FieldExpr, b: FieldExpr) -> FieldExpr:
@@ -381,9 +409,6 @@ class Context:
 
     def tag_field(self, tag: DerivationTag) -> FieldExpr:
         return self.tag_fields.get(tag, ZERO)
-
-    def with_depth(self, depth: int) -> "Context":
-        return Context(self.tag_fields, depth, self.reduce_rounds, self.reduce_passes)
 
 
 def default_context(integral_depth: int = 4) -> Context:
@@ -421,6 +446,13 @@ class NestingLimitExceeded(Exception):
 # derivations
 
 
+def _derinv(tag: DerivationTag, f: FieldExpr, ctx: Context) -> FieldExpr:
+    # reduction imports this module, so its derinv is looked up at call time
+    from .reduction import derinv
+
+    return derinv(tag, f, ctx)
+
+
 def _d_atom(atom: Atom, ctx: Context) -> FieldExpr:
     if isinstance(atom, Jet):
         return FieldExpr.from_atom(Jet(atom.symbol, atom.order + 1))
@@ -444,20 +476,7 @@ def _d_atom(atom: Atom, ctx: Context) -> FieldExpr:
 
 def d_total(f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
     """Total x-derivative: Leibniz over words, jet orders shifted up."""
-    acc: dict = {}
-    for word, coeff in f.terms.items():
-        for i, atom in enumerate(word):
-            pre, post = word[:i], word[i + 1 :]
-            for dw, dc in _d_atom(atom, ctx).terms.items():
-                w = _cancel_uinv(pre + dw + post)
-                c = coeff * dc
-                cur = acc.get(w)
-                new = c if cur is None else cur + c
-                if new == 0:
-                    acc.pop(w, None)
-                else:
-                    acc[w] = new
-    return FieldExpr._raw(acc)
+    return f.leibniz(lambda atom: _d_atom(atom, ctx))
 
 
 def der(tag: DerivationTag, f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
@@ -476,94 +495,52 @@ def normal_field(f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
     re-normalizes antiderivative bodies (unwrapping any body that has become
     an exact derivative) and re-cancels u u^-1 pairs.  Idempotent.
     """
-    from .reduction import derinv
 
-    acc = FieldExpr.zero()
-    for word, coeff in f.terms.items():
-        factors = FieldExpr.unit()
-        for atom in word:
-            if isinstance(atom, Integral):
-                factors = factors * derinv(atom.tag, normal_field(atom.body, ctx), ctx)
-            else:
-                factors = factors * FieldExpr.from_atom(atom)
-        acc = acc + factors.scale(coeff)
-    return acc
+    def atom_value(atom: Atom) -> FieldExpr:
+        if isinstance(atom, Integral):
+            return _derinv(atom.tag, normal_field(atom.body, ctx), ctx)
+        return FieldExpr.from_atom(atom)
+
+    return f.map_atoms(atom_value)
 
 
 # ---------------------------------------------------------------------------
 # substitution
 
 
+def _subst(f: FieldExpr, target: Atom, replacement: FieldExpr, ctx: Context) -> FieldExpr:
+    """Replace every jet of the order-0 atom ``target`` (a jet or a test
+    field) by the matching x-derivative of ``replacement``; antiderivatives
+    whose body changes are integrated again canonically."""
+    kind = type(target)
+    derivs = [replacement]
+
+    def atom_value(atom: Atom) -> FieldExpr:
+        if type(atom) is kind and replace(atom, order=0) == target:
+            while len(derivs) <= atom.order:
+                derivs.append(d_total(derivs[-1], ctx))
+            return derivs[atom.order]
+        if isinstance(atom, Integral):
+            body = atom.body.map_atoms(atom_value)
+            if body != atom.body:
+                return _derinv(atom.tag, body, ctx)
+        return FieldExpr.from_atom(atom)
+
+    return f.map_atoms(atom_value)
+
+
 def subst_jets(
     f: FieldExpr, symbol: str, replacement: FieldExpr, ctx: Context = DEFAULT_CONTEXT
 ) -> FieldExpr:
     """Replace every jet of ``symbol`` by the matching derivative of ``replacement``."""
-    cache = {0: replacement}
-
-    def rep(order: int) -> FieldExpr:
-        while order not in cache:
-            top = max(cache)
-            cache[top + 1] = d_total(cache[top], ctx)
-        return cache[order]
-
-    def sub_atom(atom: Atom) -> FieldExpr:
-        if isinstance(atom, Jet) and atom.symbol == symbol:
-            return rep(atom.order)
-        if isinstance(atom, Integral):
-            body = sub_expr(atom.body)
-            if body == atom.body:
-                return FieldExpr.from_atom(atom)
-            from .reduction import derinv
-
-            return derinv(atom.tag, body, ctx)
-        return FieldExpr.from_atom(atom)
-
-    def sub_expr(e: FieldExpr) -> FieldExpr:
-        acc = FieldExpr.zero()
-        for word, coeff in e.terms.items():
-            out = FieldExpr.unit()
-            for atom in word:
-                out = out * sub_atom(atom)
-            acc = acc + out.scale(coeff)
-        return acc
-
-    return sub_expr(f)
+    return _subst(f, Jet(symbol), replacement, ctx)
 
 
 def subst_test(
     f: FieldExpr, name: str, replacement: FieldExpr, ctx: Context = DEFAULT_CONTEXT
 ) -> FieldExpr:
     """Replace every jet of test field ``name`` by derivatives of ``replacement``."""
-    cache = {0: replacement}
-
-    def rep(order: int) -> FieldExpr:
-        while order not in cache:
-            top = max(cache)
-            cache[top + 1] = d_total(cache[top], ctx)
-        return cache[order]
-
-    def sub_atom(atom: Atom) -> FieldExpr:
-        if isinstance(atom, TestField) and atom.name == name:
-            return rep(atom.order)
-        if isinstance(atom, Integral):
-            body = sub_expr(atom.body)
-            if body == atom.body:
-                return FieldExpr.from_atom(atom)
-            from .reduction import derinv
-
-            return derinv(atom.tag, body, ctx)
-        return FieldExpr.from_atom(atom)
-
-    def sub_expr(e: FieldExpr) -> FieldExpr:
-        acc = FieldExpr.zero()
-        for word, coeff in e.terms.items():
-            out = FieldExpr.unit()
-            for atom in word:
-                out = out * sub_atom(atom)
-            acc = acc + out.scale(coeff)
-        return acc
-
-    return sub_expr(f)
+    return _subst(f, TestField(name), replacement, ctx)
 
 
 def rename_tests(f: FieldExpr, mapping: Mapping[str, str]) -> FieldExpr:
@@ -603,31 +580,9 @@ def word_weight(word: Word) -> int:
     return sum(atom_weight(a) for a in word)
 
 
-def max_jet_order(f: FieldExpr) -> int:
-    top = 0
-
-    def walk(atom):
-        nonlocal top
-        if isinstance(atom, (Jet, TestField)):
-            top = max(top, atom.order)
-        elif isinstance(atom, Integral):
-            for w in atom.body.terms:
-                for b in w:
-                    walk(b)
-
-    for a in f.atoms():
-        walk(a)
-    return top
-
-
-def integral_nesting(atom_or_word) -> int:
-    """Maximum nesting depth of antiderivative atoms."""
-    if isinstance(atom_or_word, tuple):
-        return max((integral_nesting(a) for a in atom_or_word), default=0)
-    if isinstance(atom_or_word, Integral):
-        return 1 + expr_nesting(atom_or_word.body)
-    return 0
-
-
 def expr_nesting(f: FieldExpr) -> int:
-    return max((integral_nesting(w) for w in f.terms), default=0)
+    """Maximum nesting depth of antiderivative atoms."""
+    return max(
+        (1 + expr_nesting(a.body) for w in f.terms for a in w if isinstance(a, Integral)),
+        default=0,
+    )

@@ -30,6 +30,7 @@ from .fields import (
     Jet,
     TestField,
     Word,
+    add_into,
     cole_hopf_context,
     d_total,
     der,
@@ -142,7 +143,7 @@ def hierarchy_cross_check(
 # commutative reduction
 
 
-def _reduce_word_commutative(word: Word) -> Tuple[Word, int]:
+def _reduce_word_commutative(word: Word) -> Word:
     atoms = []
     for atom in word:
         if isinstance(atom, Jet):
@@ -154,7 +155,7 @@ def _reduce_word_commutative(word: Word) -> Tuple[Word, int]:
         else:
             raise ValueError("formal inverses have no commutative reduction")
     atoms.sort(key=lambda a: word_key((a,)))
-    return tuple(atoms), 1
+    return tuple(atoms)
 
 
 def reduce_commutative(e: Union[FieldExpr, OpExpr]) -> Union[FieldExpr, OpExpr]:
@@ -163,23 +164,19 @@ def reduce_commutative(e: Union[FieldExpr, OpExpr]) -> Union[FieldExpr, OpExpr]:
     if isinstance(e, FieldExpr):
         acc: Dict[Word, Fraction] = {}
         for word, coeff in e.terms.items():
-            w, sign = _reduce_word_commutative(word)
-            acc[w] = acc.get(w, Fraction(0)) + coeff * sign
-        return FieldExpr(acc)
+            add_into(acc, _reduce_word_commutative(word), coeff)
+        return FieldExpr._raw(acc)
 
     acc_op: Dict[tuple, Fraction] = {}
     for word, coeff in e.terms.items():
         new_word: List = []
         for atom in word:
-            if isinstance(atom, OpD):
-                new_word.append(OpD())
-            elif isinstance(atom, OpDer):
+            if isinstance(atom, (OpD, OpDer)):
                 new_word.append(OpD())
             elif isinstance(atom, OpDerInv):
                 new_word.append(OpDerInv(DerivationTag.PLAIN))
             elif isinstance(atom, (OpLeft, OpRight)):
-                red, _ = _reduce_word_commutative(atom.word)
-                new_word.append(OpLeft(red))
+                new_word.append(OpLeft(_reduce_word_commutative(atom.word)))
             elif isinstance(atom, OpComm):
                 new_word = None
                 break
@@ -187,9 +184,8 @@ def reduce_commutative(e: Union[FieldExpr, OpExpr]) -> Union[FieldExpr, OpExpr]:
                 raise ValueError("unknown operator atom %r" % (atom,))
         if new_word is None:
             continue  # commutators vanish in the scalar case
-        key = tuple(new_word)
-        acc_op[key] = acc_op.get(key, Fraction(0)) + coeff
-    return OpExpr(acc_op)
+        add_into(acc_op, tuple(new_word), coeff)
+    return OpExpr._raw(acc_op)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from .operators import (
     op_right,
     op_word_key,
 )
-from .reduction import derinv
+from .reduction import _to_eta_expr, derinv
 
 JET_IDENTS = {"r": "r", "s": "s", "u": "u", "v": "v"}
 TEST_IDENTS = {"V": "V", "W": "W", "sigma": "sigma"}
@@ -233,25 +233,32 @@ def _field_term(lx: _Lexer, ctx: Context) -> FieldExpr:
     return out
 
 
-def _field_expr(lx: _Lexer, ctx: Context) -> FieldExpr:
-    acc = _field_term(lx, ctx)
+def _sum_of_terms(lx: _Lexer, ctx: Context, term):
+    acc = term(lx, ctx)
     while True:
         tok = lx.peek()
         if tok is None or tok.text not in ("+", "-"):
-            break
-        acc = acc + _field_term(lx, ctx)
-    return acc
+            return acc
+        acc = acc + term(lx, ctx)
+
+
+def _field_expr(lx: _Lexer, ctx: Context) -> FieldExpr:
+    return _sum_of_terms(lx, ctx, _field_term)
+
+
+def _parse(src: str, ctx: Context, term, zero):
+    if src.strip() == "0":
+        return zero
+    lx = _Lexer(src)
+    out = _sum_of_terms(lx, ctx, term)
+    if lx.peek() is not None:
+        raise lx.error("trailing input")
+    return out
 
 
 def parse_field(src: str, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
     """Parse a field expression; unknown identifiers are an error."""
-    if src.strip() == "0":
-        return FieldExpr.zero()
-    lx = _Lexer(src)
-    out = _field_expr(lx, ctx)
-    if lx.peek() is not None:
-        raise lx.error("trailing input")
-    return out
+    return _parse(src, ctx, _field_term, FieldExpr.zero())
 
 
 def _op_factor(lx: _Lexer, ctx: Context) -> Optional[OpExpr]:
@@ -310,24 +317,12 @@ def _op_term(lx: _Lexer, ctx: Context) -> OpExpr:
 
 
 def _op_expr(lx: _Lexer, ctx: Context) -> OpExpr:
-    acc = _op_term(lx, ctx)
-    while True:
-        tok = lx.peek()
-        if tok is None or tok.text not in ("+", "-"):
-            break
-        acc = acc + _op_term(lx, ctx)
-    return acc
+    return _sum_of_terms(lx, ctx, _op_term)
 
 
 def parse_op(src: str, ctx: Context = DEFAULT_CONTEXT) -> OpExpr:
     """Parse an operator expression; bare field factors mean left multiplication."""
-    if src.strip() == "0":
-        return OpExpr.zero()
-    lx = _Lexer(src)
-    out = _op_expr(lx, ctx)
-    if lx.peek() is not None:
-        raise lx.error("trailing input")
-    return out
+    return _parse(src, ctx, _op_term, OpExpr.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +423,6 @@ def _eta_tag_for(e: FieldExpr) -> DerivationTag:
 
 
 def _print_field_eta(e: FieldExpr, tag: Optional[DerivationTag] = None) -> str:
-    from .reduction import _to_eta_expr
-
     if tag is None:
         tag = _eta_tag_for(e)
     eta = _to_eta_expr(tag, e)

@@ -14,16 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .fields import (
     Context,
     DEFAULT_CONTEXT,
     DerivationTag,
     FieldExpr,
-    Rat,
+    LinearCombination,
     TestField,
     Word,
+    _TAG_SIGN,
+    add_into,
     commutator,
     d_total,
     der,
@@ -92,28 +94,11 @@ def op_word_key(w: OpWord):
     return (len(w), tuple(_op_atom_key(a) for a in w))
 
 
-class OpExpr:
-    """Linear combination of operator words."""
+class OpExpr(LinearCombination):
+    """Linear combination of operator words; the product is composition,
+    (P * Q) f = P(Q(f))."""
 
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms: Optional[Dict[OpWord, Rat]] = None):
-        acc: dict = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                w = tuple(w)
-                acc[w] = acc.get(w, Fraction(0)) + c
-                if acc[w] == 0:
-                    del acc[w]
-        object.__setattr__(self, "terms", acc)
-        object.__setattr__(self, "_hash", None)
-
-    @staticmethod
-    def zero() -> "OpExpr":
-        return OpExpr()
+    __slots__ = ()
 
     @staticmethod
     def identity() -> "OpExpr":
@@ -123,60 +108,11 @@ class OpExpr:
     def from_atoms(*atoms: OpAtom) -> "OpExpr":
         return OpExpr({tuple(atoms): 1})
 
-    def __add__(self, other: "OpExpr") -> "OpExpr":
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            acc[w] = acc.get(w, Fraction(0)) + c
-        return OpExpr(acc)
-
-    def __sub__(self, other: "OpExpr") -> "OpExpr":
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            acc[w] = acc.get(w, Fraction(0)) - c
-        return OpExpr(acc)
-
-    def __neg__(self) -> "OpExpr":
-        return OpExpr({w: -c for w, c in self.terms.items()})
-
-    def scale(self, c: Rat) -> "OpExpr":
-        c = Fraction(c)
-        return OpExpr({w: c * k for w, k in self.terms.items()})
-
-    def __mul__(self, other: "OpExpr") -> "OpExpr":
-        """Composition: (P * Q) f = P(Q(f))."""
-        acc: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                acc[w] = acc.get(w, Fraction(0)) + c1 * c2
-        return OpExpr(acc)
-
     def __pow__(self, n: int) -> "OpExpr":
         out = OpExpr.identity()
         for _ in range(n):
             out = out * self
         return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OpExpr) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __repr__(self) -> str:
-        from .lang import print_op
-
-        return print_op(self)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: op_word_key(kv[0]))
 
 
 # -- constructors ------------------------------------------------------------
@@ -195,10 +131,7 @@ def op_derinv(tag: DerivationTag) -> OpExpr:
 
 
 def _mult_op(cls, f: FieldExpr) -> OpExpr:
-    acc: dict = {}
-    for w, c in f.terms.items():
-        acc[(cls(w),)] = acc.get((cls(w),), Fraction(0)) + c
-    return OpExpr(acc)
+    return OpExpr._raw({(cls(w),): c for w, c in f.terms.items()})
 
 
 def op_left(f: FieldExpr) -> OpExpr:
@@ -232,16 +165,68 @@ def _apply_atom(atom: OpAtom, f: FieldExpr, ctx: Context) -> FieldExpr:
 
 def apply_op(P: OpExpr, f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
     """Structural action of an operator expression on a field expression."""
-    acc = FieldExpr.zero()
-    for word, coeff in P.terms.items():
+
+    def act(word: OpWord) -> FieldExpr:
         cur = f
         for atom in reversed(word):
             cur = _apply_atom(atom, cur, ctx)
-        acc = acc + cur.scale(coeff)
-    return acc
+        return cur
+
+    return FieldExpr.sum((act(word), coeff) for word, coeff in P.terms.items())
 
 
 # -- canonical form ----------------------------------------------------------
+
+
+def _rewrite(word: OpWord, i: int, coeff: Fraction, ctx: Context) -> Optional[list]:
+    """One rewrite step at position ``i`` of ``word``: the (word, coeff)
+    pairs that replace it, or None when no rule applies there."""
+    atom = word[i]
+    pre, post = word[:i], word[i + 1 :]
+    if isinstance(atom, OpComm):
+        return [
+            (pre + (OpLeft(atom.word),) + post, coeff),
+            (pre + (OpRight(atom.word),) + post, -coeff),
+        ]
+    if isinstance(atom, OpDer):
+        out = [(pre + (OpD(),) + post, coeff)]
+        sign = _TAG_SIGN[atom.tag]
+        if sign:
+            for w, c in ctx.tag_field(atom.tag).terms.items():
+                out.append((pre + (OpLeft(w),) + post, -sign * coeff * c))
+                out.append((pre + (OpRight(w),) + post, sign * coeff * c))
+        return out
+    if isinstance(atom, (OpLeft, OpRight)) and atom.word == ():
+        return [(pre + post, coeff)]
+    if not post:
+        return None
+    nxt, rest = post[0], post[1:]
+    if isinstance(atom, OpLeft) and isinstance(nxt, OpLeft):
+        return [(pre + (OpLeft(atom.word + nxt.word),) + rest, coeff)]
+    if isinstance(atom, OpRight) and isinstance(nxt, OpRight):
+        return [(pre + (OpRight(nxt.word + atom.word),) + rest, coeff)]
+    if isinstance(atom, OpRight) and isinstance(nxt, OpLeft):
+        return [(pre + (nxt, atom) + rest, coeff)]
+    if isinstance(atom, OpD) and isinstance(nxt, (OpLeft, OpRight)):
+        cls = type(nxt)
+        out = [(pre + (nxt, atom) + rest, coeff)]
+        for w, c in d_total(FieldExpr.from_word(nxt.word), ctx).terms.items():
+            out.append((pre + (cls(w),) + rest, coeff * c))
+        return out
+    if isinstance(atom, OpDerInv) and isinstance(nxt, OpDer) and atom.tag == nxt.tag:
+        return [(pre + rest, coeff)]
+    if {type(atom), type(nxt)} == {OpD, OpDerInv}:
+        # D = Der(tag) + sign*C(field), so D DerInv = Id + sign*C(field) DerInv
+        # and DerInv D = Id + sign*DerInv C(field)
+        inv = nxt if isinstance(nxt, OpDerInv) else atom
+        sign = _TAG_SIGN[inv.tag]
+        out = [(pre + rest, coeff)]
+        for w, c in ctx.tag_field(inv.tag).terms.items() if sign else ():
+            for mult, s in ((OpLeft(w), sign), (OpRight(w), -sign)):
+                pair = (mult, inv) if inv is nxt else (inv, mult)
+                out.append((pre + pair + rest, s * coeff * c))
+        return out
+    return None
 
 
 def normal_op(P: OpExpr, ctx: Context = DEFAULT_CONTEXT) -> OpExpr:
@@ -252,8 +237,6 @@ def normal_op(P: OpExpr, ctx: Context = DEFAULT_CONTEXT) -> OpExpr:
     them), D pushed rightward past multiplications, and D cancelled against
     an adjacent matching inverse using the context's commutator field.
     """
-    from .fields import _TAG_SIGN
-
     pending = [(tuple(w), Fraction(c)) for w, c in P.terms.items()]
     done: dict = {}
     guard = 0
@@ -264,113 +247,14 @@ def normal_op(P: OpExpr, ctx: Context = DEFAULT_CONTEXT) -> OpExpr:
         word, coeff = pending.pop()
         if coeff == 0:
             continue
-        rewritten = False
-        for i, atom in enumerate(word):
-            pre, post = word[:i], word[i + 1 :]
-
-            if isinstance(atom, OpComm):
-                pending.append((pre + (OpLeft(atom.word),) + post, coeff))
-                pending.append((pre + (OpRight(atom.word),) + post, -coeff))
-                rewritten = True
+        for i in range(len(word)):
+            out = _rewrite(word, i, coeff, ctx)
+            if out is not None:
+                pending.extend(out)
                 break
-
-            if isinstance(atom, OpDer):
-                sign = _TAG_SIGN[atom.tag]
-                pending.append((pre + (OpD(),) + post, coeff))
-                if sign:
-                    field = ctx.tag_field(atom.tag)
-                    for w, c in field.terms.items():
-                        pending.append((pre + (OpLeft(w),) + post, -sign * coeff * c))
-                        pending.append((pre + (OpRight(w),) + post, sign * coeff * c))
-                rewritten = True
-                break
-
-            if isinstance(atom, OpLeft) and atom.word == ():
-                pending.append((pre + post, coeff))
-                rewritten = True
-                break
-            if isinstance(atom, OpRight) and atom.word == ():
-                pending.append((pre + post, coeff))
-                rewritten = True
-                break
-
-            if i + 1 < len(word):
-                nxt = word[i + 1]
-                rest = word[i + 2 :]
-                if isinstance(atom, OpLeft) and isinstance(nxt, OpLeft):
-                    pending.append((pre + (OpLeft(atom.word + nxt.word),) + rest, coeff))
-                    rewritten = True
-                    break
-                if isinstance(atom, OpRight) and isinstance(nxt, OpRight):
-                    pending.append((pre + (OpRight(nxt.word + atom.word),) + rest, coeff))
-                    rewritten = True
-                    break
-                if isinstance(atom, OpRight) and isinstance(nxt, OpLeft):
-                    pending.append((pre + (nxt, atom) + rest, coeff))
-                    rewritten = True
-                    break
-                if isinstance(atom, OpD) and isinstance(nxt, (OpLeft, OpRight)):
-                    cls = type(nxt)
-                    pending.append((pre + (nxt, atom) + rest, coeff))
-                    dword = d_total(FieldExpr.from_word(nxt.word), ctx)
-                    for w, c in dword.terms.items():
-                        pending.append((pre + (cls(w),) + rest, coeff * c))
-                    rewritten = True
-                    break
-                if (
-                    isinstance(atom, OpD)
-                    and isinstance(nxt, OpDerInv)
-                    and _TAG_SIGN[nxt.tag] != 0
-                ):
-                    # D = Der(tag) + sign*C(field), so D DerInv = Id + sign*C(field) DerInv
-                    sign = _TAG_SIGN[nxt.tag]
-                    field = ctx.tag_field(nxt.tag)
-                    pending.append((pre + rest, coeff))
-                    for w, c in field.terms.items():
-                        pending.append((pre + (OpLeft(w), nxt) + rest, sign * coeff * c))
-                        pending.append((pre + (OpRight(w), nxt) + rest, -sign * coeff * c))
-                    rewritten = True
-                    break
-                if (
-                    isinstance(atom, OpDerInv)
-                    and isinstance(nxt, OpD)
-                    and _TAG_SIGN[atom.tag] != 0
-                ):
-                    sign = _TAG_SIGN[atom.tag]
-                    field = ctx.tag_field(atom.tag)
-                    pending.append((pre + rest, coeff))
-                    for w, c in field.terms.items():
-                        pending.append((pre + (atom, OpLeft(w)) + rest, sign * coeff * c))
-                        pending.append((pre + (atom, OpRight(w)) + rest, -sign * coeff * c))
-                    rewritten = True
-                    break
-                if (
-                    isinstance(atom, OpDerInv)
-                    and isinstance(nxt, OpDer)
-                    and atom.tag == nxt.tag
-                ):
-                    pending.append((pre + rest, coeff))
-                    rewritten = True
-                    break
-                if (
-                    isinstance(atom, OpD)
-                    and isinstance(nxt, OpDerInv)
-                    and nxt.tag == DerivationTag.PLAIN
-                ):
-                    pending.append((pre + rest, coeff))
-                    rewritten = True
-                    break
-                if (
-                    isinstance(atom, OpDerInv)
-                    and isinstance(nxt, OpD)
-                    and atom.tag == DerivationTag.PLAIN
-                ):
-                    pending.append((pre + rest, coeff))
-                    rewritten = True
-                    break
-        if not rewritten:
-            done[word] = done.get(word, Fraction(0)) + coeff
-    return OpExpr(done)
+        else:
+            add_into(done, word, coeff)
+    return OpExpr._raw(done)
 
 
 PROBE = "sigma"

@@ -17,7 +17,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .fields import FieldExpr, Integral, InverseSymbol, Jet, TestField
+from .fields import DEFAULT_CONTEXT, FieldExpr, Integral, InverseSymbol, Jet, TestField
+from .variational import lie_bracket_halves
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 MatPoly = Tuple[Matrix, ...]  # coefficient matrices, lowest power first
@@ -141,13 +142,14 @@ class ZeroCheckReport:
     first_failure: str = ""
 
 
-def check_zero(e: FieldExpr, scenes: Sequence[MatrixScene]) -> ZeroCheckReport:
-    """Exact zero test over every scene and evaluation point."""
+def check_equal(a: FieldExpr, b: FieldExpr, scenes: Sequence[MatrixScene]) -> ZeroCheckReport:
+    """Exact test that ``a`` and ``b`` take the same matrix value in every
+    scene at every evaluation point."""
     points = 0
     for scene in scenes:
         for x0 in scene.points:
             points += 1
-            if not mat_is_zero(eval_field(e, scene, x0)):
+            if eval_field(a, scene, x0) != eval_field(b, scene, x0):
                 return ZeroCheckReport(
                     False,
                     len(scenes),
@@ -155,6 +157,20 @@ def check_zero(e: FieldExpr, scenes: Sequence[MatrixScene]) -> ZeroCheckReport:
                     "seed=%d x0=%s" % (scene.seed, x0),
                 )
     return ZeroCheckReport(True, len(scenes), points)
+
+
+def check_zero(e: FieldExpr, scenes: Sequence[MatrixScene]) -> ZeroCheckReport:
+    """Exact zero test over every scene and evaluation point."""
+    return check_equal(e, FieldExpr.zero(), scenes)
+
+
+def check_commute(
+    K: FieldExpr, G: FieldExpr, base: str, scenes: Sequence[MatrixScene]
+) -> ZeroCheckReport:
+    """Exact test that the flows K and G commute: the halves K'[G] and G'[K]
+    of their Lie bracket are evaluated separately and compared, so the
+    verdict does not depend on the symbolic reducer."""
+    return check_equal(*lie_bracket_halves(K, G, base, DEFAULT_CONTEXT), scenes)
 
 
 def default_scenes(count: int = 10, dim: int = 3, degree: int = 2) -> List[MatrixScene]:

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Optional, Tuple
 
 from .fields import (
     Context,
@@ -46,9 +47,13 @@ from .fields import (
     TAG_BASE,
     TestField,
     Word,
+    _TAG_SIGN,
+    add_into,
     der,
     expr_nesting,
     jet,
+    mul_terms,
+    sum_terms,
 )
 
 # eta atoms are plain tuples:
@@ -66,10 +71,6 @@ class _ForeignAtom(Exception):
 
 def _freeze(e: EtaExpr):
     return tuple(sorted(e.items(), key=lambda kv: _word_sort(kv[0])))
-
-
-def _thaw(fro) -> EtaExpr:
-    return dict(fro)
 
 
 def _atom_sort(a: EtaAtom):
@@ -130,25 +131,16 @@ class _ByKeyDesc:
         return self.key > other.key
 
 
-def _add_into(acc: EtaExpr, w: EtaWord, c: Fraction) -> None:
-    cur = acc.get(w)
-    new = (cur if cur is not None else Fraction(0)) + c
-    if new == 0:
-        acc.pop(w, None)
-    else:
-        acc[w] = new
-
-
 def _eta_d_word(w: EtaWord) -> EtaExpr:
     """The jet-raising derivation E applied to one eta word."""
     out: EtaExpr = {}
     for i, a in enumerate(w):
         if a[0] in ("j", "t"):
             raised = w[:i] + ((a[0], a[1], a[2] + 1),) + w[i + 1 :]
-            _add_into(out, raised, Fraction(1))
+            add_into(out, raised, Fraction(1))
         else:
             for bw, bc in a[1]:
-                _add_into(out, w[:i] + bw + w[i + 1 :], bc)
+                add_into(out, w[:i] + bw + w[i + 1 :], bc)
     return out
 
 
@@ -195,15 +187,15 @@ def _greedy_split(f: EtaExpr, rounds: int, flip: bool) -> Tuple[EtaExpr, EtaExpr
             image = _eta_d_word(u)
             if image and max(image, key=key) == w:
                 ratio = c / image[w]
-                _add_into(g, u, ratio)
+                add_into(g, u, ratio)
                 for iw, ic in image.items():
                     was_present = iw in work
-                    _add_into(work, iw, -ratio * ic)
+                    add_into(work, iw, -ratio * ic)
                     if iw in work and not was_present:
                         heapq.heappush(heap, _ByKeyDesc(key(iw), iw))
                 done = True
         if not done:
-            _add_into(h, w, c)
+            add_into(h, w, c)
             del work[w]
     return g, h
 
@@ -215,24 +207,15 @@ _X2ETA: Dict[tuple, EtaExpr] = {}
 _ETA2X: Dict[tuple, FieldExpr] = {}
 
 
-def _tag_sign(tag: DerivationTag) -> int:
-    from .fields import _TAG_SIGN
-
-    return _TAG_SIGN[tag]
-
-
 def _eta_dtotal(tag: DerivationTag, f: EtaExpr) -> EtaExpr:
     """The plain x-derivative expressed in eta coordinates: E + sign*[base, .]."""
-    out: EtaExpr = {}
-    for w, c in f.items():
-        for iw, ic in _eta_d_word(w).items():
-            _add_into(out, iw, c * ic)
-    sign = _tag_sign(tag)
+    out = sum_terms((_eta_d_word(w), c) for w, c in f.items())
+    sign = _TAG_SIGN[tag]
     if sign:
         base = ("j", TAG_BASE[tag], 0)
         for w, c in f.items():
-            _add_into(out, (base,) + w, sign * c)
-            _add_into(out, w + (base,), -sign * c)
+            add_into(out, (base,) + w, sign * c)
+            add_into(out, w + (base,), -sign * c)
     return out
 
 
@@ -261,33 +244,28 @@ def _to_eta_atom(tag: DerivationTag, atom) -> EtaExpr:
 def _to_eta_word(tag: DerivationTag, word: Word) -> EtaExpr:
     out: EtaExpr = {(): Fraction(1)}
     for atom in word:
-        factor = _to_eta_atom(tag, atom)
-        nxt: EtaExpr = {}
-        for w1, c1 in out.items():
-            for w2, c2 in factor.items():
-                _add_into(nxt, w1 + w2, c1 * c2)
-        out = nxt
+        out = mul_terms(out, _to_eta_atom(tag, atom), None)
     return out
 
 
 def _to_eta_expr(tag: DerivationTag, f: FieldExpr) -> EtaExpr:
-    out: EtaExpr = {}
-    for w, c in f.terms.items():
-        for ew, ec in _to_eta_word(tag, w).items():
-            _add_into(out, ew, c * ec)
-    return out
+    return sum_terms((_to_eta_word(tag, w), c) for w, c in f.terms.items())
 
 
-def _eta_jet_to_x(
-    tag: DerivationTag, kind: str, name: str, order: int, ctx: Context
-) -> FieldExpr:
+def _eta_jet_to_x(tag: DerivationTag, kind: str, name: str, order: int) -> FieldExpr:
+    """An eta jet in x coordinates, computed in the default context.
+
+    Only valid where ``_standard_field(tag, ctx)`` holds: then the tag's
+    commutator field is the default one, so the value depends on the key
+    alone.
+    """
     key = (tag, kind, name, order)
     if key in _ETA2X:
         return _ETA2X[key]
     if order == 0:
         out = FieldExpr.from_atom(Jet(name, 0) if kind == "j" else TestField(name, 0))
     else:
-        out = der(tag, _eta_jet_to_x(tag, kind, name, order - 1, ctx), ctx)
+        out = der(tag, _eta_jet_to_x(tag, kind, name, order - 1), DEFAULT_CONTEXT)
     _ETA2X[key] = out
     return out
 
@@ -296,18 +274,16 @@ def _from_eta_word(tag: DerivationTag, w: EtaWord, ctx: Context) -> FieldExpr:
     out = FieldExpr.unit()
     for a in w:
         if a[0] in ("j", "t"):
-            out = out * _eta_jet_to_x(tag, a[0], a[1], a[2], ctx)
+            out = out * _eta_jet_to_x(tag, a[0], a[1], a[2])
         else:
-            body = _from_eta_expr(tag, _thaw(a[1]), ctx)
-            out = out * _integral_atom(tag, body, ctx)
+            out = out * _integral_atom(tag, _from_eta_expr(tag, a[1], ctx), ctx)
     return out
 
 
-def _from_eta_expr(tag: DerivationTag, f: EtaExpr, ctx: Context) -> FieldExpr:
-    acc = FieldExpr.zero()
-    for w, c in f.items():
-        acc = acc + _from_eta_word(tag, w, ctx).scale(c)
-    return acc
+def _from_eta_expr(
+    tag: DerivationTag, items: Iterable[Tuple[EtaWord, Fraction]], ctx: Context
+) -> FieldExpr:
+    return FieldExpr.sum((_from_eta_word(tag, w, ctx), c) for w, c in items)
 
 
 def _integral_atom(tag: DerivationTag, body: FieldExpr, ctx: Context) -> FieldExpr:
@@ -342,21 +318,19 @@ def derinv(
     if not _standard_field(tag, ctx):
         return _integral_atom(tag, f, ctx)
 
-    eta: EtaExpr = {}
-    foreign = FieldExpr.zero()
+    eta_terms, foreign = [], []
     for w, c in f.terms.items():
         try:
-            for ew, ec in _to_eta_word(tag, w).items():
-                _add_into(eta, ew, c * ec)
+            eta_terms.append((_to_eta_word(tag, w), c))
         except _ForeignAtom:
-            foreign = foreign + _integral_atom(tag, FieldExpr.from_word(w), ctx).scale(c)
+            foreign.append((_integral_atom(tag, FieldExpr.from_word(w), ctx), c))
 
-    g, h = _greedy_split(eta, ctx.reduce_rounds, _flip(tag))
-    out = _from_eta_expr(tag, g, ctx) + foreign
-    for w, c in h.items():
-        body = _from_eta_word(tag, w, ctx)
-        out = out + _integral_atom(tag, body, ctx).scale(c)
-    return out
+    g, h = _greedy_split(sum_terms(eta_terms), ctx.reduce_rounds, _flip(tag))
+    return FieldExpr.sum(chain(
+        ((_from_eta_word(tag, w, ctx), c) for w, c in g.items()),
+        foreign,
+        ((_integral_atom(tag, _from_eta_word(tag, w, ctx), ctx), c) for w, c in h.items()),
+    ))
 
 
 def _word_tag(word: Word) -> Optional[DerivationTag]:
@@ -408,14 +382,8 @@ def deep_reduce(f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
     cache: dict = {}
     cur = f
     for _ in range(ctx.reduce_passes):
-        out = FieldExpr.zero()
-        changed = False
-        for word, coeff in cur.terms.items():
-            val = _canon_word(word, ctx, cache)
-            if val != FieldExpr.from_word(word):
-                changed = True
-            out = out + val.scale(coeff)
-        cur = out
-        if not changed:
+        vals = [(_canon_word(word, ctx, cache), coeff) for word, coeff in cur.terms.items()]
+        if all(val == FieldExpr.from_word(word) for (val, _), word in zip(vals, cur.terms)):
             return cur
+        cur = FieldExpr.sum(vals)
     raise NestingLimitExceeded("deep reduction did not reach a fixed point")

@@ -13,16 +13,17 @@ the last line being the usual derivative of an operator inverse.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from .fields import (
     Context,
     DEFAULT_CONTEXT,
     FieldExpr,
     Integral,
-    InverseSymbol,
     Jet,
+    TAG_BASE,
     TestField,
+    _TAG_SIGN,
     commutator,
     normal_field,
     subst_test,
@@ -69,37 +70,21 @@ def frechet_field(
     if base is None:
         base = _infer_base(K)
 
-    def datom(atom) -> FieldExpr:
+    def datom(atom) -> Optional[FieldExpr]:
         if isinstance(atom, Jet) and atom.symbol == base:
             return FieldExpr.from_atom(TestField(direction, atom.order))
-        if isinstance(atom, InverseSymbol):
-            return FieldExpr.zero()
         if isinstance(atom, Integral):
-            from .fields import TAG_BASE, _TAG_SIGN
-
             sign = _TAG_SIGN[atom.tag]
             i_val = FieldExpr.from_atom(atom)
-            out = derinv(atom.tag, dexpr(atom.body), ctx)
+            out = derinv(atom.tag, atom.body.leibniz(datom), ctx)
             if sign and TAG_BASE.get(atom.tag) == base:
                 # the tagged derivation itself depends on the base symbol
                 dirf = FieldExpr.from_atom(TestField(direction, 0))
                 out = out + derinv(atom.tag, commutator(dirf, i_val), ctx).scale(sign)
             return out
-        return FieldExpr.zero()
+        return None
 
-    def dexpr(e: FieldExpr) -> FieldExpr:
-        acc = FieldExpr.zero()
-        for word, coeff in e.terms.items():
-            for i, atom in enumerate(word):
-                da = datom(atom)
-                if da.is_zero():
-                    continue
-                acc = acc + (
-                    FieldExpr.from_word(word[:i]) * da * FieldExpr.from_word(word[i + 1 :])
-                ).scale(coeff)
-        return acc
-
-    return dexpr(K)
+    return K.leibniz(datom)
 
 
 def frechet_op(
@@ -109,11 +94,7 @@ def frechet_op(
     ctx: Context = DEFAULT_CONTEXT,
 ) -> OpExpr:
     """Directional derivative of an operator expression along ``direction``."""
-    from .fields import _TAG_SIGN
-
     dirf = test(direction)
-
-    from .fields import TAG_BASE
 
     def datom(atom) -> Optional[OpExpr]:
         if isinstance(atom, OpD):
@@ -147,14 +128,7 @@ def frechet_op(
             return op_right(dword)
         return op_comm(dword)
 
-    acc = OpExpr.zero()
-    for word, coeff in P.terms.items():
-        for i, atom in enumerate(word):
-            da = datom(atom)
-            if da is None:
-                continue
-            acc = acc + (OpExpr({word[:i]: 1}) * da * OpExpr({word[i + 1 :]: 1})).scale(coeff)
-    return acc
+    return P.leibniz(datom)
 
 
 def member_operator(K: FieldExpr, base: Optional[str] = None) -> OpExpr:
@@ -167,20 +141,34 @@ def member_operator(K: FieldExpr, base: Optional[str] = None) -> OpExpr:
         raise ValueError("member operator needs an antiderivative-free expression")
     if base is None:
         base = _infer_base(K)
-    acc = OpExpr.zero()
-    for word, coeff in K.terms.items():
-        for i, atom in enumerate(word):
-            if not (isinstance(atom, Jet) and atom.symbol == base):
-                continue
-            piece = OpExpr.identity()
-            if word[:i]:
-                piece = piece * op_left(FieldExpr.from_word(word[:i]))
-            if word[i + 1 :]:
-                piece = piece * op_right(FieldExpr.from_word(word[i + 1 :]))
-            for _ in range(atom.order):
-                piece = piece * OpExpr.from_atoms(OpD())
-            acc = acc + piece.scale(coeff)
-    return acc
+
+    def pieces():
+        for word, coeff in K.terms.items():
+            for i, atom in enumerate(word):
+                if not (isinstance(atom, Jet) and atom.symbol == base):
+                    continue
+                piece = OpExpr.identity()
+                if word[:i]:
+                    piece = piece * op_left(FieldExpr.from_word(word[:i]))
+                if word[i + 1 :]:
+                    piece = piece * op_right(FieldExpr.from_word(word[i + 1 :]))
+                for _ in range(atom.order):
+                    piece = piece * OpExpr.from_atoms(OpD())
+                yield piece, coeff
+
+    return OpExpr.sum(pieces())
+
+
+def lie_bracket_halves(
+    K: FieldExpr, G: FieldExpr, base: str, ctx: Context
+) -> Tuple[FieldExpr, FieldExpr]:
+    """The two halves K'[G] and G'[K] of the Lie bracket, unreduced.  Both
+    are antiderivative-free, so each can be evaluated in a matrix scene."""
+    if K.contains_integral() or G.contains_integral():
+        raise ValueError("lie_bracket needs antiderivative-free expressions")
+    kd = subst_test(frechet_field(K, "V", base, ctx), "V", G, ctx)
+    gd = subst_test(frechet_field(G, "V", base, ctx), "V", K, ctx)
+    return kd, gd
 
 
 def lie_bracket(
@@ -190,11 +178,7 @@ def lie_bracket(
     ctx: Context = DEFAULT_CONTEXT,
 ) -> FieldExpr:
     """Commutator of evolution vector fields: K'[G] - G'[K]."""
-    if K.contains_integral() or G.contains_integral():
-        raise ValueError("lie_bracket needs antiderivative-free expressions")
     if base is None:
         base = _infer_base(K + G)
-    direction = "V"
-    kd = subst_test(frechet_field(K, direction, base, ctx), direction, G, ctx)
-    gd = subst_test(frechet_field(G, direction, base, ctx), direction, K, ctx)
+    kd, gd = lie_bracket_halves(K, G, base, ctx)
     return normal_field(kd - gd, ctx)

@@ -26,8 +26,10 @@ from .fields import (
     DEFAULT_CONTEXT,
     FieldExpr,
     NestingLimitExceeded,
+    der,
     jet,
     rename_tests,
+    subst_test,
     test,
 )
 from .hierarchy import (
@@ -36,10 +38,21 @@ from .hierarchy import (
     hierarchy_member,
     recursion_operator,
 )
-from .operators import OpExpr, apply_op, op_comm, op_derinv, op_left, op_right
+from .lang import print_field
+from .operators import (
+    OpComm,
+    OpExpr,
+    OpLeft,
+    OpRight,
+    _mult_op,
+    apply_op,
+    op_comm,
+    op_derinv,
+    op_left,
+    op_right,
+)
 from .reduction import deep_reduce
 from .variational import frechet_op, lie_bracket, member_operator
-from .fields import der, subst_test
 
 
 class Status(enum.Enum):
@@ -62,8 +75,6 @@ class VerificationReport:
         return self.status == Status.PROVED_ZERO
 
     def to_dict(self) -> dict:
-        from .lang import print_field
-
         return {
             "schema": 1,
             "claim": self.claim,
@@ -125,20 +136,14 @@ def strong_symmetry_defect(
 
 def _subst_direction_op(P: OpExpr, name: str, replacement: FieldExpr, ctx: Context) -> OpExpr:
     """Substitute a field for the direction symbol inside operator atoms."""
-    from .operators import OpComm, OpLeft, OpRight
 
-    acc = OpExpr.zero()
-    for word, coeff in P.terms.items():
-        term = OpExpr.identity()
-        for atom in word:
-            if isinstance(atom, (OpLeft, OpRight, OpComm)):
-                sub = subst_test(FieldExpr.from_word(atom.word), name, replacement, ctx)
-                cls = type(atom)
-                term = term * OpExpr({(cls(w),): c for w, c in sub.terms.items()})
-            else:
-                term = term * OpExpr({(atom,): 1})
-        acc = acc + term.scale(coeff)
-    return acc
+    def atom_value(atom) -> OpExpr:
+        if isinstance(atom, (OpLeft, OpRight, OpComm)):
+            sub = subst_test(FieldExpr.from_word(atom.word), name, replacement, ctx)
+            return _mult_op(type(atom), sub)
+        return OpExpr.from_atoms(atom)
+
+    return P.map_atoms(atom_value)
 
 
 def strong_symmetry_member(
@@ -209,34 +214,38 @@ def hereditary_defect(
     B(V,W) = (Phi Phi'[V] - Phi'[Phi V]) W."""
     claim = "hereditary[%s]" % family.value
     log: List[str] = []
-    phi = recursion_operator(family, "expanded")
-    base = family.base
-    V, W = test("V"), test("W")
     try:
-        dphi = frechet_op(phi, "V", base, ctx)
-        phi_v = apply_op(phi, V, ctx)
-        dphi_at_phi_v = _subst_direction_op(dphi, "V", phi_v, ctx)
-        h_op = phi * dphi - dphi_at_phi_v
-        bilinear = apply_op(h_op, W, ctx)
+        bilinear = _bilinear(family, ctx)
     except NestingLimitExceeded as exc:
         log.append("defect assembly stopped: %s" % exc)
         return VerificationReport(claim, Status.INCONCLUSIVE, None, 0, 0, log)
     log.append("bilinear form B(V,W) terms: %d" % len(bilinear.terms))
     swapped = rename_tests(bilinear, {"V": "W", "W": "V"})
-    defect = bilinear - swapped
-    report = _finish(claim, defect, ctx, log)
-    return report
+    return _finish(claim, bilinear - swapped, ctx, log)
+
+
+def _bilinear(family: EquationFamily, ctx: Context) -> FieldExpr:
+    """B(V,W) = (Phi Phi'[V] - Phi'[Phi V]) W, before reduction."""
+    phi = recursion_operator(family, "expanded")
+    dphi = frechet_op(phi, "V", family.base, ctx)
+    phi_v = apply_op(phi, test("V"), ctx)
+    dphi_at_phi_v = _subst_direction_op(dphi, "V", phi_v, ctx)
+    return apply_op(phi * dphi - dphi_at_phi_v, test("W"), ctx)
 
 
 def hereditary_bilinear(
     family: EquationFamily, ctx: Context = DEFAULT_CONTEXT
 ) -> FieldExpr:
     """The canonicalized bilinear form B(V,W) itself, for fixture comparison."""
-    phi = recursion_operator(family, "expanded")
-    dphi = frechet_op(phi, "V", family.base, ctx)
-    phi_v = apply_op(phi, test("V"), ctx)
-    dphi_at_phi_v = _subst_direction_op(dphi, "V", phi_v, ctx)
-    return deep_reduce(apply_op(phi * dphi - dphi_at_phi_v, test("W"), ctx), ctx)
+    return deep_reduce(_bilinear(family, ctx), ctx)
+
+
+def flow_members(
+    family: EquationFamily, m: int, n: int, ctx: Context = DEFAULT_CONTEXT
+) -> Tuple[FieldExpr, FieldExpr]:
+    """The m-th and n-th hierarchy members, the flows a commutation claim is about."""
+    top = max(m, n, 8)
+    return hierarchy_member(family, m, top, ctx).rhs, hierarchy_member(family, n, top, ctx).rhs
 
 
 def flow_commutation(
@@ -244,8 +253,7 @@ def flow_commutation(
 ) -> VerificationReport:
     """Lie bracket of the m-th and n-th hierarchy members."""
     claim = "flow-commutation[%s, m=%d, n=%d]" % (family.value, m, n)
-    km = hierarchy_member(family, m, max(m, n, 8), ctx).rhs
-    kn = hierarchy_member(family, n, max(m, n, 8), ctx).rhs
+    km, kn = flow_members(family, m, n, ctx)
     defect = lie_bracket(km, kn, family.base, ctx)
     return _finish(claim, defect, ctx, [])
 

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from ncburgers import cli
 from ncburgers.cli import main
+from ncburgers.fields import jet
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +75,25 @@ def test_verify_commute_with_oracle(capsys):
     assert any("oracle" in line for line in doc["reports"][0]["log"])
 
 
+def test_verify_commute_oracle_is_independent_of_reducer(capsys, monkeypatch):
+    # the symbolic claim is K_2 against K_3; the oracle is handed r r for K_3
+    real_members = cli.flow_members
+
+    def members(family, m, n, ctx):
+        km, _ = real_members(family, m, n, ctx)
+        return km, jet("r") * jet("r")
+
+    monkeypatch.setattr(cli, "flow_members", members)
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "commute", "--family", "mirror", "--m", "2", "--n", "3",
+        "--scenes", "2", "--format", "structured",
+    )
+    assert code == 1
+    log = json.loads(out)["reports"][0]["log"]
+    assert any("passed: False" in line for line in log)
+
+
 def test_verify_cole_hopf(capsys):
     code, out, _ = run_cli(capsys, "verify", "cole-hopf", "--family", "mirror")
     assert code == 0
@@ -133,6 +154,13 @@ def test_ibp_depth_env(capsys, monkeypatch):
         capsys, "verify", "hereditary", "--family", "mirror"
     )
     assert code == 0
+
+
+def test_ibp_depth_env_rejects_non_integer(capsys, monkeypatch):
+    monkeypatch.setenv("NCBURGERS_IBP_DEPTH", "deep")
+    code, out, err = run_cli(capsys, "verify", "hereditary", "--family", "mirror")
+    assert code == 2
+    assert "NCBURGERS_IBP_DEPTH" in err
 
 
 def test_inconclusive_exit_three(capsys):

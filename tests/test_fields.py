@@ -24,6 +24,7 @@ from ncburgers.fields import (
         uinv,
     word_weight,
 )
+from ncburgers.operators import OpD, OpDerInv, OpExpr, OpLeft
 from ncburgers.reduction import derinv
 
 from conftest import random_field
@@ -171,3 +172,42 @@ def test_zero_handling():
     assert FieldExpr.zero().is_zero()
     assert not (r + rx).is_zero()
     assert (r - r).is_zero()
+
+
+def _random_words(rng, atoms):
+    return [tuple(rng.choice(atoms) for _ in range(rng.randint(0, 3))) for _ in range(6)]
+
+
+@pytest.mark.parametrize(
+    "cls, atoms",
+    [
+        (FieldExpr, (Jet("r"), Jet("r", 1), Jet("s"))),
+        (OpExpr, (OpD(), OpLeft((Jet("r"),)), OpDerInv(M))),
+    ],
+)
+def test_linear_combination_core(cls, atoms):
+    rng = random.Random(29)
+    for _ in range(40):
+        words = _random_words(rng, atoms)
+        pairs = [
+            (cls({w: Fraction(rng.randint(-3, 3), rng.randint(1, 2))}), Fraction(rng.randint(-2, 2)))
+            for w in words
+        ]
+        forward, backward = cls.zero(), cls.zero()
+        for e, c in pairs:
+            forward = forward + e.scale(c)
+        for e, c in reversed(pairs):
+            backward = backward + e.scale(c)
+        # summation order does not matter
+        assert forward == backward and hash(forward) == hash(backward)
+        # sum over (expr, coeff) pairs equals repeated +
+        assert cls.sum(pairs) == forward
+        # cancellation leaves no zero-coefficient terms behind
+        assert (forward - forward).is_zero() and (forward - forward).terms == {}
+        assert forward.scale(0).is_zero() and forward.scale(0).terms == {}
+        y = cls.sum(pairs[:2])
+        assert (forward + y) - y == forward
+        assert all(c != 0 for c in ((forward + y) - y).terms.values())
+    other = OpExpr if cls is FieldExpr else FieldExpr
+    assert cls({(): 1}).terms == other({(): 1}).terms
+    assert cls({(): 1}) != other({(): 1})

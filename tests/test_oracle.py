@@ -10,6 +10,7 @@ from ncburgers.hierarchy import EquationFamily, hierarchy_member
 from ncburgers.oracle import (
     CHSolution,
     MatrixScene,
+    check_commute,
     check_zero,
     cole_hopf_numeric,
     default_scenes,
@@ -98,6 +99,13 @@ def test_check_zero_confirms_flow_commutation():
     defect = lie_bracket(k2, k3, "r")
     report = check_zero(defect, default_scenes(10))
     assert report.passed and report.points == 30
+
+
+def test_check_commute_rejects_non_commuting_flows():
+    k2 = hierarchy_member(EquationFamily.MIRROR, 2).rhs
+    k3 = hierarchy_member(EquationFamily.MIRROR, 3).rhs
+    assert check_commute(k2, k3, "r", default_scenes(3)).passed
+    assert not check_commute(k2, jet("r") * jet("r"), "r", default_scenes(3)).passed
 
 
 def test_dual_number_oracle_on_members():
