@@ -364,7 +364,6 @@ class FieldExpr(LinearCombination):
 
 
 ZERO = FieldExpr.zero()
-ONE = FieldExpr.unit()
 
 
 def jet(symbol: str, order: int = 0) -> FieldExpr:
@@ -544,21 +543,17 @@ def subst_test(
 
 
 def rename_tests(f: FieldExpr, mapping: Mapping[str, str]) -> FieldExpr:
-    """Simultaneously rename test fields, e.g. swap V and W."""
+    """Simultaneously rename test fields, e.g. swap V and W.  Antiderivative
+    bodies are renamed in place, not integrated again."""
 
-    def ren_atom(atom: Atom) -> Atom:
+    def atom_value(atom: Atom) -> FieldExpr:
         if isinstance(atom, TestField) and atom.name in mapping:
-            return TestField(mapping[atom.name], atom.order)
-        if isinstance(atom, Integral):
-            return Integral(atom.tag, ren_expr(atom.body))
-        return atom
+            atom = TestField(mapping[atom.name], atom.order)
+        elif isinstance(atom, Integral):
+            atom = Integral(atom.tag, atom.body.map_atoms(atom_value))
+        return FieldExpr.from_atom(atom)
 
-    def ren_expr(e: FieldExpr) -> FieldExpr:
-        return FieldExpr(
-            {tuple(ren_atom(a) for a in w): c for w, c in e.terms.items()}
-        )
-
-    return ren_expr(f)
+    return f.map_atoms(atom_value)
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ def reduce_commutative(e: Union[FieldExpr, OpExpr]) -> Union[FieldExpr, OpExpr]:
 # Cole-Hopf operator identities
 
 
-def cole_hopf_substitution(family: EquationFamily, ctx: Context) -> FieldExpr:
+def cole_hopf_substitution(family: EquationFamily) -> FieldExpr:
     """The Cole-Hopf image of the base symbol: u_x u^-1 (mirror), u^-1 u_x (direct)."""
     u1, ui = jet("u", 1), uinv()
     if family == EquationFamily.MIRROR:
@@ -211,7 +211,7 @@ def cole_hopf_identities(
         raise ValueError("the heat family has no Cole-Hopf identities")
     ctx = cole_hopf_context(family.tag)
     u, ui = jet("u"), uinv()
-    sub = cole_hopf_substitution(family, ctx)
+    sub = cole_hopf_substitution(family)
     sub_x = d_total(sub, ctx)
     tag = family.tag
 

@@ -264,7 +264,11 @@ def op_probe_equal(
     P: OpExpr, Q: OpExpr, ctx: Context = DEFAULT_CONTEXT, deep: bool = True
 ) -> bool:
     """Ground-truth operator equality: act on a fresh probe field and
-    normalize the difference to zero."""
+    normalize the difference to zero.  Raises ValueError when the probe
+    already occurs in a multiplication word of P or Q."""
+    mult = [a.word for w in (*P.terms, *Q.terms) for a in w if isinstance(a, (OpLeft, OpRight, OpComm))]
+    if any(PROBE in FieldExpr.from_word(word).test_names() for word in mult):
+        raise ValueError("probe symbol %s already occurs in the operators" % PROBE)
     probe = FieldExpr.from_atom(TestField(PROBE, 0))
     diff = apply_op(P - Q, probe, ctx)
     if diff.is_zero():

@@ -1,8 +1,10 @@
 """Independent validation by exact matrix instantiation.
 
 Symbols are assigned square-matrix-valued polynomials in x with exact
-rational entries; jets evaluate to exact polynomial derivatives, words to
-matrix products.  A symbolic zero must then evaluate to the zero matrix in
+rational entries; jets evaluate through one closed form for polynomial
+derivatives, once per distinct atom per call, and words to matrix products.
+Directional derivatives use dual numbers a + eps b as block matrices
+[[a, b], [0, a]].  A symbolic zero must then evaluate to the zero matrix in
 every scene, with no tolerance.  A separate floating-point check feeds an
 explicit matrix heat-equation solution through the Cole-Hopf map and
 measures the residual of the mirror Burgers equation on a grid.
@@ -13,11 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from functools import reduce
+from math import perm
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import DEFAULT_CONTEXT, FieldExpr, Integral, InverseSymbol, Jet, TestField
+from .fields import DEFAULT_CONTEXT, Atom, FieldExpr, Jet, TestField
 from .variational import lie_bracket_halves
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -45,7 +49,6 @@ def mat_scale(a: Matrix, c: Fraction) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    d = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
@@ -54,21 +57,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_is_zero(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
-
-
-def poly_deriv(p: MatPoly, d: int) -> MatPoly:
-    if len(p) <= 1:
-        return (mat_zero(d),)
-    return tuple(mat_scale(p[k], Fraction(k)) for k in range(1, len(p)))
-
-
-def poly_eval(p: MatPoly, x0: Fraction, d: int) -> Matrix:
-    acc = mat_zero(d)
-    power = Fraction(1)
-    for coeff in p:
-        acc = mat_add(acc, mat_scale(coeff, power))
-        power *= x0
-    return acc
 
 
 @dataclass(frozen=True)
@@ -82,10 +70,12 @@ class MatrixScene:
     points: Tuple[Fraction, ...]
 
     def jet_value(self, symbol: str, order: int, x0: Fraction) -> Matrix:
-        p = self.assignment[symbol]
-        for _ in range(order):
-            p = poly_deriv(p, self.dim)
-        return poly_eval(p, x0, self.dim)
+        """The ``order``-th x-derivative at x0: the sum over k >= order of
+        k!/(k-order)! x0^(k-order) C_k, zero when order exceeds the degree."""
+        acc = mat_zero(self.dim)
+        for k, coeff in enumerate(self.assignment[symbol][order:], order):
+            acc = mat_add(acc, mat_scale(coeff, perm(k, order) * x0 ** (k - order)))
+        return acc
 
 
 def make_scene(seed: int, dim: int = 3, degree: int = 2) -> MatrixScene:
@@ -113,25 +103,32 @@ def make_scene(seed: int, dim: int = 3, degree: int = 2) -> MatrixScene:
     return MatrixScene(seed, dim, degree, assignment, points)
 
 
+def _eval_words(e: FieldExpr, dim: int, atom_value: Callable[[Atom, str], Matrix]) -> Matrix:
+    """Sum of coeff * product of ``atom_value(atom, scene symbol)`` over the
+    words of ``e``, calling ``atom_value`` once per distinct atom."""
+    values: Dict[Atom, Matrix] = {}
+    acc = mat_zero(dim)
+    for word, coeff in e.terms.items():
+        factors = []
+        for atom in word:
+            value = values.get(atom)
+            if value is None:
+                if isinstance(atom, Jet):
+                    value = atom_value(atom, atom.symbol)
+                elif isinstance(atom, TestField):
+                    value = atom_value(atom, atom.name)
+                else:
+                    raise ValueError("matrix evaluation is defined only for local expressions")
+                values[atom] = value
+            factors.append(value)
+        product = reduce(mat_mul, factors) if factors else mat_eye(dim)
+        acc = mat_add(acc, mat_scale(product, coeff))
+    return acc
+
+
 def eval_field(e: FieldExpr, scene: MatrixScene, x0: Fraction) -> Matrix:
     """Exact matrix value of an antiderivative-free field expression."""
-    d = scene.dim
-    acc = mat_zero(d)
-    for word, coeff in e.terms.items():
-        value = mat_eye(d)
-        for atom in word:
-            if isinstance(atom, Jet):
-                value = mat_mul(value, scene.jet_value(atom.symbol, atom.order, x0))
-            elif isinstance(atom, TestField):
-                value = mat_mul(value, scene.jet_value(atom.name, atom.order, x0))
-            elif isinstance(atom, (Integral, InverseSymbol)):
-                raise ValueError(
-                    "matrix evaluation is defined only for local expressions"
-                )
-            else:
-                raise ValueError("unknown atom %r" % (atom,))
-        acc = mat_add(acc, mat_scale(value, coeff))
-    return acc
+    return _eval_words(e, scene.dim, lambda atom, name: scene.jet_value(name, atom.order, x0))
 
 
 @dataclass
@@ -186,30 +183,19 @@ def eval_frechet_dual(
 ) -> Matrix:
     """Exact directional derivative of K at the scene's base assignment
     along the scene's direction assignment, via nilpotent dual numbers
-    (epsilon^2 = 0): the epsilon coefficient of K(base + epsilon*dir)."""
+    (epsilon^2 = 0): the epsilon coefficient of K(base + epsilon*dir), the
+    top-right block when a + epsilon b is the block matrix [[a, b], [0, a]]."""
     d = scene.dim
+    zero = mat_zero(d)
 
-    def dual_mul(a, b):
-        return (mat_mul(a[0], b[0]), mat_add(mat_mul(a[0], b[1]), mat_mul(a[1], b[0])))
+    def atom_value(atom: Atom, name: str) -> Matrix:
+        a = scene.jet_value(name, atom.order, x0)
+        perturbed = isinstance(atom, Jet) and name == base
+        b = scene.jet_value(direction, atom.order, x0) if perturbed else zero
+        return tuple(ra + rb for ra, rb in zip(a, b)) + tuple(rz + ra for rz, ra in zip(zero, a))
 
-    acc = mat_zero(d)
-    for word, coeff in K.terms.items():
-        value = (mat_eye(d), mat_zero(d))
-        for atom in word:
-            if isinstance(atom, Jet) and atom.symbol == base:
-                pair = (
-                    scene.jet_value(atom.symbol, atom.order, x0),
-                    scene.jet_value(direction, atom.order, x0),
-                )
-            elif isinstance(atom, Jet):
-                pair = (scene.jet_value(atom.symbol, atom.order, x0), mat_zero(d))
-            elif isinstance(atom, TestField):
-                pair = (scene.jet_value(atom.name, atom.order, x0), mat_zero(d))
-            else:
-                raise ValueError("dual evaluation is defined only for local expressions")
-            value = dual_mul(value, pair)
-        acc = mat_add(acc, mat_scale(value[1], coeff))
-    return acc
+    value = _eval_words(K, 2 * d, atom_value)
+    return tuple(row[d:] for row in value[:d])
 
 
 # ---------------------------------------------------------------------------
@@ -273,27 +259,33 @@ def scene_from_text(text: str) -> MatrixScene:
 
 @dataclass
 class CHSolution:
-    """u(x,t) = I + sum_i A_i exp(k_i x + k_i^2 t), a heat-equation solution."""
+    """u(x,t) = I + sum_i A_i exp(k_i x + c_i t) with time rates c_i, by
+    default c_i = k_i^2, which makes u a heat-equation solution."""
 
     dim: int
     amplitudes: List[np.ndarray]
     wave_numbers: List[Fraction]
+    rates: Optional[List[Fraction]] = None
 
     def __post_init__(self):
         if len(self.amplitudes) != len(self.wave_numbers):
             raise ValueError("one wave number per amplitude matrix")
+        if self.rates is None:
+            self.rates = [k * k for k in self.wave_numbers]
+        elif len(self.rates) != len(self.wave_numbers):
+            raise ValueError("one time rate per wave number")
         self.amplitudes = [np.asarray(a, dtype=float) for a in self.amplitudes]
 
     def heat_residual_exact(self) -> bool:
         """u_t - u_xx vanishes identically: the coefficient of each
-        exponential is A_i (k_i^2 - k_i^2)."""
-        return all(k * k - k * k == 0 for k in self.wave_numbers)
+        exponential is A_i (c_i - k_i^2), compared exactly."""
+        return all(c == k * k for k, c in zip(self.wave_numbers, self.rates))
 
     def derivative(self, x: float, t: float, dx: int, dt: int) -> np.ndarray:
         out = np.eye(self.dim) if dx == 0 and dt == 0 else np.zeros((self.dim, self.dim))
-        for a, k in zip(self.amplitudes, self.wave_numbers):
-            kf = float(k)
-            out = out + a * kf ** (dx + 2 * dt) * np.exp(kf * x + kf * kf * t)
+        for a, k, c in zip(self.amplitudes, self.wave_numbers, self.rates):
+            kf, cf = float(k), float(c)
+            out = out + a * kf ** dx * cf ** dt * np.exp(kf * x + cf * t)
         return out
 
 
@@ -308,7 +300,7 @@ def cole_hopf_numeric(
     sol: CHSolution, xs: Sequence[float], ts: Sequence[float]
 ) -> CHResidualReport:
     """Maximum residual of r_t - r_xx - 2 r_x r with r = u_x u^-1 over the
-    grid, computed from closed-form derivatives of u."""
+    grid, computed from closed-form x- and t-derivatives of u."""
     worst = 0.0
     for x in xs:
         for t in ts:
@@ -324,8 +316,7 @@ def cole_hopf_numeric(
             uxx_uinv = uxx @ uinv_m
             r_x = uxx_uinv - r @ r
             r_xx = uxxx @ uinv_m - uxx_uinv @ r - r_x @ r - r @ r_x
-            # u_t = u_xx and u_xt = u_xxx for a heat solution
-            r_t = uxxx @ uinv_m - r @ uxx_uinv
+            r_t = (sol.derivative(x, t, 1, 1) - r @ sol.derivative(x, t, 0, 1)) @ uinv_m
             residual = r_t - r_xx - 2.0 * (r_x @ r)
             worst = max(worst, float(np.max(np.abs(residual))))
     return CHResidualReport(worst, sol.heat_residual_exact(), (len(xs), len(ts)))

@@ -162,6 +162,8 @@ def test_subst_test_substitutes_derivatives():
 def test_rename_tests_swap():
     e = tfield("V") * tfield("W", 1)
     assert rename_tests(e, {"V": "W", "W": "V"}) == tfield("W") * tfield("V", 1)
+    # words that a rename makes equal are added, not overwritten
+    assert rename_tests(tfield("V") + tfield("W"), {"V": "W"}) == tfield("W").scale(2)
 
 
 def test_word_weight_grading():

@@ -1,6 +1,8 @@
 from ncburgers.fields import test as tfield
 import random
 
+import pytest
+
 from ncburgers.fields import DerivationTag, FieldExpr, commutator, d_total, der, jet
 from ncburgers.operators import (
     OpExpr,
@@ -99,3 +101,11 @@ def test_op_power_and_identity():
 def test_probe_equality_respects_scaling():
     phi = op_d() + op_right(r)
     assert not op_probe_equal(phi, phi.scale(2))
+
+
+def test_probe_must_be_fresh():
+    # with sigma inside L and R both sides would act as sigma sigma
+    with pytest.raises(ValueError, match="sigma"):
+        op_probe_equal(op_left(sigma), op_right(sigma))
+    with pytest.raises(ValueError, match="sigma"):
+        op_probe_equal(op_d(), op_comm(r * derinv(M, sigma)))

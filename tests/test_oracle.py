@@ -64,6 +64,24 @@ def test_eval_field_detects_noncommutativity():
 def test_eval_field_zero_expression():
     scene = make_scene(2, 2, 1)
     assert mat_is_zero(eval_field(FieldExpr.zero(), scene, Fraction(1)))
+    # a jet of order above the scene degree is the zero matrix
+    assert mat_is_zero(eval_field(jet("r", 2), scene, Fraction(1)))
+    assert mat_is_zero(eval_frechet_dual(jet("r", 2), scene, "r", "V", Fraction(1)))
+
+
+def test_eval_values_each_distinct_atom_once(monkeypatch):
+    calls = []
+    jet_value = MatrixScene.jet_value
+
+    def counting(self, symbol, order, x0):
+        calls.append((symbol, order))
+        return jet_value(self, symbol, order, x0)
+
+    monkeypatch.setattr(MatrixScene, "jet_value", counting)
+    scene = make_scene(4, 2, 2)
+    e = r * rx * r + rx * rx - tfield("V") * r
+    eval_field(e, scene, Fraction(1))
+    assert sorted(calls) == [("V", 0), ("r", 0), ("r", 1)]
 
 
 def test_eval_field_rejects_nonlocal():
@@ -148,6 +166,16 @@ def test_cole_hopf_two_wave_noncommuting():
     report = cole_hopf_numeric(sol, xs, ts)
     assert report.heat_exact
     assert report.max_residual < 1e-8
+
+
+def test_cole_hopf_detects_non_heat_solution():
+    a1 = np.array([[0.3, 0.1], [0.0, 0.2]])
+    a2 = np.array([[0.1, 0.0], [0.25, 0.4]])
+    k1, k2 = Fraction(1, 2), Fraction(-1, 3)
+    sol = CHSolution(2, [a1, a2], [k1, k2], rates=[k1 * k1 + 1, k2 * k2])
+    report = cole_hopf_numeric(sol, np.linspace(-1.0, 1.0, 20), np.linspace(0.0, 0.5, 20))
+    assert not report.heat_exact
+    assert report.max_residual > 1e-2
 
 
 def test_cole_hopf_identity_solution():

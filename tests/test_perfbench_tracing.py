@@ -1,0 +1,27 @@
+"""The benchmark's tracer wraps engine functions by name; every name in its
+table must still resolve, or a rename shows up only in a traced run."""
+
+import ast
+import importlib
+import pathlib
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _traced_table():
+    # read the table from source, so the tracer module is never imported
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("no TRACED table in %s" % TRACING)
+
+
+def test_traced_names_resolve():
+    missing = []
+    for module, attribute, _ in _traced_table():
+        target = importlib.import_module("ncburgers." + module)
+        for part in attribute.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append("%s.%s" % (module, attribute))
+    assert not missing
