@@ -3,121 +3,8 @@
 Construction of the mirror and direct recursion operators, generation of
 their hierarchies, machine verification of the strong-symmetry, hereditary
 and Cole-Hopf identities, and an exact matrix oracle for cross-validation.
+The API lives in the submodules (``ncburgers.fields``, ``ncburgers.verify``,
+...); importing the package imports none of them.
 """
-
-from .fields import (
-    Context,
-    DEFAULT_CONTEXT,
-    DerivationTag,
-    FieldExpr,
-    Integral,
-    InverseSymbol,
-    Jet,
-    NestingLimitExceeded,
-    TestField,
-    cole_hopf_context,
-    combine,
-    commutator,
-    d_total,
-    default_context,
-    der,
-    jet,
-    normal_field,
-    subst_jets,
-    subst_test,
-    test,
-    uinv,
-)
-from .operators import (
-    OpExpr,
-    apply_op,
-    normal_op,
-    op_comm,
-    op_d,
-    op_der,
-    op_derinv,
-    op_left,
-    op_probe_equal,
-    op_right,
-)
-from .hierarchy import (
-    EquationFamily,
-    HierarchyMember,
-    hierarchy_member,
-    recursion_operator,
-    reduce_commutative,
-)
-from .lang import ParseError, parse_field, parse_op, print_expr, print_field, print_op
-from .reduction import deep_reduce, derinv
-from .variational import frechet_field, frechet_op, lie_bracket, member_operator
-from .verify import (
-    Status,
-    VerificationReport,
-    flow_commutation,
-    hereditary_defect,
-    s_split,
-    strong_symmetry_defect,
-    strong_symmetry_member,
-    verify_cole_hopf,
-)
-
-__all__ = [
-    "Context",
-    "EquationFamily",
-    "HierarchyMember",
-    "ParseError",
-    "Status",
-    "VerificationReport",
-    "flow_commutation",
-    "frechet_field",
-    "frechet_op",
-    "hereditary_defect",
-    "hierarchy_member",
-    "lie_bracket",
-    "member_operator",
-    "parse_field",
-    "parse_op",
-    "print_expr",
-    "print_field",
-    "print_op",
-    "recursion_operator",
-    "reduce_commutative",
-    "s_split",
-    "strong_symmetry_defect",
-    "strong_symmetry_member",
-    "verify_cole_hopf",
-    "DEFAULT_CONTEXT",
-    "DerivationTag",
-    "FieldExpr",
-    "Integral",
-    "InverseSymbol",
-    "Jet",
-    "NestingLimitExceeded",
-    "OpExpr",
-    "TestField",
-    "apply_op",
-    "cole_hopf_context",
-    "combine",
-    "commutator",
-    "d_total",
-    "deep_reduce",
-    "default_context",
-    "der",
-    "derinv",
-    "jet",
-    "normal_field",
-    "normal_op",
-    "op_comm",
-    "op_d",
-    "op_der",
-    "op_derinv",
-    "op_left",
-    "op_probe_equal",
-    "op_right",
-    "subst_jets",
-    "subst_test",
-    "test",
-    "uinv",
-]
 
 __version__ = "0.1.0"

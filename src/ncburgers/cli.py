@@ -154,7 +154,7 @@ def _report_exit(reports: List[VerificationReport], fmt: str) -> int:
 
 def _cmd_hierarchy(args) -> int:
     fam = _family(args.family)
-    member = hierarchy_member(fam, args.order, max_order=max(args.order, 8))
+    member = hierarchy_member(fam, args.order)
     if args.format == "structured":
         print(
             json.dumps(
@@ -179,29 +179,25 @@ def _cmd_verify(args) -> int:
     depth = args.ibp_depth if getattr(args, "ibp_depth", None) is not None else _default_depth()
     ctx = default_context(integral_depth=depth)
     fam = _family(args.family)
-    try:
-        if args.claim == "strong-symmetry":
-            reports = [strong_symmetry_member(fam, args.member, ctx)]
-        elif args.claim == "hereditary":
-            reports = [hereditary_defect(fam, ctx)]
-        elif args.claim == "commute":
-            report = flow_commutation(fam, args.m, args.n, ctx)
-            if report.ok:
-                km, kn = flow_members(fam, args.m, args.n, ctx)
-                oracle = check_commute(km, kn, fam.base, default_scenes(args.scenes))
-                report.log.append(
-                    "oracle K'[G] vs G'[K] scenes: %d, points: %d, passed: %s"
-                    % (oracle.scenes, oracle.points, oracle.passed)
-                )
-                if not oracle.passed:
-                    report.log.append("oracle failed at %s" % oracle.first_failure)
-                    report.status = Status.NONZERO
-            reports = [report]
-        else:
-            reports = verify_cole_hopf(fam)
-    except NestingLimitExceeded as exc:
-        print("inconclusive: %s" % exc, file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    if args.claim == "strong-symmetry":
+        reports = [strong_symmetry_member(fam, args.member, ctx)]
+    elif args.claim == "hereditary":
+        reports = [hereditary_defect(fam, ctx)]
+    elif args.claim == "commute":
+        report = flow_commutation(fam, args.m, args.n, ctx)
+        if report.ok:
+            km, kn = flow_members(fam, args.m, args.n, ctx)
+            oracle = check_commute(km, kn, fam.base, default_scenes(args.scenes))
+            report.log.append(
+                "oracle K'[G] vs G'[K] scenes: %d, points: %d, passed: %s"
+                % (oracle.scenes, oracle.points, oracle.passed)
+            )
+            if not oracle.passed:
+                report.log.append("oracle failed at %s" % oracle.first_failure)
+                report.status = Status.NONZERO
+        reports = [report]
+    else:
+        reports = verify_cole_hopf(fam, depth)
     return _report_exit(reports, args.format)
 
 

@@ -8,9 +8,9 @@ concatenation and is not commutative.  All coefficients are exact
 the symbolic layer.
 
 The arithmetic of such combinations lives in one place,
-:class:`LinearCombination` with the in-place accumulator :func:`add_into`
-and the product :func:`mul_terms`; field expressions, operator expressions
-(``operators.OpExpr``) and the eta-coordinate dicts of ``reduction`` all
+:class:`LinearCombination` with the in-place accumulator :func:`add_into`;
+field expressions, operator expressions (``operators.OpExpr``) and the
+eta-coordinate expressions of ``reduction`` (``reduction.EtaExpr``) all
 use it.
 
 Derivations come in three flavours, selected by :class:`DerivationTag`:
@@ -175,32 +175,6 @@ def add_into(acc: dict, word, coeff) -> None:
         del acc[word]
 
 
-def sum_terms(pairs: Iterable[Tuple[Mapping, Rat]]) -> dict:
-    """The sum of ``c * terms`` over ``(terms, c)`` pairs, accumulated in
-    one dict."""
-    acc: dict = {}
-    for terms, c in pairs:
-        for w, k in terms.items():
-            add_into(acc, w, c * k)
-    return acc
-
-
-def mul_terms(a: Mapping, b: Mapping, canon: Optional[Callable]) -> dict:
-    """Product of two word -> coefficient dicts: words concatenate (and pass
-    through ``canon`` unless it is None), coefficients multiply."""
-    acc: dict = {}
-    get = acc.get
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            w = w1 + w2
-            if canon is not None:
-                w = canon(w)
-            c = c1 * c2
-            cur = get(w)
-            acc[w] = c if cur is None else cur + c
-    return {w: c for w, c in acc.items() if c}
-
-
 class LinearCombination:
     """Immutable linear combination of words with nonzero Fraction
     coefficients, held in ``terms``.
@@ -238,7 +212,11 @@ class LinearCombination:
     @classmethod
     def sum(cls, pairs: Iterable[Tuple["LinearCombination", Rat]]):
         """The sum of ``c * e`` over ``(e, c)`` pairs, accumulated in place."""
-        return cls._raw(sum_terms((e.terms, c) for e, c in pairs))
+        acc: dict = {}
+        for e, c in pairs:
+            for w, k in e.terms.items():
+                add_into(acc, w, c * k)
+        return cls._raw(acc)
 
     def map_atoms(self, atom_value: Callable):
         """Substitute ``atom_value(atom)``, an expression of this class, for
@@ -288,7 +266,19 @@ class LinearCombination:
         return self._raw({w: c * k for w, k in self.terms.items()})
 
     def __mul__(self, other):
-        return self._raw(mul_terms(self.terms, other.terms, self._canon))
+        """Words concatenate (and pass through ``_canon``), coefficients multiply."""
+        canon = self._canon
+        acc: dict = {}
+        get = acc.get
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                w = w1 + w2
+                if canon is not None:
+                    w = canon(w)
+                c = c1 * c2
+                cur = get(w)
+                acc[w] = c if cur is None else cur + c
+        return self._raw({w: c for w, c in acc.items() if c})
 
     # -- inspection ---------------------------------------------------------
 

@@ -55,9 +55,6 @@ from .operators import (
     op_right,
 )
 
-MAX_ORDER_DEFAULT = 8
-
-
 class EquationFamily(enum.Enum):
     MIRROR = "mirror"
     DIRECT = "direct"
@@ -101,16 +98,11 @@ def recursion_operator(family: EquationFamily, form: str = "expanded") -> OpExpr
 
 
 def hierarchy_member(
-    family: EquationFamily,
-    n: int,
-    max_order: int = MAX_ORDER_DEFAULT,
-    ctx: Context = DEFAULT_CONTEXT,
+    family: EquationFamily, n: int, ctx: Context = DEFAULT_CONTEXT
 ) -> HierarchyMember:
     """n-th hierarchy member via the compact derivation form."""
     if n < 1:
         raise ValueError("hierarchy index starts at 1")
-    if n > max_order:
-        raise ValueError("hierarchy index %d exceeds the configured maximum %d" % (n, max_order))
     base = jet(family.base)
     if family == EquationFamily.HEAT:
         rhs = FieldExpr.from_atom(Jet("u", n))
@@ -136,7 +128,7 @@ def hierarchy_cross_check(
         cur = apply_op(phi, cur, ctx)
         if cur.contains_integral():
             return False
-    return cur == hierarchy_member(family, n, max(n, MAX_ORDER_DEFAULT), ctx).rhs
+    return cur == hierarchy_member(family, n, ctx).rhs
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +195,14 @@ def cole_hopf_substitution(family: EquationFamily) -> FieldExpr:
 
 
 def cole_hopf_identities(
-    family: EquationFamily,
+    family: EquationFamily, integral_depth: int = 4
 ) -> List[Tuple[str, OpExpr, OpExpr, Context]]:
     """The five transformation-operator identities plus the conjugation
-    identity T D T^-1 = recursion operator, under the Cole-Hopf substitution."""
+    identity T D T^-1 = recursion operator, under the Cole-Hopf substitution,
+    each with its context (nesting bound ``integral_depth``)."""
     if family == EquationFamily.HEAT:
         raise ValueError("the heat family has no Cole-Hopf identities")
-    ctx = cole_hopf_context(family.tag)
+    ctx = cole_hopf_context(family.tag, integral_depth)
     u, ui = jet("u"), uinv()
     sub = cole_hopf_substitution(family)
     sub_x = d_total(sub, ctx)

@@ -50,17 +50,32 @@ from .operators import (
 )
 from .reduction import _to_eta_expr, derinv
 
-JET_IDENTS = {"r": "r", "s": "s", "u": "u", "v": "v"}
-TEST_IDENTS = {"V": "V", "W": "W", "sigma": "sigma"}
-DERINV_IDENTS = {
-    "IDinv": DerivationTag.MIRROR,
-    "DDinv": DerivationTag.DIRECT,
-    "Dinv": DerivationTag.PLAIN,
+_DERINV_NAMES = {
+    DerivationTag.MIRROR: "IDinv",
+    DerivationTag.DIRECT: "DDinv",
+    DerivationTag.PLAIN: "Dinv",
 }
-DER_IDENTS = {
-    "ID": DerivationTag.MIRROR,
-    "DD": DerivationTag.DIRECT,
+_DERINV_LATEX = {
+    DerivationTag.MIRROR: r"\mathrm{ID}^{-1}",
+    DerivationTag.DIRECT: r"\mathbb{D}^{-1}",
+    DerivationTag.PLAIN: r"D^{-1}",
 }
+_DER_NAMES = {
+    DerivationTag.MIRROR: "ID",
+    DerivationTag.DIRECT: "DD",
+    DerivationTag.PLAIN: "D",
+}
+_DER_LATEX = {
+    DerivationTag.MIRROR: r"\mathrm{ID}",
+    DerivationTag.DIRECT: r"\mathbb{D}",
+    DerivationTag.PLAIN: "D",
+}
+
+JET_IDENTS = ("r", "s", "u", "v")
+TEST_IDENTS = ("V", "W", "sigma")
+DERINV_IDENTS = {name: tag for tag, name in _DERINV_NAMES.items()}
+# plain D is parsed on its own: an operator, or D(expr) on a field
+DER_IDENTS = {name: tag for tag, name in _DER_NAMES.items() if tag != DerivationTag.PLAIN}
 
 
 @dataclass
@@ -329,28 +344,6 @@ def parse_op(src: str, ctx: Context = DEFAULT_CONTEXT) -> OpExpr:
 # printing
 
 
-_DERINV_NAMES = {
-    DerivationTag.MIRROR: "IDinv",
-    DerivationTag.DIRECT: "DDinv",
-    DerivationTag.PLAIN: "Dinv",
-}
-_DERINV_LATEX = {
-    DerivationTag.MIRROR: r"\mathrm{ID}^{-1}",
-    DerivationTag.DIRECT: r"\mathbb{D}^{-1}",
-    DerivationTag.PLAIN: r"D^{-1}",
-}
-_DER_NAMES = {
-    DerivationTag.MIRROR: "ID",
-    DerivationTag.DIRECT: "DD",
-    DerivationTag.PLAIN: "D",
-}
-_DER_LATEX = {
-    DerivationTag.MIRROR: r"\mathrm{ID}",
-    DerivationTag.DIRECT: r"\mathbb{D}",
-    DerivationTag.PLAIN: "D",
-}
-
-
 def _atom_text(atom, latex: bool) -> str:
     if isinstance(atom, Jet):
         if atom.order == 0:
@@ -431,12 +424,12 @@ def _print_field_eta(e: FieldExpr, tag: Optional[DerivationTag] = None) -> str:
         if a[0] in ("j", "t"):
             return a[1] if a[2] == 0 else "%s_%s" % (a[1], "eta" * a[2])
         inner = _join_terms(
-            [(c, " ".join(atom_text(b) for b in w)) for w, c in a[1]], False
+            [(c, " ".join(atom_text(b) for b in w)) for w, c in a[1].sorted_terms()], False
         )
         return "%s[%s]" % (_DERINV_NAMES[tag], inner)
 
     parts = []
-    for word, coeff in sorted(eta.items(), key=lambda kv: str(kv[0])):
+    for word, coeff in sorted(eta.terms.items(), key=lambda kv: str(kv[0])):
         parts.append((coeff, " ".join(atom_text(a) for a in word)))
     return _join_terms(parts, False)
 

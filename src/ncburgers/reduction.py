@@ -33,8 +33,10 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import chain
-from typing import Dict, Iterable, Optional, Tuple
+from operator import mul
+from typing import Optional, Tuple
 
 from .fields import (
     Context,
@@ -43,34 +45,48 @@ from .fields import (
     FieldExpr,
     Integral,
     Jet,
+    LinearCombination,
     NestingLimitExceeded,
     TAG_BASE,
     TestField,
     Word,
     _TAG_SIGN,
     add_into,
+    commutator,
     der,
     expr_nesting,
     jet,
-    mul_terms,
-    sum_terms,
 )
 
 # eta atoms are plain tuples:
 #   ('j', symbol, k)   eta jet of a base symbol
 #   ('t', name, k)     eta jet of a test field
-#   ('i', body)        antiderivative, body = frozen eta expression
+#   ('i', body)        antiderivative of the EtaExpr ``body``
 EtaAtom = tuple
 EtaWord = Tuple[EtaAtom, ...]
-EtaExpr = Dict[EtaWord, Fraction]
+_ONE = Fraction(1)
+
+
+class EtaExpr(LinearCombination):
+    """Linear combination of eta words."""
+
+    __slots__ = ()
+
+    def sorted_terms(self):
+        """The terms in canonical word order."""
+        return sorted(self.terms.items(), key=lambda kv: _word_sort(kv[0]))
+
+    def __repr__(self) -> str:
+        # eta printing sorts words by this text
+        return repr(tuple(self.sorted_terms()))
+
+
+def _eta_word(w: EtaWord) -> EtaExpr:
+    return EtaExpr._raw({w: _ONE})
 
 
 class _ForeignAtom(Exception):
     """Word contains an atom the eta basis cannot express."""
-
-
-def _freeze(e: EtaExpr):
-    return tuple(sorted(e.items(), key=lambda kv: _word_sort(kv[0])))
 
 
 def _atom_sort(a: EtaAtom):
@@ -78,7 +94,7 @@ def _atom_sort(a: EtaAtom):
         return (0, a[1], a[2])
     if a[0] == "t":
         return (1, a[1], a[2])
-    return (2, tuple((_word_sort(w), c) for w, c in a[1]))
+    return (2, tuple(sorted((_word_sort(w), c) for w, c in a[1].terms.items())))
 
 
 def _word_sort(w: EtaWord):
@@ -89,14 +105,9 @@ def _rank(a: EtaAtom) -> int:
     return a[2] if a[0] in ("j", "t") else -1
 
 
-def _atom_mass(a: EtaAtom) -> int:
-    if a[0] != "i":
-        return 0
-    return 1 + max((_mass(w) for w, _ in a[1]), default=0)
-
-
 def _mass(w: EtaWord) -> int:
-    return sum(_atom_mass(a) for a in w)
+    """Antiderivatives in a word, each counting one plus its heaviest body word."""
+    return sum(1 + max(map(_mass, a[1].terms), default=0) for a in w if a[0] == "i")
 
 
 def _flip(tag: DerivationTag) -> bool:
@@ -105,17 +116,11 @@ def _flip(tag: DerivationTag) -> bool:
     return tag == DerivationTag.DIRECT
 
 
-_GKEY_CACHE: Dict[Tuple[bool, EtaWord], tuple] = {}
-
-
+@lru_cache(maxsize=None)
 def _greedy_key(w: EtaWord, flip: bool):
     """Processing order: highest jets first, fewest antiderivatives next."""
-    key = _GKEY_CACHE.get((flip, w))
-    if key is None:
-        ranks = tuple(_rank(a) for a in (reversed(w) if flip else w))
-        key = (ranks, -_mass(w), _word_sort(w))
-        _GKEY_CACHE[(flip, w)] = key
-    return key
+    ranks = tuple(_rank(a) for a in (reversed(w) if flip else w))
+    return (ranks, -_mass(w), _word_sort(w))
 
 
 class _ByKeyDesc:
@@ -131,17 +136,11 @@ class _ByKeyDesc:
         return self.key > other.key
 
 
-def _eta_d_word(w: EtaWord) -> EtaExpr:
-    """The jet-raising derivation E applied to one eta word."""
-    out: EtaExpr = {}
-    for i, a in enumerate(w):
-        if a[0] in ("j", "t"):
-            raised = w[:i] + ((a[0], a[1], a[2] + 1),) + w[i + 1 :]
-            add_into(out, raised, Fraction(1))
-        else:
-            for bw, bc in a[1]:
-                add_into(out, w[:i] + bw + w[i + 1 :], bc)
-    return out
+def _E(a: EtaAtom) -> EtaExpr:
+    """The jet-raising derivation E on one atom; ``leibniz`` extends it."""
+    if a[0] == "i":
+        return a[1]
+    return _eta_word(((a[0], a[1], a[2] + 1),))
 
 
 def _candidate(w: EtaWord, flip: bool) -> Optional[EtaWord]:
@@ -157,21 +156,21 @@ def _candidate(w: EtaWord, flip: bool) -> Optional[EtaWord]:
             return w[:i] + ((a[0], a[1], a[2] - 1),) + w[i + 1 :]
     # nothing left to lower: wrap the innermost factor
     i = 0 if flip else len(w) - 1
-    wrapped = ("i", _freeze({(w[i],): Fraction(1)}))
+    wrapped = ("i", _eta_word((w[i],)))
     return w[:i] + (wrapped,) + w[i + 1 :]
 
 
-def _greedy_split(f: EtaExpr, rounds: int, flip: bool) -> Tuple[EtaExpr, EtaExpr]:
+def _greedy_split(f: EtaExpr, rounds: int, flip: bool) -> Tuple[dict, dict]:
     """Split f = E(g) + h with h made of words the greedy scheme rejects."""
 
     def key(w):
         return _greedy_key(w, flip)
 
-    work = dict(f)
+    work = dict(f.terms)
     heap = [_ByKeyDesc(key(w), w) for w in work]
     heapq.heapify(heap)
-    g: EtaExpr = {}
-    h: EtaExpr = {}
+    g: dict = {}
+    h: dict = {}
     budget = rounds
     while heap:
         w = heapq.heappop(heap).word
@@ -184,7 +183,7 @@ def _greedy_split(f: EtaExpr, rounds: int, flip: bool) -> Tuple[EtaExpr, EtaExpr
         u = _candidate(w, flip)
         done = False
         if u is not None:
-            image = _eta_d_word(u)
+            image = _eta_word(u).leibniz(_E).terms
             if image and max(image, key=key) == w:
                 ratio = c / image[w]
                 add_into(g, u, ratio)
@@ -203,32 +202,17 @@ def _greedy_split(f: EtaExpr, rounds: int, flip: bool) -> Tuple[EtaExpr, EtaExpr
 # ---------------------------------------------------------------------------
 # conversion between x jets and eta jets
 
-_X2ETA: Dict[tuple, EtaExpr] = {}
-_ETA2X: Dict[tuple, FieldExpr] = {}
-
-
-def _eta_dtotal(tag: DerivationTag, f: EtaExpr) -> EtaExpr:
-    """The plain x-derivative expressed in eta coordinates: E + sign*[base, .]."""
-    out = sum_terms((_eta_d_word(w), c) for w, c in f.items())
-    sign = _TAG_SIGN[tag]
-    if sign:
-        base = ("j", TAG_BASE[tag], 0)
-        for w, c in f.items():
-            add_into(out, (base,) + w, sign * c)
-            add_into(out, w + (base,), -sign * c)
-    return out
-
-
+@lru_cache(maxsize=None)
 def _x_jet_to_eta(tag: DerivationTag, kind: str, name: str, order: int) -> EtaExpr:
-    key = (tag, kind, name, order)
-    if key in _X2ETA:
-        return _X2ETA[key]
+    """An x jet in eta coordinates, where the x-derivative is
+    E + sign*[base, .], the mirror image of ``fields.der``."""
     if order == 0:
-        out: EtaExpr = {((kind, name, 0),): Fraction(1)}
-    else:
-        out = _eta_dtotal(tag, _x_jet_to_eta(tag, kind, name, order - 1))
-    _X2ETA[key] = out
-    return out
+        return _eta_word(((kind, name, 0),))
+    f = _x_jet_to_eta(tag, kind, name, order - 1)
+    sign = _TAG_SIGN[tag]
+    if not sign:
+        return f.leibniz(_E)
+    return f.leibniz(_E) + commutator(_eta_word((("j", TAG_BASE[tag], 0),)), f).scale(sign)
 
 
 def _to_eta_atom(tag: DerivationTag, atom) -> EtaExpr:
@@ -237,21 +221,21 @@ def _to_eta_atom(tag: DerivationTag, atom) -> EtaExpr:
     if isinstance(atom, TestField):
         return _x_jet_to_eta(tag, "t", atom.name, atom.order)
     if isinstance(atom, Integral) and atom.tag == tag:
-        return {(("i", _freeze(_to_eta_expr(tag, atom.body))),): Fraction(1)}
+        return _eta_word((("i", _to_eta_expr(tag, atom.body)),))
     raise _ForeignAtom
 
 
 def _to_eta_word(tag: DerivationTag, word: Word) -> EtaExpr:
-    out: EtaExpr = {(): Fraction(1)}
-    for atom in word:
-        out = mul_terms(out, _to_eta_atom(tag, atom), None)
-    return out
+    if not word:
+        return _eta_word(())
+    return reduce(mul, [_to_eta_atom(tag, a) for a in word])
 
 
 def _to_eta_expr(tag: DerivationTag, f: FieldExpr) -> EtaExpr:
-    return sum_terms((_to_eta_word(tag, w), c) for w, c in f.terms.items())
+    return EtaExpr.sum((_to_eta_word(tag, w), c) for w, c in f.terms.items())
 
 
+@lru_cache(maxsize=None)
 def _eta_jet_to_x(tag: DerivationTag, kind: str, name: str, order: int) -> FieldExpr:
     """An eta jet in x coordinates, computed in the default context.
 
@@ -259,15 +243,9 @@ def _eta_jet_to_x(tag: DerivationTag, kind: str, name: str, order: int) -> Field
     commutator field is the default one, so the value depends on the key
     alone.
     """
-    key = (tag, kind, name, order)
-    if key in _ETA2X:
-        return _ETA2X[key]
     if order == 0:
-        out = FieldExpr.from_atom(Jet(name, 0) if kind == "j" else TestField(name, 0))
-    else:
-        out = der(tag, _eta_jet_to_x(tag, kind, name, order - 1), DEFAULT_CONTEXT)
-    _ETA2X[key] = out
-    return out
+        return FieldExpr.from_atom(Jet(name, 0) if kind == "j" else TestField(name, 0))
+    return der(tag, _eta_jet_to_x(tag, kind, name, order - 1), DEFAULT_CONTEXT)
 
 
 def _from_eta_word(tag: DerivationTag, w: EtaWord, ctx: Context) -> FieldExpr:
@@ -276,14 +254,9 @@ def _from_eta_word(tag: DerivationTag, w: EtaWord, ctx: Context) -> FieldExpr:
         if a[0] in ("j", "t"):
             out = out * _eta_jet_to_x(tag, a[0], a[1], a[2])
         else:
-            out = out * _integral_atom(tag, _from_eta_expr(tag, a[1], ctx), ctx)
+            body = FieldExpr.sum((_from_eta_word(tag, bw, ctx), c) for bw, c in a[1].terms.items())
+            out = out * _integral_atom(tag, body, ctx)
     return out
-
-
-def _from_eta_expr(
-    tag: DerivationTag, items: Iterable[Tuple[EtaWord, Fraction]], ctx: Context
-) -> FieldExpr:
-    return FieldExpr.sum((_from_eta_word(tag, w, ctx), c) for w, c in items)
 
 
 def _integral_atom(tag: DerivationTag, body: FieldExpr, ctx: Context) -> FieldExpr:
@@ -325,7 +298,7 @@ def derinv(
         except _ForeignAtom:
             foreign.append((_integral_atom(tag, FieldExpr.from_word(w), ctx), c))
 
-    g, h = _greedy_split(sum_terms(eta_terms), ctx.reduce_rounds, _flip(tag))
+    g, h = _greedy_split(EtaExpr.sum(eta_terms), ctx.reduce_rounds, _flip(tag))
     return FieldExpr.sum(chain(
         ((_from_eta_word(tag, w, ctx), c) for w, c in g.items()),
         foreign,

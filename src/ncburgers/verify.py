@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .fields import (
     Context,
@@ -89,14 +89,23 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _finish(claim: str, defect: FieldExpr, ctx: Context, log: List[str]) -> VerificationReport:
-    before = len(defect.terms)
-    log.append("ibp nesting depth bound: %d" % ctx.integral_depth)
-    log.append("defect terms before reduction: %d" % before)
+def _check(
+    claim: str, ctx: Context, assemble: Callable[[List[str]], FieldExpr]
+) -> VerificationReport:
+    """Assemble a claim's defect (``assemble`` may append to the log) and
+    reduce it.  A bound that runs out in either phase makes the report
+    inconclusive and names the phase."""
+    log: List[str] = []
+    defect, before, phase = None, 0, "defect assembly"
     try:
+        defect = assemble(log)
+        before = len(defect.terms)
+        log.append("ibp nesting depth bound: %d" % ctx.integral_depth)
+        log.append("defect terms before reduction: %d" % before)
+        phase = "reduction"
         reduced = deep_reduce(defect, ctx)
     except NestingLimitExceeded as exc:
-        log.append("reduction stopped: %s" % exc)
+        log.append("%s stopped: %s" % (phase, exc))
         return VerificationReport(claim, Status.INCONCLUSIVE, defect, before, before, log)
     after = len(reduced.terms)
     log.append("defect terms after reduction: %d" % after)
@@ -113,25 +122,19 @@ def strong_symmetry_defect(
     candidate flow K of the family."""
     if member.contains_integral():
         raise ValueError("strong symmetry check needs an antiderivative-free member")
-    claim = "strong-symmetry[%s]" % family.value
-    log: List[str] = []
-    phi = recursion_operator(family, "expanded")
-    base = family.base
-    probe = test("sigma")
     if "sigma" in member.test_names():
         raise ValueError("probe symbol sigma already occurs in the member")
+    phi = recursion_operator(family, "expanded")
 
-    try:
-        dphi = frechet_op(phi, "V", base, ctx)
+    def assemble(log: List[str]) -> FieldExpr:
+        dphi = frechet_op(phi, "V", family.base, ctx)
         dphi_at_member = _subst_direction_op(dphi, "V", member, ctx)
-        k_op = member_operator(member, base)
+        k_op = member_operator(member, family.base)
         defect_op = dphi_at_member - (k_op * phi - phi * k_op)
         log.append("operator defect words: %d" % len(defect_op.terms))
-        defect = apply_op(defect_op, probe, ctx)
-    except NestingLimitExceeded as exc:
-        log.append("defect assembly stopped: %s" % exc)
-        return VerificationReport(claim, Status.INCONCLUSIVE, None, 0, 0, log)
-    return _finish(claim, defect, ctx, log)
+        return apply_op(defect_op, test("sigma"), ctx)
+
+    return _check("strong-symmetry[%s]" % family.value, ctx, assemble)
 
 
 def _subst_direction_op(P: OpExpr, name: str, replacement: FieldExpr, ctx: Context) -> OpExpr:
@@ -149,7 +152,7 @@ def _subst_direction_op(P: OpExpr, name: str, replacement: FieldExpr, ctx: Conte
 def strong_symmetry_member(
     family: EquationFamily, n: int, ctx: Context = DEFAULT_CONTEXT
 ) -> VerificationReport:
-    member = hierarchy_member(family, n, ctx=ctx).rhs
+    member = hierarchy_member(family, n, ctx).rhs
     report = strong_symmetry_defect(family, member, ctx)
     report.claim = "strong-symmetry[%s, n=%d]" % (family.value, n)
     return report
@@ -212,16 +215,13 @@ def hereditary_defect(
 ) -> VerificationReport:
     """Symmetrized hereditary defect B(V,W) - B(W,V) with
     B(V,W) = (Phi Phi'[V] - Phi'[Phi V]) W."""
-    claim = "hereditary[%s]" % family.value
-    log: List[str] = []
-    try:
+
+    def assemble(log: List[str]) -> FieldExpr:
         bilinear = _bilinear(family, ctx)
-    except NestingLimitExceeded as exc:
-        log.append("defect assembly stopped: %s" % exc)
-        return VerificationReport(claim, Status.INCONCLUSIVE, None, 0, 0, log)
-    log.append("bilinear form B(V,W) terms: %d" % len(bilinear.terms))
-    swapped = rename_tests(bilinear, {"V": "W", "W": "V"})
-    return _finish(claim, bilinear - swapped, ctx, log)
+        log.append("bilinear form B(V,W) terms: %d" % len(bilinear.terms))
+        return bilinear - rename_tests(bilinear, {"V": "W", "W": "V"})
+
+    return _check("hereditary[%s]" % family.value, ctx, assemble)
 
 
 def _bilinear(family: EquationFamily, ctx: Context) -> FieldExpr:
@@ -244,8 +244,7 @@ def flow_members(
     family: EquationFamily, m: int, n: int, ctx: Context = DEFAULT_CONTEXT
 ) -> Tuple[FieldExpr, FieldExpr]:
     """The m-th and n-th hierarchy members, the flows a commutation claim is about."""
-    top = max(m, n, 8)
-    return hierarchy_member(family, m, top, ctx).rhs, hierarchy_member(family, n, top, ctx).rhs
+    return hierarchy_member(family, m, ctx).rhs, hierarchy_member(family, n, ctx).rhs
 
 
 def flow_commutation(
@@ -253,18 +252,20 @@ def flow_commutation(
 ) -> VerificationReport:
     """Lie bracket of the m-th and n-th hierarchy members."""
     claim = "flow-commutation[%s, m=%d, n=%d]" % (family.value, m, n)
-    km, kn = flow_members(family, m, n, ctx)
-    defect = lie_bracket(km, kn, family.base, ctx)
-    return _finish(claim, defect, ctx, [])
+
+    def assemble(log: List[str]) -> FieldExpr:
+        km, kn = flow_members(family, m, n, ctx)
+        return lie_bracket(km, kn, family.base, ctx)
+
+    return _check(claim, ctx, assemble)
 
 
-def verify_cole_hopf(family: EquationFamily) -> List[VerificationReport]:
+def verify_cole_hopf(family: EquationFamily, integral_depth: int = 4) -> List[VerificationReport]:
     """Check the five transformation-operator identities and the conjugation
-    identity under the Cole-Hopf substitution."""
+    identity under the Cole-Hopf substitution, nesting antiderivatives at
+    most ``integral_depth`` deep."""
     reports = []
-    for name, lhs, rhs, ctx in cole_hopf_identities(family):
+    for name, lhs, rhs, ctx in cole_hopf_identities(family, integral_depth):
         claim = "cole-hopf[%s] %s" % (family.value, name)
-        probe = test("sigma")
-        defect = apply_op(lhs - rhs, probe, ctx)
-        reports.append(_finish(claim, defect, ctx, []))
+        reports.append(_check(claim, ctx, lambda log: apply_op(lhs - rhs, test("sigma"), ctx)))
     return reports

@@ -100,6 +100,20 @@ def test_verify_cole_hopf(capsys):
     assert out.count("proved-zero") == 6
 
 
+def test_verify_cole_hopf_honours_depth(capsys, monkeypatch):
+    monkeypatch.setenv("NCBURGERS_IBP_DEPTH", "0")
+    code, out, _ = run_cli(
+        capsys, "verify", "cole-hopf", "--family", "mirror", "--format", "structured"
+    )
+    assert code == 3
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 6
+    conjugation = reports[-1]
+    assert conjugation["claim"].endswith("T D T^-1 = recursion operator")
+    assert conjugation["status"] == "inconclusive"
+    assert any("depth 0" in line for line in conjugation["log"])
+
+
 def test_reduce_commutative_fixture(capsys):
     code, out, _ = run_cli(capsys, "reduce", "--commutative", "--expr", "PHI")
     assert code == 0

@@ -77,6 +77,28 @@ def test_print_eta_coordinates():
     assert print_field(k2, "eta") == "r r_eta + r_eta r + r_etaeta"
 
 
+@pytest.mark.parametrize(
+    "src, x_text, eta_text",
+    [
+        (
+            "IDinv[r_x V r] + IDinv[V r] r",
+            "-IDinv[r V_x r - r r V r + r V r r] - IDinv[r V r_x] + IDinv[V r] r + r V r",
+            "-IDinv[r V r_eta] - IDinv[r V_eta r] + IDinv[V r] r + r V r",
+        ),
+        (
+            "DDinv[s W s_x] s",
+            "-DDinv[s_x W s] s - DDinv[s W_x s + s s W s - s W s s] s + s W s s",
+            "-DDinv[s W_eta s] s - DDinv[s_eta W s] s + s W s s",
+        ),
+        ("IDinv[V IDinv[r V]]", "IDinv[V IDinv[r V]]", "IDinv[V IDinv[r V]]"),
+    ],
+)
+def test_print_antiderivatives_golden(src, x_text, eta_text):
+    e = parse_field(src)
+    assert print_field(e) == x_text
+    assert print_field(e, "eta") == eta_text
+
+
 def test_round_trip_property():
     rng = random.Random(71)
     for _ in range(120):

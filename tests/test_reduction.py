@@ -15,9 +15,10 @@ from ncburgers.fields import (
     der,
     jet,
     )
+from ncburgers import reduction
 from ncburgers.reduction import deep_reduce, derinv
 
-from conftest import random_field
+from conftest import random_field, random_nonlocal_field
 
 M = DerivationTag.MIRROR
 DIR = DerivationTag.DIRECT
@@ -52,6 +53,22 @@ def test_derinv_of_exact_images_round_trip():
         e = random_field(rng, symbols=("r",), tests=("V", "W"), allow_empty_word=False)
         for tag in (M, DIR, P):
             assert derinv(tag, der(tag, e)) == e
+
+
+def test_derinv_unchanged_after_cache_clear():
+    rng = random.Random(13)
+    cases = [
+        (tag, random_nonlocal_field(rng, symbols=("r", "s"), tests=("V",)))
+        for _ in range(15)
+        for tag in (M, DIR, P)
+    ]
+    before = [derinv(tag, e) for tag, e in cases]
+    caches = (reduction._greedy_key, reduction._x_jet_to_eta, reduction._eta_jet_to_x)
+    for cache in caches:
+        cache.cache_clear()
+        assert cache.cache_info().currsize == 0
+    assert [derinv(tag, e) for tag, e in cases] == before
+    assert all(cache.cache_info().currsize > 0 for cache in caches)
 
 
 def test_derinv_is_deterministic():
