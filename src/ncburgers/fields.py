@@ -22,6 +22,9 @@ Derivations come in three flavours, selected by :class:`DerivationTag`:
 The commutator field of a tag (``r`` for mirror, ``s`` for direct) can be
 overridden through a :class:`Context`; the Cole-Hopf checks use that to work
 with ``r`` replaced by ``u_x u^-1``.
+
+The direct family is the left/right mirror image of the mirror family, and
+every direct construction is derived through :func:`mirror_image`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
@@ -56,6 +59,13 @@ _TAG_SIGN = {
 TAG_BASE = {
     DerivationTag.MIRROR: "r",
     DerivationTag.DIRECT: "s",
+}
+
+# the tag of the mirror-image derivation
+MIRROR_TAG = {
+    DerivationTag.PLAIN: DerivationTag.PLAIN,
+    DerivationTag.MIRROR: DerivationTag.DIRECT,
+    DerivationTag.DIRECT: DerivationTag.MIRROR,
 }
 
 
@@ -416,15 +426,46 @@ DEFAULT_CONTEXT = default_context()
 def cole_hopf_context(tag: DerivationTag, integral_depth: int = 4) -> Context:
     """Context where the tag's commutator field is the Cole-Hopf image.
 
-    Mirror: r = u_x u^-1.  Direct: s = u^-1 u_x.
+    Mirror: r = u_x u^-1.  Direct: its mirror image s = u^-1 u_x.
     """
-    if tag == DerivationTag.MIRROR:
-        field = FieldExpr.from_word((Jet("u", 1), InverseSymbol("u")))
-    elif tag == DerivationTag.DIRECT:
-        field = FieldExpr.from_word((InverseSymbol("u"), Jet("u", 1)))
-    else:
+    if tag == DerivationTag.PLAIN:
         raise ValueError("Cole-Hopf context needs the mirror or direct tag")
-    return Context({tag: field}, integral_depth=integral_depth)
+    field = FieldExpr.from_word((Jet("u", 1), InverseSymbol("u")))
+    ctx = Context({DerivationTag.MIRROR: field}, integral_depth=integral_depth)
+    return ctx if tag == DerivationTag.MIRROR else mirror_context(ctx)
+
+
+# ---------------------------------------------------------------------------
+# the mirror image
+
+
+@lru_cache(maxsize=None)
+def _mirror_atom(atom: Atom) -> Atom:
+    if isinstance(atom, Jet) and atom.symbol in ("r", "s"):
+        return Jet("s" if atom.symbol == "r" else "r", atom.order)
+    if isinstance(atom, Integral):
+        return Integral(MIRROR_TAG[atom.tag], mirror_image(atom.body))
+    return atom
+
+
+def mirror_word(word: Word) -> Word:
+    """The word read backwards, each atom mirrored."""
+    return tuple(map(_mirror_atom, reversed(word)))
+
+
+def mirror_image(f: FieldExpr) -> FieldExpr:
+    """Reverse every word, swap r with s and the mirror with the direct
+    antiderivatives, descending into antiderivative bodies; u, u^-1 and
+    test fields are their own images.  This involution commutes with D and
+    takes der(MIRROR, f) to der(DIRECT, mirror_image(f)) in the mirrored
+    context."""
+    return FieldExpr._raw({mirror_word(w): c for w, c in f.terms.items()})
+
+
+def mirror_context(ctx: Context) -> Context:
+    """The context whose tag fields are the mirror images of ``ctx``'s."""
+    fields = {MIRROR_TAG[tag]: mirror_image(f) for tag, f in ctx.tag_fields.items()}
+    return replace(ctx, tag_fields=fields)
 
 
 class NestingLimitExceeded(Exception):

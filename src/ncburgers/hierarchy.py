@@ -9,17 +9,20 @@ Three equation families are supported:
              (D + C_s)(D + L_s)(D + C_s)^-1  =  D + L_s + R_{s_x} DD^-1
 * heat    -- u_t = u_xx with the trivial recursion operator D.
 
-Hierarchy members come from the compact form K_n = ID (ID + L_r)^{n-1} r
-(direct: DD (DD + R_s)^{n-1} s), which stays free of antiderivatives; the
-operator route Phi^{n-1} r_x is kept as a cross-check.
+Hierarchy members come from the compact form K_n = ID (ID + L_r)^{n-1} r,
+which stays free of antiderivatives; the operator route Phi^{n-1} r_x is
+kept as a cross-check.
+
+Every direct construction (recursion operator, members, Cole-Hopf
+identities) is the mirror image of the mirror one: words reversed, r and s
+swapped, ID and DD swapped (``fields.mirror_image``, ``operators.mirror_op``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import List, Tuple, Union
 
 from .fields import (
     Context,
@@ -28,13 +31,15 @@ from .fields import (
     FieldExpr,
     Integral,
     Jet,
+    TAG_BASE,
     TestField,
     Word,
-    add_into,
     cole_hopf_context,
     d_total,
     der,
     jet,
+    mirror_context,
+    mirror_image,
     uinv,
     word_key,
 )
@@ -47,6 +52,7 @@ from .operators import (
     OpLeft,
     OpRight,
     apply_op,
+    mirror_op,
     op_comm,
     op_d,
     op_der,
@@ -55,6 +61,9 @@ from .operators import (
     op_right,
 )
 
+_MIRROR = DerivationTag.MIRROR
+
+
 class EquationFamily(enum.Enum):
     MIRROR = "mirror"
     DIRECT = "direct"
@@ -62,15 +71,11 @@ class EquationFamily(enum.Enum):
 
     @property
     def base(self) -> str:
-        return {"mirror": "r", "direct": "s", "heat": "u"}[self.value]
+        return TAG_BASE.get(self.tag, "u")
 
     @property
     def tag(self) -> DerivationTag:
-        return {
-            "mirror": DerivationTag.MIRROR,
-            "direct": DerivationTag.DIRECT,
-            "heat": DerivationTag.PLAIN,
-        }[self.value]
+        return DerivationTag.PLAIN if self is EquationFamily.HEAT else DerivationTag(self.value)
 
 
 @dataclass(frozen=True)
@@ -86,15 +91,20 @@ def recursion_operator(family: EquationFamily, form: str = "expanded") -> OpExpr
         raise ValueError("form must be 'factored' or 'expanded'")
     if family == EquationFamily.HEAT:
         return op_d()
-    if family == EquationFamily.MIRROR:
-        r, rx = jet("r"), jet("r", 1)
-        if form == "factored":
-            return op_der(family.tag) * (op_d() + op_right(r)) * op_derinv(family.tag)
-        return op_d() + op_right(r) + op_left(rx) * op_derinv(family.tag)
-    s, sx = jet("s"), jet("s", 1)
+    if family == EquationFamily.DIRECT:
+        return mirror_op(recursion_operator(EquationFamily.MIRROR, form))
+    r, rx = jet("r"), jet("r", 1)
     if form == "factored":
-        return op_der(family.tag) * (op_d() + op_left(s)) * op_derinv(family.tag)
-    return op_d() + op_left(s) + op_right(sx) * op_derinv(family.tag)
+        return op_der(_MIRROR) * (op_d() + op_right(r)) * op_derinv(_MIRROR)
+    return op_d() + op_right(r) + op_left(rx) * op_derinv(_MIRROR)
+
+
+def _mirror_member(n: int, ctx: Context) -> FieldExpr:
+    """K_n = ID (ID + L_r)^{n-1} r."""
+    g = r = jet("r")
+    for _ in range(n - 1):
+        g = der(_MIRROR, g, ctx) + r * g
+    return der(_MIRROR, g, ctx)
 
 
 def hierarchy_member(
@@ -103,15 +113,12 @@ def hierarchy_member(
     """n-th hierarchy member via the compact derivation form."""
     if n < 1:
         raise ValueError("hierarchy index starts at 1")
-    base = jet(family.base)
     if family == EquationFamily.HEAT:
         rhs = FieldExpr.from_atom(Jet("u", n))
+    elif family == EquationFamily.MIRROR:
+        rhs = _mirror_member(n, ctx)
     else:
-        g = base
-        for _ in range(n - 1):
-            step = der(family.tag, g, ctx)
-            g = step + (base * g if family == EquationFamily.MIRROR else g * base)
-        rhs = der(family.tag, g, ctx)
+        rhs = mirror_image(_mirror_member(n, mirror_context(ctx)))
     if rhs.contains_integral():
         raise AssertionError("hierarchy member %d is not antiderivative-free" % n)
     return HierarchyMember(family, n, rhs)
@@ -154,44 +161,36 @@ def reduce_commutative(e: Union[FieldExpr, OpExpr]) -> Union[FieldExpr, OpExpr]:
     """Collapse to the scalar (commuting) case: base symbols become v, word
     factors sort canonically, left and right multiplication merge."""
     if isinstance(e, FieldExpr):
-        acc: Dict[Word, Fraction] = {}
-        for word, coeff in e.terms.items():
-            add_into(acc, _reduce_word_commutative(word), coeff)
-        return FieldExpr._raw(acc)
+        reduced = ((FieldExpr.from_word(_reduce_word_commutative(w)), c) for w, c in e.terms.items())
+        return FieldExpr.sum(reduced)
 
-    acc_op: Dict[tuple, Fraction] = {}
-    for word, coeff in e.terms.items():
-        new_word: List = []
-        for atom in word:
-            if isinstance(atom, (OpD, OpDer)):
-                new_word.append(OpD())
-            elif isinstance(atom, OpDerInv):
-                new_word.append(OpDerInv(DerivationTag.PLAIN))
-            elif isinstance(atom, (OpLeft, OpRight)):
-                new_word.append(OpLeft(_reduce_word_commutative(atom.word)))
-            elif isinstance(atom, OpComm):
-                new_word = None
-                break
-            else:
-                raise ValueError("unknown operator atom %r" % (atom,))
-        if new_word is None:
-            continue  # commutators vanish in the scalar case
-        add_into(acc_op, tuple(new_word), coeff)
-    return OpExpr._raw(acc_op)
+    def atom_value(atom) -> OpExpr:
+        if isinstance(atom, (OpD, OpDer)):
+            return op_d()
+        if isinstance(atom, OpDerInv):
+            return op_derinv(DerivationTag.PLAIN)
+        if isinstance(atom, (OpLeft, OpRight)):
+            return OpExpr.from_atoms(OpLeft(_reduce_word_commutative(atom.word)))
+        if isinstance(atom, OpComm):
+            return OpExpr.zero()  # commutators vanish in the scalar case
+        raise ValueError("unknown operator atom %r" % (atom,))
+
+    return e.map_atoms(atom_value)
 
 
 # ---------------------------------------------------------------------------
 # Cole-Hopf operator identities
 
 
-def cole_hopf_substitution(family: EquationFamily) -> FieldExpr:
-    """The Cole-Hopf image of the base symbol: u_x u^-1 (mirror), u^-1 u_x (direct)."""
-    u1, ui = jet("u", 1), uinv()
-    if family == EquationFamily.MIRROR:
-        return u1 * ui
-    if family == EquationFamily.DIRECT:
-        return ui * u1
-    raise ValueError("the heat family has no Cole-Hopf substitution")
+# each mirror identity and the name of its direct mirror image
+_COLE_HOPF_NAMES = {
+    "D R_u = R_u (D + R_r)": "D L_u = L_u (D + L_s)",
+    "L_u D L_uinv = D - L_r": "R_u D R_uinv = D - R_s",
+    "(D - L_r) R_u = R_u (D - C_r)": "(D - R_s) L_u = L_u (D + C_s)",
+    "L_u (D + R_r) = (D - C_r) L_u": "R_u (D + L_s) = (D + C_s) R_u",
+    "R_uinv D R_u = D + R_r": "L_uinv D L_u = D + L_s",
+    "T D T^-1 = recursion operator": "T D T^-1 = recursion operator",
+}
 
 
 def cole_hopf_identities(
@@ -203,56 +202,22 @@ def cole_hopf_identities(
     if family == EquationFamily.HEAT:
         raise ValueError("the heat family has no Cole-Hopf identities")
     ctx = cole_hopf_context(family.tag, integral_depth)
+    if family == EquationFamily.DIRECT:
+        return [
+            (_COLE_HOPF_NAMES[name], mirror_op(lhs), mirror_op(rhs), ctx)
+            for name, lhs, rhs, _ in cole_hopf_identities(EquationFamily.MIRROR, integral_depth)
+        ]
     u, ui = jet("u"), uinv()
-    sub = cole_hopf_substitution(family)
-    sub_x = d_total(sub, ctx)
-    tag = family.tag
-
-    if family == EquationFamily.MIRROR:
-        T = (op_d() - op_comm(sub)) * op_right(ui)
-        T_inv = op_right(u) * op_derinv(tag)
-        target = op_d() + op_right(sub) + op_left(sub_x) * op_derinv(tag)
-        ids = [
-            ("D R_u = R_u (D + R_r)", op_d() * op_right(u), op_right(u) * (op_d() + op_right(sub))),
-            ("L_u D L_uinv = D - L_r", op_left(u) * op_d() * op_left(ui), op_d() - op_left(sub)),
-            (
-                "(D - L_r) R_u = R_u (D - C_r)",
-                (op_d() - op_left(sub)) * op_right(u),
-                op_right(u) * (op_d() - op_comm(sub)),
-            ),
-            (
-                "L_u (D + R_r) = (D - C_r) L_u",
-                op_left(u) * (op_d() + op_right(sub)),
-                (op_d() - op_comm(sub)) * op_left(u),
-            ),
-            (
-                "R_uinv D R_u = D + R_r",
-                op_right(ui) * op_d() * op_right(u),
-                op_d() + op_right(sub),
-            ),
-        ]
-    else:
-        T = (op_d() + op_comm(sub)) * op_left(ui)
-        T_inv = op_left(u) * op_derinv(tag)
-        target = op_d() + op_left(sub) + op_right(sub_x) * op_derinv(tag)
-        ids = [
-            ("D L_u = L_u (D + L_s)", op_d() * op_left(u), op_left(u) * (op_d() + op_left(sub))),
-            ("R_u D R_uinv = D - R_s", op_right(u) * op_d() * op_right(ui), op_d() - op_right(sub)),
-            (
-                "(D - R_s) L_u = L_u (D + C_s)",
-                (op_d() - op_right(sub)) * op_left(u),
-                op_left(u) * (op_d() + op_comm(sub)),
-            ),
-            (
-                "R_u (D + L_s) = (D + C_s) R_u",
-                op_right(u) * (op_d() + op_left(sub)),
-                (op_d() + op_comm(sub)) * op_right(u),
-            ),
-            (
-                "L_uinv D L_u = D + L_s",
-                op_left(ui) * op_d() * op_left(u),
-                op_d() + op_left(sub),
-            ),
-        ]
-    ids.append(("T D T^-1 = recursion operator", T * op_d() * T_inv, target))
-    return [(name, lhs, rhs, ctx) for name, lhs, rhs in ids]
+    sub = ctx.tag_field(_MIRROR)  # r = u_x u^-1
+    T = (op_d() - op_comm(sub)) * op_right(ui)
+    T_inv = op_right(u) * op_derinv(_MIRROR)
+    target = op_d() + op_right(sub) + op_left(d_total(sub, ctx)) * op_derinv(_MIRROR)
+    sides = [
+        (op_d() * op_right(u), op_right(u) * (op_d() + op_right(sub))),
+        (op_left(u) * op_d() * op_left(ui), op_d() - op_left(sub)),
+        ((op_d() - op_left(sub)) * op_right(u), op_right(u) * (op_d() - op_comm(sub))),
+        (op_left(u) * (op_d() + op_right(sub)), (op_d() - op_comm(sub)) * op_left(u)),
+        (op_right(ui) * op_d() * op_right(u), op_d() + op_right(sub)),
+        (T * op_d() * T_inv, target),
+    ]
+    return [(name, lhs, rhs, ctx) for name, (lhs, rhs) in zip(_COLE_HOPF_NAMES, sides)]

@@ -48,7 +48,7 @@ from .operators import (
     op_right,
     op_word_key,
 )
-from .reduction import _to_eta_expr, derinv
+from .reduction import _ForeignAtom, _to_eta_expr, derinv
 
 _DERINV_NAMES = {
     DerivationTag.MIRROR: "IDinv",
@@ -136,8 +136,9 @@ class _Lexer:
         column = pos - (self.src.rfind("\n", 0, pos) + 1) + 1
         return ParseDiagnostic(line, column, message, expected)
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
+    def peek(self, offset: int = 0) -> Optional[_Token]:
+        i = self.index + offset
+        return self.tokens[i] if i < len(self.tokens) else None
 
     def next(self) -> Optional[_Token]:
         tok = self.peek()
@@ -170,30 +171,21 @@ def _field_atom(lx: _Lexer, ctx: Context) -> Optional[FieldExpr]:
     if tok is None:
         return None
     if tok.kind == "punct" and tok.text == "(":
-        lx.next()
-        inner = _field_expr(lx, ctx)
-        lx.expect(")")
-        return inner
+        return _group(lx, ctx, _field_atom, ")")
     if tok.kind != "ident":
         return None
     stem, order = _split_ident(tok.text)
     if stem in DERINV_IDENTS and order == 0:
-        after = lx.tokens[lx.index + 1] if lx.index + 1 < len(lx.tokens) else None
+        after = lx.peek(1)
         if after is not None and after.text == "[":
             lx.next()
-            lx.expect("[")
-            body = _field_expr(lx, ctx)
-            lx.expect("]")
-            return derinv(DERINV_IDENTS[stem], body, ctx)
+            return derinv(DERINV_IDENTS[stem], _group(lx, ctx, _field_atom, "]"), ctx)
         return None
     if stem == "D" and order == 0:
-        after = lx.tokens[lx.index + 1] if lx.index + 1 < len(lx.tokens) else None
+        after = lx.peek(1)
         if after is not None and after.text == "(":
             lx.next()
-            lx.expect("(")
-            inner = _field_expr(lx, ctx)
-            lx.expect(")")
-            return d_total(inner, ctx)
+            return d_total(_group(lx, ctx, _field_atom, ")"), ctx)
         return None
     if stem in JET_IDENTS:
         lx.next()
@@ -224,48 +216,50 @@ def _coefficient(lx: _Lexer) -> Tuple[Fraction, bool]:
     return sign, False
 
 
-def _field_term(lx: _Lexer, ctx: Context) -> FieldExpr:
+def _term(lx: _Lexer, ctx: Context, factor):
+    """A coefficient times the product of the factors ``factor`` parses:
+    field atoms or operator factors."""
     coeff, explicit = _coefficient(lx)
-    factors = []
-    while True:
-        factor = _field_atom(lx, ctx)
-        if factor is None:
-            break
-        factors.append(factor)
-    if not factors:
-        if explicit:
-            return FieldExpr.scalar(coeff)
-        tok = lx.peek()
-        if tok is not None and tok.kind == "ident":
-            raise lx.error(
-                "unknown symbol %r" % tok.text,
-                tuple(sorted(JET_IDENTS) + sorted(TEST_IDENTS) + ["uinv"]),
-            )
-        raise lx.error("expected a field factor", ("identifier", "(", "IDinv["))
-    out = FieldExpr.scalar(coeff)
-    for f in factors:
-        out = out * f
-    return out
+    is_field = factor is _field_atom
+    out = (FieldExpr.unit() if is_field else OpExpr.identity()).scale(coeff)
+    found = False
+    while (f := factor(lx, ctx)) is not None:
+        out, found = out * f, True
+    if found or explicit:
+        return out
+    if not is_field:
+        raise lx.error("expected an operator factor", ("D", "ID", "IDinv", "L[", "identifier"))
+    tok = lx.peek()
+    if tok is not None and tok.kind == "ident":
+        raise lx.error(
+            "unknown symbol %r" % tok.text,
+            tuple(sorted(JET_IDENTS) + sorted(TEST_IDENTS) + ["uinv"]),
+        )
+    raise lx.error("expected a field factor", ("identifier", "(", "IDinv["))
 
 
-def _sum_of_terms(lx: _Lexer, ctx: Context, term):
-    acc = term(lx, ctx)
+def _sum_of_terms(lx: _Lexer, ctx: Context, factor):
+    acc = _term(lx, ctx, factor)
     while True:
         tok = lx.peek()
         if tok is None or tok.text not in ("+", "-"):
             return acc
-        acc = acc + term(lx, ctx)
+        acc = acc + _term(lx, ctx, factor)
 
 
-def _field_expr(lx: _Lexer, ctx: Context) -> FieldExpr:
-    return _sum_of_terms(lx, ctx, _field_term)
+def _group(lx: _Lexer, ctx: Context, factor, close: str):
+    """The sum after the opening bracket at the cursor, up to ``close``."""
+    lx.next()
+    inner = _sum_of_terms(lx, ctx, factor)
+    lx.expect(close)
+    return inner
 
 
-def _parse(src: str, ctx: Context, term, zero):
+def _parse(src: str, ctx: Context, factor, zero):
     if src.strip() == "0":
         return zero
     lx = _Lexer(src)
-    out = _sum_of_terms(lx, ctx, term)
+    out = _sum_of_terms(lx, ctx, factor)
     if lx.peek() is not None:
         raise lx.error("trailing input")
     return out
@@ -273,7 +267,7 @@ def _parse(src: str, ctx: Context, term, zero):
 
 def parse_field(src: str, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
     """Parse a field expression; unknown identifiers are an error."""
-    return _parse(src, ctx, _field_term, FieldExpr.zero())
+    return _parse(src, ctx, _field_atom, FieldExpr.zero())
 
 
 def _op_factor(lx: _Lexer, ctx: Context) -> Optional[OpExpr]:
@@ -281,13 +275,10 @@ def _op_factor(lx: _Lexer, ctx: Context) -> Optional[OpExpr]:
     if tok is None:
         return None
     if tok.kind == "punct" and tok.text == "(":
-        lx.next()
-        inner = _op_expr(lx, ctx)
-        lx.expect(")")
-        return inner
+        return _group(lx, ctx, _op_factor, ")")
     if tok.kind == "ident":
         stem, order = _split_ident(tok.text)
-        after = lx.tokens[lx.index + 1] if lx.index + 1 < len(lx.tokens) else None
+        after = lx.peek(1)
         bracketed = after is not None and after.text == "["
         if stem == "D" and order == 0 and not (after is not None and after.text == "("):
             lx.next()
@@ -303,41 +294,17 @@ def _op_factor(lx: _Lexer, ctx: Context) -> Optional[OpExpr]:
             return OpExpr.from_atoms(OpDerInv(DERINV_IDENTS[stem]))
         if stem in ("L", "R", "C") and order == 0 and bracketed:
             lx.next()
-            lx.expect("[")
-            body = _field_expr(lx, ctx)
-            lx.expect("]")
-            return {"L": op_left, "R": op_right, "C": op_comm}[stem](body)
+            mult = {"L": op_left, "R": op_right, "C": op_comm}[stem]
+            return mult(_group(lx, ctx, _field_atom, "]"))
     field = _field_atom(lx, ctx)
     if field is not None:
         return op_left(field)
     return None
 
 
-def _op_term(lx: _Lexer, ctx: Context) -> OpExpr:
-    coeff, explicit = _coefficient(lx)
-    factors = []
-    while True:
-        factor = _op_factor(lx, ctx)
-        if factor is None:
-            break
-        factors.append(factor)
-    if not factors:
-        if explicit:
-            return OpExpr.identity().scale(coeff)
-        raise lx.error("expected an operator factor", ("D", "ID", "IDinv", "L[", "identifier"))
-    out = OpExpr.identity().scale(coeff)
-    for f in factors:
-        out = out * f
-    return out
-
-
-def _op_expr(lx: _Lexer, ctx: Context) -> OpExpr:
-    return _sum_of_terms(lx, ctx, _op_term)
-
-
 def parse_op(src: str, ctx: Context = DEFAULT_CONTEXT) -> OpExpr:
     """Parse an operator expression; bare field factors mean left multiplication."""
-    return _parse(src, ctx, _op_term, OpExpr.zero())
+    return _parse(src, ctx, _op_factor, OpExpr.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +385,13 @@ def _eta_tag_for(e: FieldExpr) -> DerivationTag:
 def _print_field_eta(e: FieldExpr, tag: Optional[DerivationTag] = None) -> str:
     if tag is None:
         tag = _eta_tag_for(e)
-    eta = _to_eta_expr(tag, e)
+    try:
+        eta = _to_eta_expr(tag, e)
+    except _ForeignAtom as exc:
+        raise ValueError(
+            "%s cannot be written in %s eta coordinates"
+            % (_atom_text(exc.args[0], False), _DER_NAMES[tag])
+        ) from None
 
     def atom_text(a) -> str:
         if a[0] in ("j", "t"):

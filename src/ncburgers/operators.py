@@ -22,6 +22,7 @@ from .fields import (
     DerivationTag,
     FieldExpr,
     LinearCombination,
+    MIRROR_TAG,
     TestField,
     Word,
     _TAG_SIGN,
@@ -29,6 +30,7 @@ from .fields import (
     commutator,
     d_total,
     der,
+    mirror_word,
     word_key,
 )
 from .reduction import deep_reduce, derinv
@@ -144,6 +146,23 @@ def op_right(f: FieldExpr) -> OpExpr:
 
 def op_comm(f: FieldExpr) -> OpExpr:
     return _mult_op(OpComm, f)
+
+
+def _mirror_op_atom(atom: OpAtom) -> OpExpr:
+    if isinstance(atom, (OpDer, OpDerInv)):
+        return OpExpr.from_atoms(type(atom)(MIRROR_TAG[atom.tag]))
+    if isinstance(atom, OpD):
+        return OpExpr.from_atoms(atom)
+    image = {OpLeft: OpRight, OpRight: OpLeft, OpComm: OpComm}[type(atom)](mirror_word(atom.word))
+    return OpExpr._raw({(image,): Fraction(-1 if isinstance(atom, OpComm) else 1)})
+
+
+def mirror_op(P: OpExpr) -> OpExpr:
+    """The operator conjugated by ``fields.mirror_image``: L_w and R_w* swap,
+    C_w becomes -C_w*, and the mirror and direct tags swap, so that
+    ``apply_op(mirror_op(P), mirror_image(f))`` is ``mirror_image(apply_op(P, f))``
+    in the mirrored context."""
+    return P.map_atoms(_mirror_op_atom)
 
 
 # -- application -------------------------------------------------------------

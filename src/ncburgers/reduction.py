@@ -17,8 +17,10 @@ wrap the innermost factor in a fresh antiderivative), and accept it only if
 the leading word of its derivative is exactly the word being eliminated.
 Rejected words freeze into antiderivative atoms; an exact derivative
 therefore unwraps completely while anything else splits into an integrated
-part plus irreducible atoms, deterministically.  The direct family reads
-words from the right, mirroring every choice.
+part plus irreducible atoms, deterministically.  The splitter reads words
+from the left, in the mirror convention, for the mirror and plain tags; the
+direct inverse is the mirror image (``fields.mirror_image``) of the mirror
+inverse of the mirror image.
 
 ``deep_reduce`` extends this to products mixing antiderivative atoms with
 further factors: every such word is replaced by the antiderivative of its
@@ -56,6 +58,9 @@ from .fields import (
     der,
     expr_nesting,
     jet,
+    mirror_context,
+    mirror_image,
+    mirror_word,
 )
 
 # eta atoms are plain tuples:
@@ -86,7 +91,8 @@ def _eta_word(w: EtaWord) -> EtaExpr:
 
 
 class _ForeignAtom(Exception):
-    """Word contains an atom the eta basis cannot express."""
+    """Word contains an atom (the exception's argument) the eta basis cannot
+    express."""
 
 
 def _atom_sort(a: EtaAtom):
@@ -110,17 +116,10 @@ def _mass(w: EtaWord) -> int:
     return sum(1 + max(map(_mass, a[1].terms), default=0) for a in w if a[0] == "i")
 
 
-def _flip(tag: DerivationTag) -> bool:
-    """The direct family is the left/right mirror image of the mirror one,
-    so its canonical choices read words from the other end."""
-    return tag == DerivationTag.DIRECT
-
-
 @lru_cache(maxsize=None)
-def _greedy_key(w: EtaWord, flip: bool):
+def _greedy_key(w: EtaWord):
     """Processing order: highest jets first, fewest antiderivatives next."""
-    ranks = tuple(_rank(a) for a in (reversed(w) if flip else w))
-    return (ranks, -_mass(w), _word_sort(w))
+    return (tuple(map(_rank, w)), -_mass(w), _word_sort(w))
 
 
 class _ByKeyDesc:
@@ -143,31 +142,22 @@ def _E(a: EtaAtom) -> EtaExpr:
     return _eta_word(((a[0], a[1], a[2] + 1),))
 
 
-def _candidate(w: EtaWord, flip: bool) -> Optional[EtaWord]:
+def _candidate(w: EtaWord) -> Optional[EtaWord]:
     if not w:
         return None
-    # the leading word of E(u) raises u's outermost raisable factor, so the
-    # candidate preimage lowers the outermost positive jet (leftmost for
-    # mirror, rightmost for direct)
-    order = range(len(w) - 1, -1, -1) if flip else range(len(w))
-    for i in order:
-        if _rank(w[i]) >= 1:
-            a = w[i]
+    # the leading word of E(u) raises u's leftmost raisable factor, so the
+    # candidate preimage lowers the leftmost positive jet
+    for i, a in enumerate(w):
+        if _rank(a) >= 1:
             return w[:i] + ((a[0], a[1], a[2] - 1),) + w[i + 1 :]
-    # nothing left to lower: wrap the innermost factor
-    i = 0 if flip else len(w) - 1
-    wrapped = ("i", _eta_word((w[i],)))
-    return w[:i] + (wrapped,) + w[i + 1 :]
+    # nothing left to lower: wrap the innermost (last) factor
+    return w[:-1] + (("i", _eta_word(w[-1:])),)
 
 
-def _greedy_split(f: EtaExpr, rounds: int, flip: bool) -> Tuple[dict, dict]:
+def _greedy_split(f: EtaExpr, rounds: int) -> Tuple[dict, dict]:
     """Split f = E(g) + h with h made of words the greedy scheme rejects."""
-
-    def key(w):
-        return _greedy_key(w, flip)
-
     work = dict(f.terms)
-    heap = [_ByKeyDesc(key(w), w) for w in work]
+    heap = [_ByKeyDesc(_greedy_key(w), w) for w in work]
     heapq.heapify(heap)
     g: dict = {}
     h: dict = {}
@@ -180,18 +170,18 @@ def _greedy_split(f: EtaExpr, rounds: int, flip: bool) -> Tuple[dict, dict]:
         budget -= 1
         if budget < 0:
             raise NestingLimitExceeded("antiderivative splitting exceeded round budget")
-        u = _candidate(w, flip)
+        u = _candidate(w)
         done = False
         if u is not None:
             image = _eta_word(u).leibniz(_E).terms
-            if image and max(image, key=key) == w:
+            if image and max(image, key=_greedy_key) == w:
                 ratio = c / image[w]
                 add_into(g, u, ratio)
                 for iw, ic in image.items():
                     was_present = iw in work
                     add_into(work, iw, -ratio * ic)
                     if iw in work and not was_present:
-                        heapq.heappush(heap, _ByKeyDesc(key(iw), iw))
+                        heapq.heappush(heap, _ByKeyDesc(_greedy_key(iw), iw))
                 done = True
         if not done:
             add_into(h, w, c)
@@ -222,7 +212,7 @@ def _to_eta_atom(tag: DerivationTag, atom) -> EtaExpr:
         return _x_jet_to_eta(tag, "t", atom.name, atom.order)
     if isinstance(atom, Integral) and atom.tag == tag:
         return _eta_word((("i", _to_eta_expr(tag, atom.body)),))
-    raise _ForeignAtom
+    raise _ForeignAtom(atom)
 
 
 def _to_eta_word(tag: DerivationTag, word: Word) -> EtaExpr:
@@ -285,7 +275,15 @@ def derinv(
     integrated part plus antiderivative atoms with irreducible bodies.  In a
     context whose commutator field is not the plain base jet (the Cole-Hopf
     substitution), no splitting is attempted and bodies are kept verbatim.
+    The direct inverse is the mirror image of the mirror one.
     """
+    if tag == DerivationTag.DIRECT:
+        return mirror_image(_derinv(DerivationTag.MIRROR, mirror_image(f), mirror_context(ctx)))
+    return _derinv(tag, f, ctx)
+
+
+def _derinv(tag: DerivationTag, f: FieldExpr, ctx: Context) -> FieldExpr:
+    """``derinv`` for the mirror and plain tags."""
     if f.is_zero():
         return f
     if not _standard_field(tag, ctx):
@@ -298,7 +296,7 @@ def derinv(
         except _ForeignAtom:
             foreign.append((_integral_atom(tag, FieldExpr.from_word(w), ctx), c))
 
-    g, h = _greedy_split(EtaExpr.sum(eta_terms), ctx.reduce_rounds, _flip(tag))
+    g, h = _greedy_split(EtaExpr.sum(eta_terms), ctx.reduce_rounds)
     return FieldExpr.sum(chain(
         ((_from_eta_word(tag, w, ctx), c) for w, c in g.items()),
         foreign,
@@ -322,23 +320,19 @@ def _canon_word(word: Word, ctx: Context, cache: dict) -> FieldExpr:
     if word in cache:
         return cache[word]
     out = FieldExpr.from_word(word)
-    if _is_mixed(word):
-        tag = _word_tag(word)
-        if tag is not None and _standard_field(tag, ctx):
-            if _flip(tag):
-                inner, outer = word[:-1], word[-1:]
+    tag = _word_tag(word)
+    if _is_mixed(word) and tag is not None and _standard_field(tag, ctx):
+        if tag == DerivationTag.DIRECT:
+            # the mirror image is a mirror word of the mirrored context,
+            # whose values are kept in a table of their own
+            mirrored = cache.setdefault(tag, {})
+            out = mirror_image(_canon_word(mirror_word(word), mirror_context(ctx), mirrored))
+        else:
+            inner = word[1:]
+            if _is_mixed(inner) and _canon_word(inner, ctx, cache) != FieldExpr.from_word(inner):
+                out = FieldExpr.from_word(word[:1]) * cache[inner]
             else:
-                inner, outer = word[1:], word[:1]
-            if _is_mixed(inner):
-                inner_val = _canon_word(inner, ctx, cache)
-                if inner_val != FieldExpr.from_word(inner):
-                    if _flip(tag):
-                        out = inner_val * FieldExpr.from_word(outer)
-                    else:
-                        out = FieldExpr.from_word(outer) * inner_val
-                    cache[word] = out
-                    return out
-            out = derinv(tag, der(tag, FieldExpr.from_word(word), ctx), ctx)
+                out = derinv(tag, der(tag, out, ctx), ctx)
     cache[word] = out
     return out
 

@@ -28,6 +28,7 @@ from .fields import (
     NestingLimitExceeded,
     der,
     jet,
+    mirror_context,
     rename_tests,
     subst_test,
     test,
@@ -46,6 +47,7 @@ from .operators import (
     OpRight,
     _mult_op,
     apply_op,
+    mirror_op,
     op_comm,
     op_derinv,
     op_left,
@@ -158,6 +160,10 @@ def strong_symmetry_member(
     return report
 
 
+# a direct piece is named after its mirror piece with L and R exchanged
+_SWAP_LR = str.maketrans("LR", "RL")
+
+
 def s_split(
     family: EquationFamily, direction: str = "V", ctx: Context = DEFAULT_CONTEXT
 ) -> List[Tuple[str, OpExpr]]:
@@ -165,44 +171,24 @@ def s_split(
     pieces of the Frechet derivative of the recursion operator.
 
     Mirror pieces: R_V, L_{ID V} ID^-1, L_{[r,V]} ID^-1, L_{r_x} ID^-1 C_V ID^-1.
-    The direct family uses the left/right mirror images.
+    The direct split is the mirror image of the mirror one.
     """
     if family == EquationFamily.HEAT:
         raise ValueError("the heat recursion operator has a vanishing derivative")
+    if family == EquationFamily.DIRECT:
+        mirrored = s_split(EquationFamily.MIRROR, direction, mirror_context(ctx))
+        return [(name.translate(_SWAP_LR), mirror_op(s_j)) for name, s_j in mirrored]
     tag = family.tag
     phi = recursion_operator(family, "expanded")
     V = test(direction)
     phi_v = apply_op(phi, V, ctx)
-
-    if family == EquationFamily.MIRROR:
-        pieces = [
-            ("R", lambda f: op_right(f)),
-            ("L_der", lambda f: op_left(der(tag, f, ctx)) * op_derinv(tag)),
-            (
-                "L_comm",
-                lambda f: op_left(jet("r") * f - f * jet("r")) * op_derinv(tag),
-            ),
-            (
-                "nonlocal",
-                lambda f: op_left(jet("r", 1)) * op_derinv(tag) * op_comm(f) * op_derinv(tag),
-            ),
-        ]
-    else:
-        pieces = [
-            ("L", lambda f: op_left(f)),
-            ("R_der", lambda f: op_right(der(tag, f, ctx)) * op_derinv(tag)),
-            (
-                "R_comm",
-                lambda f: op_right(f * jet("s") - jet("s") * f) * op_derinv(tag),
-            ),
-            (
-                "nonlocal",
-                lambda f: (
-                    op_right(jet("s", 1)) * op_derinv(tag) * op_comm(f) * op_derinv(tag)
-                ).scale(-1),
-            ),
-        ]
-
+    r = jet("r")
+    pieces = [
+        ("R", op_right),
+        ("L_der", lambda f: op_left(der(tag, f, ctx)) * op_derinv(tag)),
+        ("L_comm", lambda f: op_left(r * f - f * r) * op_derinv(tag)),
+        ("nonlocal", lambda f: op_left(jet("r", 1)) * op_derinv(tag) * op_comm(f) * op_derinv(tag)),
+    ]
     out = []
     for j, (name, make) in enumerate(pieces, start=1):
         s_j = phi * make(V) - make(phi_v)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from ncburgers.lang import (
     print_field,
     print_op,
 )
-from ncburgers.operators import op_probe_equal
+from ncburgers.operators import OpExpr, op_probe_equal
 from ncburgers.reduction import derinv
 
 from conftest import random_field, random_nonlocal_field
@@ -158,6 +159,15 @@ def test_diagnostics_have_positions():
 def test_unknown_symbol_reported():
     with pytest.raises(ParseError, match="unknown symbol"):
         parse_field("banana")
+
+
+def test_missing_factor_messages():
+    with pytest.raises(ParseError, match="expected a field factor"):
+        parse_field("r + )")
+    with pytest.raises(ParseError, match="expected an operator factor"):
+        parse_op("D + ]")
+    assert parse_field("2") == FieldExpr.scalar(2)
+    assert parse_op("-1/2") == OpExpr.identity().scale(Fraction(-1, 2))
 
 
 def test_trailing_input_rejected():

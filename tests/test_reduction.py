@@ -15,7 +15,7 @@ from ncburgers.fields import (
     der,
     jet,
     )
-from ncburgers import reduction
+from ncburgers import fields, reduction
 from ncburgers.reduction import deep_reduce, derinv
 
 from conftest import random_field, random_nonlocal_field
@@ -63,7 +63,9 @@ def test_derinv_unchanged_after_cache_clear():
         for tag in (M, DIR, P)
     ]
     before = [derinv(tag, e) for tag, e in cases]
-    caches = (reduction._greedy_key, reduction._x_jet_to_eta, reduction._eta_jet_to_x)
+    caches = (
+        reduction._greedy_key, reduction._x_jet_to_eta, reduction._eta_jet_to_x, fields._mirror_atom
+    )
     for cache in caches:
         cache.cache_clear()
         assert cache.cache_info().currsize == 0
