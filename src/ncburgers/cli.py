@@ -87,28 +87,23 @@ def _make_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="machine-check an algebraic claim")
     vsub = v.add_subparsers(dest="claim", required=True)
+    claim = argparse.ArgumentParser(add_help=False)
+    claim.add_argument("--family", choices=["mirror", "direct"], required=True)
+    claim.add_argument("--format", choices=["text", "structured"], default="text")
 
-    vs = vsub.add_parser("strong-symmetry")
-    vs.add_argument("--family", choices=["mirror", "direct"], required=True)
+    vs = vsub.add_parser("strong-symmetry", parents=[claim])
     vs.add_argument("--member", type=int, required=True)
     vs.add_argument("--ibp-depth", type=int, default=None)
-    vs.add_argument("--format", choices=["text", "structured"], default="text")
 
-    vh = vsub.add_parser("hereditary")
-    vh.add_argument("--family", choices=["mirror", "direct"], required=True)
+    vh = vsub.add_parser("hereditary", parents=[claim])
     vh.add_argument("--ibp-depth", type=int, default=None)
-    vh.add_argument("--format", choices=["text", "structured"], default="text")
 
-    vc = vsub.add_parser("commute")
-    vc.add_argument("--family", choices=["mirror", "direct"], required=True)
+    vc = vsub.add_parser("commute", parents=[claim])
     vc.add_argument("--m", type=int, required=True)
     vc.add_argument("--n", type=int, required=True)
     vc.add_argument("--scenes", type=int, default=10)
-    vc.add_argument("--format", choices=["text", "structured"], default="text")
 
-    vch = vsub.add_parser("cole-hopf")
-    vch.add_argument("--family", choices=["mirror", "direct"], required=True)
-    vch.add_argument("--format", choices=["text", "structured"], default="text")
+    vsub.add_parser("cole-hopf", parents=[claim])
 
     r = sub.add_parser("reduce", help="commutative reduction of an expression")
     r.add_argument("--commutative", action="store_true", required=True)

@@ -19,9 +19,9 @@ Derivations come in three flavours, selected by :class:`DerivationTag`:
 * ``MIRROR``  -- ``D - [r, .]``, written ``ID``,
 * ``DIRECT``  -- ``D + [s, .]``, written ``DD``.
 
-The commutator field of a tag (``r`` for mirror, ``s`` for direct) can be
-overridden through a :class:`Context`; the Cole-Hopf checks use that to work
-with ``r`` replaced by ``u_x u^-1``.
+A :class:`Context` holds one commutator field, the mirror one (``r`` by
+default; the Cole-Hopf checks replace it by ``u_x u^-1``).  The direct field
+is its mirror image and the plain field is zero.
 
 The direct family is the left/right mirror image of the mirror family, and
 every direct construction is derived through :func:`mirror_image`.
@@ -32,9 +32,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -146,27 +146,23 @@ def _cancel_uinv(word: Word) -> Word:
             break
     else:
         return word
-    factors = list(word)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            a, b = factors[i], factors[i + 1]
-            if (
-                isinstance(a, Jet)
-                and a.order == 0
-                and isinstance(b, InverseSymbol)
-                and b.base == a.symbol
-            ) or (
-                isinstance(a, InverseSymbol)
-                and isinstance(b, Jet)
-                and b.order == 0
-                and b.symbol == a.base
-            ):
-                del factors[i : i + 2]
-                changed = True
-                break
-    return tuple(factors)
+    # free reduction: one left-to-right pass with a stack
+    out: list = []
+    for a in word:
+        if out and _inverse_pair(out[-1], a):
+            out.pop()
+        else:
+            out.append(a)
+    return tuple(out)
+
+
+def _inverse_pair(a: Atom, b: Atom) -> bool:
+    """Whether ``a b`` is ``u u^-1`` or ``u^-1 u`` for one base u."""
+    if isinstance(a, InverseSymbol):
+        a, b = b, a
+    return (
+        isinstance(a, Jet) and a.order == 0 and isinstance(b, InverseSymbol) and b.base == a.symbol
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +370,8 @@ def test(name: str, order: int = 0) -> FieldExpr:
     return FieldExpr.from_atom(TestField(name, order))
 
 
-def uinv(base: str = "u") -> FieldExpr:
-    return FieldExpr.from_atom(InverseSymbol(base))
+def uinv() -> FieldExpr:
+    return FieldExpr.from_atom(InverseSymbol())
 
 
 def combine(a: FieldExpr, b: FieldExpr, c1: Rat = 1, c2: Rat = 1) -> FieldExpr:
@@ -393,46 +389,45 @@ def commutator(a: FieldExpr, b: FieldExpr) -> FieldExpr:
 
 @dataclass(frozen=True)
 class Context:
-    """Evaluation context: commutator field per tag plus rewrite bounds.
+    """Evaluation context: the mirror commutator field plus a rewrite bound.
 
-    ``integral_depth`` bounds the nesting of antiderivative atoms a single
-    reduction is allowed to create; exceeding it raises
-    :class:`NestingLimitExceeded` so a verification can report itself as
-    inconclusive instead of looping.
+    ``field`` is the commutator field of the mirror derivation; the direct
+    derivation's is its mirror image and the plain derivation's is zero, so
+    a context is its own mirror image.  ``integral_depth`` bounds the
+    nesting of antiderivative atoms a single reduction is allowed to
+    create; exceeding it raises :class:`NestingLimitExceeded` so a
+    verification can report itself as inconclusive instead of looping.
     """
 
-    tag_fields: Mapping[DerivationTag, FieldExpr]
+    field: FieldExpr
     integral_depth: int = 4
-    reduce_rounds: int = 200000
-    reduce_passes: int = 80
+    # fixed budgets of the greedy split and of ``deep_reduce``
+    reduce_rounds: ClassVar[int] = 200000
+    reduce_passes: ClassVar[int] = 80
+
+    @cached_property
+    def tag_fields(self) -> Mapping[DerivationTag, FieldExpr]:
+        return {
+            DerivationTag.PLAIN: ZERO,
+            DerivationTag.MIRROR: self.field,
+            DerivationTag.DIRECT: mirror_image(self.field),
+        }
 
     def tag_field(self, tag: DerivationTag) -> FieldExpr:
-        return self.tag_fields.get(tag, ZERO)
+        return self.tag_fields[tag]
 
 
 def default_context(integral_depth: int = 4) -> Context:
-    return Context(
-        {
-            DerivationTag.MIRROR: jet("r"),
-            DerivationTag.DIRECT: jet("s"),
-        },
-        integral_depth=integral_depth,
-    )
+    return Context(jet("r"), integral_depth)
 
 
 DEFAULT_CONTEXT = default_context()
 
 
-def cole_hopf_context(tag: DerivationTag, integral_depth: int = 4) -> Context:
-    """Context where the tag's commutator field is the Cole-Hopf image.
-
-    Mirror: r = u_x u^-1.  Direct: its mirror image s = u^-1 u_x.
-    """
-    if tag == DerivationTag.PLAIN:
-        raise ValueError("Cole-Hopf context needs the mirror or direct tag")
-    field = FieldExpr.from_word((Jet("u", 1), InverseSymbol("u")))
-    ctx = Context({DerivationTag.MIRROR: field}, integral_depth=integral_depth)
-    return ctx if tag == DerivationTag.MIRROR else mirror_context(ctx)
+def cole_hopf_context(integral_depth: int = 4) -> Context:
+    """Context of the Cole-Hopf substitution r = u_x u^-1, and therefore
+    s = u^-1 u_x."""
+    return Context(FieldExpr.from_word((Jet("u", 1), InverseSymbol("u"))), integral_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +455,6 @@ def mirror_image(f: FieldExpr) -> FieldExpr:
     takes der(MIRROR, f) to der(DIRECT, mirror_image(f)) in the mirrored
     context."""
     return FieldExpr._raw({mirror_word(w): c for w, c in f.terms.items()})
-
-
-def mirror_context(ctx: Context) -> Context:
-    """The context whose tag fields are the mirror images of ``ctx``'s."""
-    fields = {MIRROR_TAG[tag]: mirror_image(f) for tag, f in ctx.tag_fields.items()}
-    return replace(ctx, tag_fields=fields)
 
 
 class NestingLimitExceeded(Exception):

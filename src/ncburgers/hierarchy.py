@@ -38,7 +38,6 @@ from .fields import (
     d_total,
     der,
     jet,
-    mirror_context,
     mirror_image,
     uinv,
     word_key,
@@ -118,7 +117,7 @@ def hierarchy_member(
     elif family == EquationFamily.MIRROR:
         rhs = _mirror_member(n, ctx)
     else:
-        rhs = mirror_image(_mirror_member(n, mirror_context(ctx)))
+        rhs = mirror_image(_mirror_member(n, ctx))
     if rhs.contains_integral():
         raise AssertionError("hierarchy member %d is not antiderivative-free" % n)
     return HierarchyMember(family, n, rhs)
@@ -201,14 +200,14 @@ def cole_hopf_identities(
     each with its context (nesting bound ``integral_depth``)."""
     if family == EquationFamily.HEAT:
         raise ValueError("the heat family has no Cole-Hopf identities")
-    ctx = cole_hopf_context(family.tag, integral_depth)
     if family == EquationFamily.DIRECT:
         return [
             (_COLE_HOPF_NAMES[name], mirror_op(lhs), mirror_op(rhs), ctx)
-            for name, lhs, rhs, _ in cole_hopf_identities(EquationFamily.MIRROR, integral_depth)
+            for name, lhs, rhs, ctx in cole_hopf_identities(EquationFamily.MIRROR, integral_depth)
         ]
+    ctx = cole_hopf_context(integral_depth)
     u, ui = jet("u"), uinv()
-    sub = ctx.tag_field(_MIRROR)  # r = u_x u^-1
+    sub = ctx.field  # r = u_x u^-1
     T = (op_d() - op_comm(sub)) * op_right(ui)
     T_inv = op_right(u) * op_derinv(_MIRROR)
     target = op_d() + op_right(sub) + op_left(d_total(sub, ctx)) * op_derinv(_MIRROR)

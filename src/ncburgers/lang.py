@@ -375,16 +375,10 @@ def print_field(e: FieldExpr, mode: str = "x") -> str:
     return _join_terms(parts, latex)
 
 
-def _eta_tag_for(e: FieldExpr) -> DerivationTag:
+def _print_field_eta(e: FieldExpr) -> str:
     symbols = e.jet_symbols()
-    if "s" in symbols and "r" not in symbols:
-        return DerivationTag.DIRECT
-    return DerivationTag.MIRROR
-
-
-def _print_field_eta(e: FieldExpr, tag: Optional[DerivationTag] = None) -> str:
-    if tag is None:
-        tag = _eta_tag_for(e)
+    direct = "s" in symbols and "r" not in symbols
+    tag = DerivationTag.DIRECT if direct else DerivationTag.MIRROR
     try:
         eta = _to_eta_expr(tag, e)
     except _ForeignAtom as exc:

@@ -58,7 +58,6 @@ from .fields import (
     der,
     expr_nesting,
     jet,
-    mirror_context,
     mirror_image,
     mirror_word,
 )
@@ -70,6 +69,7 @@ from .fields import (
 EtaAtom = tuple
 EtaWord = Tuple[EtaAtom, ...]
 _ONE = Fraction(1)
+_R = jet("r")
 
 
 class EtaExpr(LinearCombination):
@@ -261,9 +261,7 @@ def _integral_atom(tag: DerivationTag, body: FieldExpr, ctx: Context) -> FieldEx
 
 
 def _standard_field(tag: DerivationTag, ctx: Context) -> bool:
-    if tag == DerivationTag.PLAIN:
-        return not ctx.tag_field(tag)
-    return ctx.tag_field(tag) == jet(TAG_BASE[tag])
+    return tag is DerivationTag.PLAIN or ctx.field == _R
 
 
 def derinv(
@@ -278,7 +276,7 @@ def derinv(
     The direct inverse is the mirror image of the mirror one.
     """
     if tag == DerivationTag.DIRECT:
-        return mirror_image(_derinv(DerivationTag.MIRROR, mirror_image(f), mirror_context(ctx)))
+        return mirror_image(_derinv(DerivationTag.MIRROR, mirror_image(f), ctx))
     return _derinv(tag, f, ctx)
 
 
@@ -323,10 +321,8 @@ def _canon_word(word: Word, ctx: Context, cache: dict) -> FieldExpr:
     tag = _word_tag(word)
     if _is_mixed(word) and tag is not None and _standard_field(tag, ctx):
         if tag == DerivationTag.DIRECT:
-            # the mirror image is a mirror word of the mirrored context,
-            # whose values are kept in a table of their own
-            mirrored = cache.setdefault(tag, {})
-            out = mirror_image(_canon_word(mirror_word(word), mirror_context(ctx), mirrored))
+            # a context is its own mirror image, so the mirror word shares the cache
+            out = mirror_image(_canon_word(mirror_word(word), ctx, cache))
         else:
             inner = word[1:]
             if _is_mixed(inner) and _canon_word(inner, ctx, cache) != FieldExpr.from_word(inner):

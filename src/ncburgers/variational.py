@@ -44,20 +44,8 @@ from .operators import (
 from .reduction import derinv
 
 
-def _infer_base(K: FieldExpr) -> str:
-    symbols = K.jet_symbols()
-    if len(symbols) != 1:
-        raise ValueError(
-            "cannot infer the differentiation symbol from %s; pass base=" % sorted(symbols)
-        )
-    return next(iter(symbols))
-
-
 def frechet_field(
-    K: FieldExpr,
-    direction: str = "V",
-    base: Optional[str] = None,
-    ctx: Context = DEFAULT_CONTEXT,
+    K: FieldExpr, direction: str, base: str, ctx: Context = DEFAULT_CONTEXT
 ) -> FieldExpr:
     """Directional derivative of K along the test field ``direction``.
 
@@ -67,8 +55,6 @@ def frechet_field(
     """
     if direction in K.test_names():
         raise ValueError("direction %r already occurs in the expression" % direction)
-    if base is None:
-        base = _infer_base(K)
 
     def datom(atom) -> Optional[FieldExpr]:
         if isinstance(atom, Jet) and atom.symbol == base:
@@ -88,10 +74,7 @@ def frechet_field(
 
 
 def frechet_op(
-    P: OpExpr,
-    direction: str = "V",
-    base: Optional[str] = None,
-    ctx: Context = DEFAULT_CONTEXT,
+    P: OpExpr, direction: str, base: str, ctx: Context = DEFAULT_CONTEXT
 ) -> OpExpr:
     """Directional derivative of an operator expression along ``direction``."""
     dirf = test(direction)
@@ -99,9 +82,7 @@ def frechet_op(
     def datom(atom) -> Optional[OpExpr]:
         if isinstance(atom, OpD):
             return None
-        if isinstance(atom, (OpDer, OpDerInv)) and not (
-            base is None or TAG_BASE.get(atom.tag) == base
-        ):
+        if isinstance(atom, (OpDer, OpDerInv)) and TAG_BASE.get(atom.tag) != base:
             return None
         if isinstance(atom, OpDer):
             sign = _TAG_SIGN[atom.tag]
@@ -111,15 +92,7 @@ def frechet_op(
             if not sign:
                 return None
             return (op_derinv(atom.tag) * op_comm(dirf) * op_derinv(atom.tag)).scale(sign)
-        word = FieldExpr.from_word(atom.word)
-        if base is None:
-            symbols = word.jet_symbols()
-            bsym = next(iter(symbols)) if len(symbols) == 1 else None
-        else:
-            bsym = base
-        if bsym is None:
-            return None
-        dword = frechet_field(word, direction, bsym, ctx)
+        dword = frechet_field(FieldExpr.from_word(atom.word), direction, base, ctx)
         if dword.is_zero():
             return None
         if isinstance(atom, OpLeft):
@@ -131,7 +104,7 @@ def frechet_op(
     return P.leibniz(datom)
 
 
-def member_operator(K: FieldExpr, base: Optional[str] = None) -> OpExpr:
+def member_operator(K: FieldExpr, base: str) -> OpExpr:
     """The directional derivative of K as an operator: K'(r)[V] = member_operator(K) V.
 
     Requires K free of antiderivatives; each jet occurrence contributes a
@@ -139,8 +112,6 @@ def member_operator(K: FieldExpr, base: Optional[str] = None) -> OpExpr:
     """
     if K.contains_integral():
         raise ValueError("member operator needs an antiderivative-free expression")
-    if base is None:
-        base = _infer_base(K)
 
     def pieces():
         for word, coeff in K.terms.items():
@@ -172,13 +143,8 @@ def lie_bracket_halves(
 
 
 def lie_bracket(
-    K: FieldExpr,
-    G: FieldExpr,
-    base: Optional[str] = None,
-    ctx: Context = DEFAULT_CONTEXT,
+    K: FieldExpr, G: FieldExpr, base: str, ctx: Context = DEFAULT_CONTEXT
 ) -> FieldExpr:
     """Commutator of evolution vector fields: K'[G] - G'[K]."""
-    if base is None:
-        base = _infer_base(K + G)
     kd, gd = lie_bracket_halves(K, G, base, ctx)
     return normal_field(kd - gd, ctx)

@@ -28,7 +28,6 @@ from .fields import (
     NestingLimitExceeded,
     der,
     jet,
-    mirror_context,
     rename_tests,
     subst_test,
     test,
@@ -165,7 +164,7 @@ _SWAP_LR = str.maketrans("LR", "RL")
 
 
 def s_split(
-    family: EquationFamily, direction: str = "V", ctx: Context = DEFAULT_CONTEXT
+    family: EquationFamily, ctx: Context = DEFAULT_CONTEXT
 ) -> List[Tuple[str, OpExpr]]:
     """Split S_j = Phi Phi'_j[V] - Phi'_j[Phi V] along the four natural
     pieces of the Frechet derivative of the recursion operator.
@@ -176,11 +175,11 @@ def s_split(
     if family == EquationFamily.HEAT:
         raise ValueError("the heat recursion operator has a vanishing derivative")
     if family == EquationFamily.DIRECT:
-        mirrored = s_split(EquationFamily.MIRROR, direction, mirror_context(ctx))
+        mirrored = s_split(EquationFamily.MIRROR, ctx)
         return [(name.translate(_SWAP_LR), mirror_op(s_j)) for name, s_j in mirrored]
     tag = family.tag
     phi = recursion_operator(family, "expanded")
-    V = test(direction)
+    V = test("V")
     phi_v = apply_op(phi, V, ctx)
     r = jet("r")
     pieces = [

@@ -11,7 +11,10 @@ from ncburgers.fields import (
     DerivationTag,
     FieldExpr,
     Integral,
+    InverseSymbol,
     Jet,
+    TestField as Probe,
+    _cancel_uinv,
     combine,
     commutator,
     d_total,
@@ -141,6 +144,44 @@ def test_uinv_cancellation():
     assert (u * uinv()) == FieldExpr.unit()
     assert (uinv() * u) == FieldExpr.unit()
     assert (rx * u * uinv() * r) == rx * r
+
+
+def _cancel_uinv_by_rescan(word):
+    """Reference: delete the leftmost u u^-1 or u^-1 u pair and rescan from
+    the start, until none is left."""
+    factors = list(word)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(factors) - 1):
+            a, b = factors[i], factors[i + 1]
+            if (
+                isinstance(a, Jet)
+                and a.order == 0
+                and isinstance(b, InverseSymbol)
+                and b.base == a.symbol
+            ) or (
+                isinstance(a, InverseSymbol)
+                and isinstance(b, Jet)
+                and b.order == 0
+                and b.symbol == a.base
+            ):
+                del factors[i : i + 2]
+                changed = True
+                break
+    return tuple(factors)
+
+
+def test_uinv_cancellation_matches_rescanning():
+    rng = random.Random(4711)
+    atoms = [Jet("u"), InverseSymbol("u"), Jet("u", 1), Probe("V"), Jet("r")]
+    cancelled = 0
+    for _ in range(12000):
+        word = tuple(rng.choice(atoms) for _ in range(rng.randint(0, 10)))
+        expected = _cancel_uinv_by_rescan(word)
+        assert _cancel_uinv(word) == expected, word
+        cancelled += expected != word
+    assert cancelled > 2000
 
 
 def test_uinv_derivative():

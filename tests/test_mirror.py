@@ -7,16 +7,19 @@ from dataclasses import replace
 import pytest
 
 from ncburgers.fields import (
-    DEFAULT_CONTEXT,
+    Context,
     DerivationTag,
     FieldExpr,
     Integral,
+    InverseSymbol,
+    Jet,
     _mirror_atom,
+    cole_hopf_context,
+    commutator,
     default_context,
     der,
     d_total,
     jet,
-    mirror_context,
     mirror_image,
     mirror_word,
     test as tfield,
@@ -89,8 +92,18 @@ def test_mirror_image_is_an_involution():
     for _ in range(30):
         f = random_nonlocal_field(rng, symbols=("r", "s"), tests=("V",))
         assert mirror_image(mirror_image(f)) == f
-    assert mirror_context(mirror_context(DEFAULT_CONTEXT)) == DEFAULT_CONTEXT
-    assert mirror_context(DEFAULT_CONTEXT) == DEFAULT_CONTEXT
+
+
+def test_context_is_its_own_mirror_image():
+    chopf = cole_hopf_identities(EquationFamily.DIRECT)[0][3]
+    for ctx, twin in (
+        (default_context(), Context(jet("r"))),
+        (default_context(1), Context(jet("r"), integral_depth=1)),
+        (chopf, cole_hopf_context()),
+    ):
+        assert ctx.tag_field(DIR) == mirror_image(ctx.tag_field(M))
+        assert ctx == twin and hash(ctx) == hash(twin)
+    assert default_context(1) != default_context() and chopf != default_context()
 
 
 def test_mirror_image_of_antiderivative():
@@ -194,9 +207,16 @@ DIRECT_S_SPLIT = [
 def test_direct_cole_hopf_identities_text():
     identities = cole_hopf_identities(EquationFamily.DIRECT)
     assert [(name, print_op(lhs), print_op(rhs)) for name, lhs, rhs, _ in identities] == DIRECT_COLE_HOPF
-    assert {print_field(f) for _, _, _, ctx in identities for f in ctx.tag_fields.values()} == {
-        "uinv u_x"
-    }
+    assert {print_field(ctx.tag_field(DIR)) for _, _, _, ctx in identities} == {"uinv u_x"}
+
+
+def test_direct_cole_hopf_context_keeps_the_mirror_field():
+    # one context serves both families: a mirror antiderivative still
+    # differentiates with r = u_x u^-1 there
+    ctx = cole_hopf_identities(EquationFamily.DIRECT)[0][3]
+    i_v = FieldExpr.from_atom(Integral(M, tfield("V")))
+    r = FieldExpr.from_word((Jet("u", 1), InverseSymbol("u")))
+    assert d_total(i_v, ctx) == tfield("V") + commutator(r, i_v)
 
 
 def test_direct_s_split_text():

@@ -25,3 +25,23 @@ def test_traced_names_resolve():
         if not callable(target):
             missing.append("%s.%s" % (module, attribute))
     assert not missing
+
+
+def _context_attributes():
+    # every ``ctx.<attr>`` the tracer reads, collected from source
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(TRACING.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "ctx"
+    }
+
+
+def test_traced_context_attributes_resolve():
+    from ncburgers.fields import cole_hopf_context, default_context
+
+    attributes = _context_attributes()
+    assert {"tag_fields", "integral_depth"} <= attributes
+    for ctx in (default_context(1), cole_hopf_context()):
+        assert [a for a in sorted(attributes) if not hasattr(ctx, a)] == []

@@ -119,7 +119,7 @@ def test_deep_reduce_value_preserved_under_derivation():
 
 
 def test_nesting_bound_reported():
-    ctx = Context({M: r, DIR: jet("s")}, integral_depth=1)
+    ctx = Context(r, integral_depth=1)
     inner = derinv(M, sigma, ctx)
     with pytest.raises(NestingLimitExceeded):
         derinv(M, inner, ctx)
