@@ -3,9 +3,10 @@
 A field expression is a rational-linear combination of words, where a word
 is an ordered tuple of atoms (jets of a base symbol, test fields, formal
 antiderivatives, or the formal inverse of ``u``).  Multiplication is word
-concatenation and is not commutative.  All coefficients are exact
-:class:`fractions.Fraction` values; there is no floating point anywhere in
-the symbolic layer.
+concatenation and is not commutative.  Coefficients are exact rationals: a
+whole coefficient is a plain ``int`` and any other a
+:class:`fractions.Fraction` (see :func:`_rat`); there is no floating point
+anywhere in the symbolic layer.
 
 The arithmetic of such combinations lives in one place,
 :class:`LinearCombination` with the in-place accumulator :func:`add_into`;
@@ -43,6 +44,9 @@ class DerivationTag(enum.Enum):
     PLAIN = "plain"
     MIRROR = "mirror"
     DIRECT = "direct"
+
+    # members are singletons; Enum's own hash rehashes the name at every lookup
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:  # keep reprs short in defect logs
         return self.name
@@ -169,6 +173,16 @@ def _inverse_pair(a: Atom, b: Atom) -> bool:
 # the linear-combination core
 
 
+def _rat(c: Rat) -> Rat:
+    """``c`` as an exact coefficient: the ``int`` when it is whole, otherwise
+    a :class:`~fractions.Fraction`.  Products and sums of ints stay ints, so
+    the common case never pays for Fraction arithmetic."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def add_into(acc: dict, word, coeff) -> None:
     """Add ``coeff`` to the coefficient of ``word`` in ``acc``, in place,
     dropping the word when its coefficient cancels to zero."""
@@ -176,14 +190,14 @@ def add_into(acc: dict, word, coeff) -> None:
     if cur is not None:
         coeff += cur
     if coeff:
-        acc[word] = coeff
+        acc[word] = coeff if type(coeff) is int else _rat(coeff)
     elif cur is not None:
         del acc[word]
 
 
 class LinearCombination:
-    """Immutable linear combination of words with nonzero Fraction
-    coefficients, held in ``terms``.
+    """Immutable linear combination of words with nonzero exact coefficients
+    (:func:`_rat`), held in ``terms``.
 
     A subclass may set ``_canon`` to a canonicalizer that every word passes
     through on construction and in products.  Combinations of different
@@ -199,13 +213,13 @@ class LinearCombination:
         if terms:
             for word, coeff in terms.items():
                 word = tuple(word)
-                add_into(acc, word if canon is None else canon(word), Fraction(coeff))
+                add_into(acc, word if canon is None else canon(word), _rat(coeff))
         self.terms = acc
         self._hash = None
 
     @classmethod
     def _raw(cls, acc: dict):
-        """Trusted constructor: canonical words, Fraction coefficients, no zeros."""
+        """Trusted constructor: canonical words, :func:`_rat` coefficients, no zeros."""
         self = object.__new__(cls)
         self.terms = acc
         self._hash = None
@@ -227,7 +241,7 @@ class LinearCombination:
     def map_atoms(self, atom_value: Callable):
         """Substitute ``atom_value(atom)``, an expression of this class, for
         every atom: each word becomes the product of its atoms' values."""
-        one = self._raw({(): Fraction(1)})
+        one = self._raw({(): 1})
         return self.sum(
             (reduce(mul, map(atom_value, word), one), c) for word, c in self.terms.items()
         )
@@ -266,10 +280,10 @@ class LinearCombination:
         return self._raw({w: -c for w, c in self.terms.items()})
 
     def scale(self, c: Rat):
-        c = Fraction(c)
+        c = _rat(c)
         if not c:
             return self.zero()
-        return self._raw({w: c * k for w, k in self.terms.items()})
+        return self._raw({w: _rat(c * k) for w, k in self.terms.items()})
 
     def __mul__(self, other):
         """Words concatenate (and pass through ``_canon``), coefficients multiply."""
@@ -284,7 +298,7 @@ class LinearCombination:
                 c = c1 * c2
                 cur = get(w)
                 acc[w] = c if cur is None else cur + c
-        return self._raw({w: c for w, c in acc.items() if c})
+        return self._raw({w: c if type(c) is int else _rat(c) for w, c in acc.items() if c})
 
     # -- inspection ---------------------------------------------------------
 
@@ -297,11 +311,11 @@ class LinearCombination:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __iter__(self) -> Iterator[Tuple[tuple, Fraction]]:
+    def __iter__(self) -> Iterator[Tuple[tuple, Rat]]:
         return iter(self.terms.items())
 
-    def coefficient(self, word) -> Fraction:
-        return self.terms.get(tuple(word), Fraction(0))
+    def coefficient(self, word) -> Rat:
+        return self.terms.get(tuple(word), 0)
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self.terms == other.terms

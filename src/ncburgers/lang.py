@@ -32,6 +32,7 @@ from .fields import (
     Integral,
     InverseSymbol,
     Jet,
+    Rat,
     TestField,
     d_total,
     print_word_key,
@@ -335,13 +336,13 @@ def _atom_text(atom, latex: bool) -> str:
     raise ValueError("unknown atom %r" % (atom,))
 
 
-def _coeff_text(c: Fraction, latex: bool) -> str:
+def _coeff_text(c: Rat, latex: bool) -> str:
     if latex and c.denominator != 1:
         return r"\tfrac{%d}{%d}" % (c.numerator, c.denominator)
     return str(c)
 
 
-def _join_terms(parts: List[Tuple[Fraction, str]], latex: bool) -> str:
+def _join_terms(parts: List[Tuple[Rat, str]], latex: bool) -> str:
     if not parts:
         return "0"
     chunks: List[str] = []

@@ -13,7 +13,6 @@ which is the ground truth everywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .fields import (
@@ -23,6 +22,7 @@ from .fields import (
     FieldExpr,
     LinearCombination,
     MIRROR_TAG,
+    Rat,
     TestField,
     Word,
     _TAG_SIGN,
@@ -154,7 +154,7 @@ def _mirror_op_atom(atom: OpAtom) -> OpExpr:
     if isinstance(atom, OpD):
         return OpExpr.from_atoms(atom)
     image = {OpLeft: OpRight, OpRight: OpLeft, OpComm: OpComm}[type(atom)](mirror_word(atom.word))
-    return OpExpr._raw({(image,): Fraction(-1 if isinstance(atom, OpComm) else 1)})
+    return OpExpr._raw({(image,): -1 if isinstance(atom, OpComm) else 1})
 
 
 def mirror_op(P: OpExpr) -> OpExpr:
@@ -197,7 +197,7 @@ def apply_op(P: OpExpr, f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldEx
 # -- canonical form ----------------------------------------------------------
 
 
-def _rewrite(word: OpWord, i: int, coeff: Fraction, ctx: Context) -> Optional[list]:
+def _rewrite(word: OpWord, i: int, coeff: Rat, ctx: Context) -> Optional[list]:
     """One rewrite step at position ``i`` of ``word``: the (word, coeff)
     pairs that replace it, or None when no rule applies there."""
     atom = word[i]
@@ -256,7 +256,7 @@ def normal_op(P: OpExpr, ctx: Context = DEFAULT_CONTEXT) -> OpExpr:
     them), D pushed rightward past multiplications, and D cancelled against
     an adjacent matching inverse using the context's commutator field.
     """
-    pending = [(tuple(w), Fraction(c)) for w, c in P.terms.items()]
+    pending = [(tuple(w), c) for w, c in P.terms.items()]
     done: dict = {}
     guard = 0
     while pending:

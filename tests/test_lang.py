@@ -5,7 +5,8 @@ import pytest
 
 from ncburgers.fields import test as tfield
 
-from ncburgers.fields import DerivationTag, FieldExpr, jet
+from ncburgers import fields
+from ncburgers.fields import DerivationTag, FieldExpr, Integral, jet
 from ncburgers.hierarchy import EquationFamily, hierarchy_member, recursion_operator
 from ncburgers.lang import (
     ParseError,
@@ -98,6 +99,19 @@ def test_print_antiderivatives_golden(src, x_text, eta_text):
     e = parse_field(src)
     assert print_field(e) == x_text
     assert print_field(e, "eta") == eta_text
+
+
+def test_print_eta_orders_nested_bodies_as_fraction_text():
+    # eta words are ordered by their text, which embeds nested bodies with
+    # each coefficient written as a Fraction: Fraction(1, 2) sorts before
+    # Fraction(3, 1), while a bare 3 would sort first
+    def nested(c):
+        body = FieldExpr({(fields.Jet("r"), fields.TestField("V")): c})
+        inner = FieldExpr.from_atom(Integral(M, body))
+        return FieldExpr.from_atom(Integral(M, inner * jet("r")))
+
+    e = nested(3) + nested(Fraction(1, 2))
+    assert print_field(e, "eta") == "IDinv[IDinv[1/2 r V] r] + IDinv[IDinv[3 r V] r]"
 
 
 def test_round_trip_property():

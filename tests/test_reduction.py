@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from ncburgers.fields import (
     DerivationTag,
     FieldExpr,
     Integral,
+    Jet,
     NestingLimitExceeded,
     commutator,
     d_total,
@@ -16,6 +18,8 @@ from ncburgers.fields import (
     jet,
     )
 from ncburgers import fields, reduction
+from ncburgers.hierarchy import EquationFamily, recursion_operator
+from ncburgers.operators import apply_op
 from ncburgers.reduction import deep_reduce, derinv
 
 from conftest import random_field, random_nonlocal_field
@@ -64,13 +68,69 @@ def test_derinv_unchanged_after_cache_clear():
     ]
     before = [derinv(tag, e) for tag, e in cases]
     caches = (
-        reduction._greedy_key, reduction._x_jet_to_eta, reduction._eta_jet_to_x, fields._mirror_atom
+        reduction._greedy_key,
+        reduction._x_jet_to_eta,
+        reduction._eta_jet_to_x,
+        reduction._from_eta_word_d,
+        fields._mirror_atom,
     )
     for cache in caches:
         cache.cache_clear()
         assert cache.cache_info().currsize == 0
     assert [derinv(tag, e) for tag, e in cases] == before
     assert all(cache.cache_info().currsize > 0 for cache in caches)
+
+
+def _coefficients(f):
+    """Every coefficient of ``f``, antiderivative bodies included."""
+    for w, c in f.terms.items():
+        yield c
+        for a in w:
+            if isinstance(a, Integral):
+                yield from _coefficients(a.body)
+
+
+def _assert_exact(f):
+    """No float anywhere, and every whole coefficient a plain int."""
+    for c in _coefficients(f):
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def test_coefficients_stay_exact():
+    rng = random.Random(21)
+    phi = recursion_operator(EquationFamily.MIRROR)
+    halves = 0
+    for _ in range(40):
+        e = random_field(rng, symbols=("r", "s"), tests=("V",))
+        halves += any(type(c) is Fraction for c in e.terms.values())
+        _assert_exact(e)
+        for tag in (M, DIR, P):
+            _assert_exact(derinv(tag, e))
+        _assert_exact(apply_op(phi, e))
+        _assert_exact(deep_reduce(random_nonlocal_field(rng, symbols=("r",), tests=("V",))))
+    assert halves  # the inputs did carry non-whole coefficients
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # the greedy split divides 3/2 by the leading image coefficient 1:
+        # the Fraction path of its exact division
+        {(Jet("r", 1),): Fraction(3, 2)},
+        # in eta coordinates the halves add up to whole coefficients
+        {
+            (fields.TestField("V", 1),): Fraction(1, 2),
+            (Jet("r"), fields.TestField("V")): Fraction(1, 2),
+            (fields.TestField("V"), Jet("r")): Fraction(-1, 2),
+        },
+    ],
+)
+def test_derinv_fraction_coefficients_round_trip(terms):
+    e = FieldExpr(terms)
+    out = derinv(M, e)
+    _assert_exact(out)
+    assert any(type(c) is Fraction for c in out.terms.values())
+    assert der(M, out) == e
 
 
 def test_derinv_is_deterministic():
