@@ -29,8 +29,6 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-import numpy as np
-
 from .fields import NestingLimitExceeded, default_context
 from .hierarchy import EquationFamily, hierarchy_member, recursion_operator, reduce_commutative
 from .lang import ParseError, parse_field, parse_op, print_expr, print_field
@@ -227,6 +225,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    import numpy as np
+
     d = args.dim
     rng = np.random.default_rng(12345)
     amp1 = np.triu(rng.uniform(0.05, 0.4, size=(d, d)))

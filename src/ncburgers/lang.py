@@ -378,8 +378,12 @@ def print_field(e: FieldExpr, mode: str = "x") -> str:
 
 def _print_field_eta(e: FieldExpr) -> str:
     symbols = e.jet_symbols()
-    direct = "s" in symbols and "r" not in symbols
-    tag = DerivationTag.DIRECT if direct else DerivationTag.MIRROR
+    if "r" in symbols or not symbols:
+        tag = DerivationTag.MIRROR
+    elif "s" in symbols:
+        tag = DerivationTag.DIRECT
+    else:  # jets of neither r nor s, such as the heat family's u
+        tag = DerivationTag.PLAIN
     try:
         eta = _to_eta_expr(tag, e)
     except _ForeignAtom as exc:

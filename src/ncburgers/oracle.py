@@ -3,11 +3,16 @@
 Symbols are assigned square-matrix-valued polynomials in x with exact
 rational entries; jets evaluate through one closed form for polynomial
 derivatives, once per distinct atom per call, and words to matrix products.
-Directional derivatives use dual numbers a + eps b as block matrices
-[[a, b], [0, a]].  A symbolic zero must then evaluate to the zero matrix in
-every scene, with no tolerance.  A separate floating-point check feeds an
-explicit matrix heat-equation solution through the Cole-Hopf map and
-measures the residual of the mirror Burgers equation on a grid.
+The products run on integer matrices that share one positive denominator:
+a word's value is the product of its atoms' integer matrices over the
+product of their denominators, and a sum is kept over the lcm of its terms'
+denominators, so ``Fraction`` entries are built only for a returned value.
+Directional derivatives use dual numbers a + eps b as pairs (a, b), with
+(a, b)(c, d) = (ac, ad + bc).  A symbolic zero must then evaluate to the
+zero matrix in every scene, with no tolerance.  A separate floating-point
+check feeds an explicit matrix heat-equation solution through the Cole-Hopf
+map and measures the residual of the mirror Burgers equation on a grid;
+only it needs numpy.
 """
 
 from __future__ import annotations
@@ -15,14 +20,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import perm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from math import lcm, perm
+from operator import mul
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .fields import DEFAULT_CONTEXT, Atom, FieldExpr, Jet, TestField
+from .fields import DEFAULT_CONTEXT, Atom, FieldExpr, Jet, Rat, TestField
 from .variational import lie_bracket_halves
+
+if TYPE_CHECKING:  # numpy is imported only by the floating-point check below
+    import numpy as np
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 MatPoly = Tuple[Matrix, ...]  # coefficient matrices, lowest power first
@@ -40,10 +47,6 @@ def mat_eye(d: int) -> Matrix:
     )
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_scale(a: Matrix, c: Fraction) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
@@ -59,6 +62,44 @@ def mat_is_zero(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
+# ---------------------------------------------------------------------------
+# exact integer kernel: a rational matrix is an integer matrix over one
+# positive denominator, and Fractions are built only at the public boundary
+
+IntMatrix = Tuple[Tuple[int, ...], ...]
+
+
+def int_clear(m: Matrix) -> Tuple[IntMatrix, int]:
+    """``m`` as (integer matrix, denominator), the denominator being the
+    lcm of the entries' denominators."""
+    den = lcm(*(x.denominator for row in m for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in m), den
+
+
+def int_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    bt = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
+
+
+def int_add_into(acc: List[List[int]], den: int, m: IntMatrix, m_den: int, coeff: Rat) -> int:
+    """Add ``coeff * m / m_den`` to the matrix ``acc / den`` in place and
+    return the new denominator, the lcm of ``den`` and the term's."""
+    m_den *= coeff.denominator
+    new_den = lcm(den, m_den)
+    if new_den != den:
+        grow = new_den // den
+        for row in acc:
+            row[:] = [x * grow for x in row]
+    factor = coeff.numerator * (new_den // m_den)
+    for row, mrow in zip(acc, m):
+        row[:] = [x + factor * y for x, y in zip(row, mrow)]
+    return new_den
+
+
+def int_to_fractions(m: Sequence[Sequence[int]], den: int) -> Matrix:
+    return tuple(tuple(Fraction(x, den) for x in row) for row in m)
+
+
 @dataclass(frozen=True)
 class MatrixScene:
     """Exact assignment of every symbol to a matrix polynomial in x."""
@@ -69,13 +110,32 @@ class MatrixScene:
     assignment: Dict[str, MatPoly]
     points: Tuple[Fraction, ...]
 
+    @cached_property
+    def _cleared(self) -> Dict[str, Tuple[Tuple[IntMatrix, ...], int]]:
+        """Each symbol's coefficient matrices as integer matrices over one
+        denominator."""
+        out = {}
+        d = self.dim
+        for name, poly in self.assignment.items():
+            ints, den = int_clear(tuple(row for coeff in poly for row in coeff))
+            out[name] = (tuple(ints[k * d:(k + 1) * d] for k in range(len(poly))), den)
+        return out
+
     def jet_value(self, symbol: str, order: int, x0: Fraction) -> Matrix:
         """The ``order``-th x-derivative at x0: the sum over k >= order of
         k!/(k-order)! x0^(k-order) C_k, zero when order exceeds the degree."""
-        acc = mat_zero(self.dim)
-        for k, coeff in enumerate(self.assignment[symbol][order:], order):
-            acc = mat_add(acc, mat_scale(coeff, perm(k, order) * x0 ** (k - order)))
-        return acc
+        coeffs, den = self._cleared[symbol]
+        top = len(coeffs) - 1
+        if order > top:
+            return mat_zero(self.dim)
+        # x0^(k-order) = p^(k-order) q^(top-k) / q^(top-order) for x0 = p/q
+        p, q = x0.numerator, x0.denominator
+        weights = [perm(k, order) * p ** (k - order) * q ** (top - k) for k in range(order, top + 1)]
+        den *= q ** (top - order)
+        return tuple(
+            tuple(Fraction(sum(map(mul, weights, entry)), den) for entry in zip(*rows))
+            for rows in zip(*coeffs[order:])
+        )
 
 
 def make_scene(seed: int, dim: int = 3, degree: int = 2) -> MatrixScene:
@@ -103,32 +163,39 @@ def make_scene(seed: int, dim: int = 3, degree: int = 2) -> MatrixScene:
     return MatrixScene(seed, dim, degree, assignment, points)
 
 
-def _eval_words(e: FieldExpr, dim: int, atom_value: Callable[[Atom, str], Matrix]) -> Matrix:
-    """Sum of coeff * product of ``atom_value(atom, scene symbol)`` over the
-    words of ``e``, calling ``atom_value`` once per distinct atom."""
-    values: Dict[Atom, Matrix] = {}
-    acc = mat_zero(dim)
+def _atom_symbol(atom: Atom) -> str:
+    if isinstance(atom, Jet):
+        return atom.symbol
+    if isinstance(atom, TestField):
+        return atom.name
+    raise ValueError("matrix evaluation is defined only for local expressions")
+
+
+def _eval_int(e: FieldExpr, scene: MatrixScene, x0: Fraction) -> Tuple[List[List[int]], int]:
+    """``eval_field`` as (integer matrix, denominator): each distinct atom
+    goes once through ``scene.jet_value``, a word is the product of its
+    atoms' integer matrices over the product of their denominators."""
+    values: Dict[Atom, Tuple[IntMatrix, int]] = {}
+    d = scene.dim
+    acc = [[0] * d for _ in range(d)]
+    den = 1
     for word, coeff in e.terms.items():
-        factors = []
+        prod, prod_den = None, 1
         for atom in word:
             value = values.get(atom)
             if value is None:
-                if isinstance(atom, Jet):
-                    value = atom_value(atom, atom.symbol)
-                elif isinstance(atom, TestField):
-                    value = atom_value(atom, atom.name)
-                else:
-                    raise ValueError("matrix evaluation is defined only for local expressions")
-                values[atom] = value
-            factors.append(value)
-        product = reduce(mat_mul, factors) if factors else mat_eye(dim)
-        acc = mat_add(acc, mat_scale(product, coeff))
-    return acc
+                value = values[atom] = int_clear(scene.jet_value(_atom_symbol(atom), atom.order, x0))
+            prod = value[0] if prod is None else int_mul(prod, value[0])
+            prod_den *= value[1]
+        if prod is None:
+            prod = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        den = int_add_into(acc, den, prod, prod_den, coeff)
+    return acc, den
 
 
 def eval_field(e: FieldExpr, scene: MatrixScene, x0: Fraction) -> Matrix:
     """Exact matrix value of an antiderivative-free field expression."""
-    return _eval_words(e, scene.dim, lambda atom, name: scene.jet_value(name, atom.order, x0))
+    return int_to_fractions(*_eval_int(e, scene, x0))
 
 
 @dataclass
@@ -146,7 +213,8 @@ def check_equal(a: FieldExpr, b: FieldExpr, scenes: Sequence[MatrixScene]) -> Ze
     for scene in scenes:
         for x0 in scene.points:
             points += 1
-            if eval_field(a, scene, x0) != eval_field(b, scene, x0):
+            (va, da), (vb, db) = _eval_int(a, scene, x0), _eval_int(b, scene, x0)
+            if any(x * db != y * da for ra, rb in zip(va, vb) for x, y in zip(ra, rb)):
                 return ZeroCheckReport(
                     False,
                     len(scenes),
@@ -183,19 +251,45 @@ def eval_frechet_dual(
 ) -> Matrix:
     """Exact directional derivative of K at the scene's base assignment
     along the scene's direction assignment, via nilpotent dual numbers
-    (epsilon^2 = 0): the epsilon coefficient of K(base + epsilon*dir), the
-    top-right block when a + epsilon b is the block matrix [[a, b], [0, a]]."""
+    (epsilon^2 = 0): the epsilon coefficient of K(base + epsilon*dir).  A
+    dual number a + epsilon b is a pair of integer matrices over one
+    denominator, multiplied as (a, b)(c, d) = (ac, ad + bc)."""
+    # atom -> (a, b or None where b is zero, denominator)
+    values: Dict[Atom, Tuple[IntMatrix, Optional[IntMatrix], int]] = {}
     d = scene.dim
-    zero = mat_zero(d)
-
-    def atom_value(atom: Atom, name: str) -> Matrix:
-        a = scene.jet_value(name, atom.order, x0)
-        perturbed = isinstance(atom, Jet) and name == base
-        b = scene.jet_value(direction, atom.order, x0) if perturbed else zero
-        return tuple(ra + rb for ra, rb in zip(a, b)) + tuple(rz + ra for rz, ra in zip(zero, a))
-
-    value = _eval_words(K, 2 * d, atom_value)
-    return tuple(row[d:] for row in value[:d])
+    acc = [[0] * d for _ in range(d)]
+    den = 1
+    for word, coeff in K.terms.items():
+        factors = []
+        for atom in word:
+            value = values.get(atom)
+            if value is None:
+                name = _atom_symbol(atom)
+                a = scene.jet_value(name, atom.order, x0)
+                if isinstance(atom, Jet) and name == base:
+                    ab, ab_den = int_clear(a + scene.jet_value(direction, atom.order, x0))
+                    value = (ab[:d], ab[d:], ab_den)
+                else:
+                    a_int, a_den = int_clear(a)
+                    value = (a_int, None, a_den)
+                values[atom] = value
+            factors.append(value)
+        if all(b is None for _, b, _ in factors):
+            continue  # no epsilon part
+        p, q, prod_den = factors[0]
+        last = len(factors) - 1
+        for i, (a, b, a_den) in enumerate(factors[1:], 1):
+            q = None if q is None else int_mul(q, a)
+            if b is not None:
+                pb = int_mul(p, b)
+                q = pb if q is None else tuple(
+                    [tuple([x + y for x, y in zip(rq, rp)]) for rq, rp in zip(q, pb)]
+                )
+            if i < last:  # the last a-part is not needed
+                p = int_mul(p, a)
+            prod_den *= a_den
+        den = int_add_into(acc, den, q, prod_den, coeff)
+    return int_to_fractions(acc, den)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +362,8 @@ class CHSolution:
     rates: Optional[List[Fraction]] = None
 
     def __post_init__(self):
+        import numpy as np
+
         if len(self.amplitudes) != len(self.wave_numbers):
             raise ValueError("one wave number per amplitude matrix")
         if self.rates is None:
@@ -282,6 +378,8 @@ class CHSolution:
         return all(c == k * k for k, c in zip(self.wave_numbers, self.rates))
 
     def derivative(self, x: float, t: float, dx: int, dt: int) -> np.ndarray:
+        import numpy as np
+
         out = np.eye(self.dim) if dx == 0 and dt == 0 else np.zeros((self.dim, self.dim))
         for a, k, c in zip(self.amplitudes, self.wave_numbers, self.rates):
             kf, cf = float(k), float(c)
@@ -301,6 +399,8 @@ def cole_hopf_numeric(
 ) -> CHResidualReport:
     """Maximum residual of r_t - r_xx - 2 r_x r with r = u_x u^-1 over the
     grid, computed from closed-form x- and t-derivatives of u."""
+    import numpy as np
+
     worst = 0.0
     for x in xs:
         for t in ts:

@@ -15,6 +15,7 @@ def random_field(
     max_len=3,
     max_order=2,
     allow_empty_word=True,
+    max_den=2,
 ) -> FieldExpr:
     """Small random field expression over jets and test fields."""
     atoms = [Jet(s, k) for s in symbols for k in range(max_order + 1)]
@@ -23,7 +24,7 @@ def random_field(
     for _ in range(rng.randint(1, max_terms)):
         length = rng.randint(0 if allow_empty_word else 1, max_len)
         word = tuple(rng.choice(atoms) for _ in range(length))
-        coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        coeff = Fraction(rng.randint(-3, 3), rng.randint(1, max_den))
         acc[word] = acc.get(word, Fraction(0)) + coeff
     return FieldExpr(acc)
 

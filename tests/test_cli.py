@@ -37,6 +37,15 @@ def test_hierarchy_eta_coordinates(capsys):
     assert out.strip() == "r r_eta + r_eta r + r_etaeta"
 
 
+def test_hierarchy_heat_eta_coordinates(capsys):
+    # u has no commutator field, so eta is x
+    code, out, _ = run_cli(
+        capsys, "hierarchy", "--family", "heat", "--order", "2", "--coords", "eta"
+    )
+    assert code == 0
+    assert out == "u_etaeta\n"
+
+
 def test_hierarchy_structured_deterministic(capsys):
     args = ["hierarchy", "--family", "direct", "--order", "3", "--format", "structured"]
     code1, out1, _ = run_cli(capsys, *args)
@@ -135,11 +144,10 @@ def test_scene_and_eval(tmp_path, capsys):
     assert code == 0
     code, out, _ = run_cli(
         capsys, "eval", "--scene", str(scene_file),
-        "--expr", "r_x r - r r_x", "--at", "1/2",
+        "--expr", "r_x r - r r_x + 1/3 V r", "--at", "1/2",
     )
     assert code == 0
-    rows = [line.split() for line in out.strip().splitlines()]
-    assert len(rows) == 2 and len(rows[0]) == 2
+    assert out == "655/72 -25/48\n5 -37/72\n"
 
 
 def test_oracle_cole_hopf(capsys):

@@ -23,3 +23,14 @@ def test_module_imports_first(module):
     code = "import sys; sys.path.insert(0, %r); import ncburgers.%s" % (src, module)
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_numpy_only_on_the_float_path():
+    src = str(Path(ncburgers.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, %r); import ncburgers.cli, ncburgers.oracle; "
+        "print('numpy' in sys.modules)" % src
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -1,16 +1,18 @@
 from fractions import Fraction
+from math import perm
 
 import numpy as np
 import pytest
 
 from ncburgers.fields import test as tfield
 
-from ncburgers.fields import DerivationTag, FieldExpr, jet, normal_field
+from ncburgers.fields import DerivationTag, FieldExpr, Jet, jet, normal_field
 from ncburgers.hierarchy import EquationFamily, hierarchy_member
 from ncburgers.oracle import (
     CHSolution,
     MatrixScene,
     check_commute,
+    check_equal,
     check_zero,
     cole_hopf_numeric,
     default_scenes,
@@ -20,6 +22,8 @@ from ncburgers.oracle import (
     mat_eye,
     mat_is_zero,
     mat_mul,
+    mat_scale,
+    mat_zero,
     scene_from_text,
     scene_to_text,
 )
@@ -102,6 +106,83 @@ def test_eval_homomorphism():
             va, vb = eval_field(a, scene, x0), eval_field(b, scene, x0)
             assert eval_field(a * b, scene, x0) == mat_mul(va, vb)
             assert eval_field(normal_field(a), scene, x0) == va
+
+
+def _reference_jet(scene, name, order, x0):
+    """Fraction polynomial derivative: sum of k!/(k-order)! x0^(k-order) C_k."""
+    acc = mat_zero(scene.dim)
+    for k, coeff in enumerate(scene.assignment[name]):
+        if k >= order:
+            acc = _add(acc, mat_scale(coeff, perm(k, order) * x0 ** (k - order)))
+    return acc
+
+
+def _add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _reference_word(word, scene, x0, replace=None):
+    """Plain Fraction product of the word's jet values; ``replace`` maps a
+    position to the symbol evaluated there instead."""
+    m = mat_eye(scene.dim)
+    for i, atom in enumerate(word):
+        name = atom.symbol if isinstance(atom, Jet) else atom.name
+        m = mat_mul(m, _reference_jet(scene, (replace or {}).get(i, name), atom.order, x0))
+    return m
+
+
+def _reference_field(e, scene, x0):
+    acc = mat_zero(scene.dim)
+    for word, coeff in e.terms.items():
+        acc = _add(acc, mat_scale(_reference_word(word, scene, x0), coeff))
+    return acc
+
+
+def _reference_frechet(e, scene, base, direction, x0):
+    """Product rule: each base jet in turn replaced by the direction's."""
+    acc = mat_zero(scene.dim)
+    for word, coeff in e.terms.items():
+        for i, atom in enumerate(word):
+            if isinstance(atom, Jet) and atom.symbol == base:
+                value = _reference_word(word, scene, x0, {i: direction})
+                acc = _add(acc, mat_scale(value, coeff))
+    return acc
+
+
+REFERENCE_SCENES = [make_scene(40 + k, dim, degree)
+                    for k, (dim, degree) in enumerate((d, g) for d in (2, 3, 4) for g in (1, 2, 3))]
+
+
+def test_integer_kernel_against_fraction_reference():
+    import random
+
+    rng = random.Random(83)
+    for scene in REFERENCE_SCENES:
+        for _ in range(4):
+            e = random_field(rng, symbols=("r", "s"), tests=("V", "W"), max_terms=6,
+                             max_len=4, max_order=3, max_den=9)
+            for x0 in scene.points:
+                assert eval_field(e, scene, x0) == _reference_field(e, scene, x0)
+                assert eval_frechet_dual(e, scene, "r", "V", x0) == \
+                    _reference_frechet(e, scene, "r", "V", x0)
+
+
+def test_check_equal_sees_a_tiny_difference():
+    import random
+
+    rng = random.Random(89)
+    e = random_field(rng, symbols=("r", "s"), tests=("V",), max_terms=6, max_len=4, max_den=9)
+    assert check_equal(e, normal_field(e), REFERENCE_SCENES).passed
+    nudged = e + FieldExpr({(Jet("r"),): Fraction(1, 10**6)})
+    report = check_equal(e, nudged, REFERENCE_SCENES)
+    scene = REFERENCE_SCENES[0]
+    assert not mat_is_zero(_reference_jet(scene, "r", 0, scene.points[0]))
+    assert not report.passed
+    assert report.first_failure == "seed=40 x0=%s" % scene.points[0]
+    # r is constant with one nonzero entry, so the sides differ in one entry only
+    unit = tuple(tuple(Fraction(int(i == j == 3)) for j in range(4)) for i in range(4))
+    sparse = MatrixScene(7, 4, 3, dict(REFERENCE_SCENES[-1].assignment, r=(unit,)), (Fraction(2, 3),))
+    assert not check_equal(e, nudged, [sparse]).passed
 
 
 def test_check_zero_on_derivation_law():
