@@ -14,6 +14,12 @@ field expressions, operator expressions (``operators.OpExpr``) and the
 eta-coordinate expressions of ``reduction`` (``reduction.EtaExpr``) all
 use it.
 
+There is one atom vocabulary.  Each atom is a tuple led by a kind letter, so
+words hash and compare at C speed.  The eta words of ``reduction`` are field
+words whose jets are eta jets and whose antiderivatives are ``PLAIN`` ones
+of eta bodies, so the eta derivation E is this module's D on one atom
+(``_d_atom``) under the Leibniz rule, and the eta order is :func:`word_key`.
+
 Derivations come in three flavours, selected by :class:`DerivationTag`:
 
 * ``PLAIN``   -- the total x-derivative ``D``,
@@ -31,10 +37,10 @@ every direct construction is derived through :func:`mirror_image`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -73,41 +79,56 @@ MIRROR_TAG = {
 }
 
 
-@dataclass(frozen=True)
-class Jet:
+# each atom kind leads with its own letter, which keeps Jet("V") and
+# TestField("V") apart
+class Jet(tuple):
     """A jet variable: ``symbol`` differentiated ``order`` times in x."""
 
-    symbol: str
-    order: int = 0
+    __slots__ = ()
+    symbol = property(itemgetter(1))
+    order = property(itemgetter(2))
+
+    def __new__(cls, symbol: str, order: int = 0):
+        return tuple.__new__(cls, ("j", symbol, order))
 
 
-@dataclass(frozen=True)
-class TestField:
+class TestField(tuple):
     """An arbitrary direction/probe field (V, W or sigma) and its jets."""
 
-    name: str
-    order: int = 0
+    __slots__ = ()
+    name = property(itemgetter(1))
+    order = property(itemgetter(2))
+
+    def __new__(cls, name: str, order: int = 0):
+        return tuple.__new__(cls, ("t", name, order))
 
 
-@dataclass(frozen=True)
-class InverseSymbol:
+class InverseSymbol(tuple):
     """Formal inverse ``u^-1``; only meaningful in a Cole-Hopf context."""
 
-    base: str = "u"
+    __slots__ = ()
+    base = property(itemgetter(1))
+
+    def __new__(cls, base: str = "u"):
+        return tuple.__new__(cls, ("u", base))
 
 
-@dataclass(frozen=True)
-class Integral:
+class Integral(tuple):
     """Formal antiderivative atom: ``DerInv(tag)`` applied to a body.
 
     The body is a full field expression, stored exactly as the canonical
     splitting pass produced it (see ``reduction.derinv``); bodies are in
     normal form and are never an exact derivative of anything the splitter
-    can recognize.
+    can recognize.  In eta coordinates (``reduction``) the tag is ``PLAIN``
+    and the body an eta expression.
     """
 
-    tag: DerivationTag
-    body: "FieldExpr"
+    __slots__ = ()
+    tag = property(itemgetter(1))
+    body = property(itemgetter(2))
+
+    def __new__(cls, tag: DerivationTag, body: "FieldExpr"):
+        return tuple.__new__(cls, ("i", tag, body))
 
 
 Atom = Union[Jet, TestField, InverseSymbol, Integral]
@@ -164,9 +185,7 @@ def _inverse_pair(a: Atom, b: Atom) -> bool:
     """Whether ``a b`` is ``u u^-1`` or ``u^-1 u`` for one base u."""
     if isinstance(a, InverseSymbol):
         a, b = b, a
-    return (
-        isinstance(a, Jet) and a.order == 0 and isinstance(b, InverseSymbol) and b.base == a.symbol
-    )
+    return isinstance(b, InverseSymbol) and a == Jet(b.base)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +371,9 @@ class FieldExpr(LinearCombination):
         return FieldExpr({tuple(word): coeff})
 
     @staticmethod
-    def from_atom(atom: Atom, coeff: Rat = 1) -> "FieldExpr":
-        return FieldExpr({(atom,): coeff})
+    def from_atom(atom: Atom) -> "FieldExpr":
+        # a single atom has no u u^-1 pair to cancel
+        return FieldExpr._raw({(atom,): 1})
 
     def atoms(self) -> Iterator[Atom]:
         """Every atom of every word, descending into antiderivative bodies."""
@@ -486,12 +506,14 @@ def _derinv(tag: DerivationTag, f: FieldExpr, ctx: Context) -> FieldExpr:
     return derinv(tag, f, ctx)
 
 
-def _d_atom(atom: Atom, ctx: Context) -> FieldExpr:
-    if isinstance(atom, Jet):
-        return FieldExpr.from_atom(Jet(atom.symbol, atom.order + 1))
-    if isinstance(atom, TestField):
-        return FieldExpr.from_atom(TestField(atom.name, atom.order + 1))
-    if isinstance(atom, InverseSymbol):
+def _d_atom(atom: Atom, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
+    """D on one atom; ``leibniz`` extends it to words.  On an eta atom (see
+    ``reduction``) it is the eta derivation E: jets rise and a ``PLAIN``
+    antiderivative gives its body."""
+    kind = type(atom)
+    if kind is Jet or kind is TestField:
+        return FieldExpr.from_atom(kind(atom[1], atom[2] + 1))
+    if kind is InverseSymbol:
         # d(u^-1) = -u^-1 u_x u^-1
         return FieldExpr.from_word(
             (InverseSymbol(atom.base), Jet(atom.base, 1), InverseSymbol(atom.base)),
@@ -545,11 +567,11 @@ def _subst(f: FieldExpr, target: Atom, replacement: FieldExpr, ctx: Context) -> 
     """Replace every jet of the order-0 atom ``target`` (a jet or a test
     field) by the matching x-derivative of ``replacement``; antiderivatives
     whose body changes are integrated again canonically."""
-    kind = type(target)
+    key = target[:2]
     derivs = [replacement]
 
     def atom_value(atom: Atom) -> FieldExpr:
-        if type(atom) is kind and replace(atom, order=0) == target:
+        if atom[:2] == key:
             while len(derivs) <= atom.order:
                 derivs.append(d_total(derivs[-1], ctx))
             return derivs[atom.order]
@@ -596,9 +618,7 @@ def rename_tests(f: FieldExpr, mapping: Mapping[str, str]) -> FieldExpr:
 
 def atom_weight(atom: Atom) -> int:
     """Scaling weight: a bare symbol weighs 1, each x-derivative adds 1."""
-    if isinstance(atom, Jet):
-        return atom.order + 1
-    if isinstance(atom, TestField):
+    if isinstance(atom, (Jet, TestField)):
         return atom.order + 1
     if isinstance(atom, InverseSymbol):
         return -1

@@ -36,6 +36,7 @@ from .fields import (
     TestField,
     d_total,
     print_word_key,
+    word_key,
 )
 from .operators import (
     OpD,
@@ -312,20 +313,16 @@ def parse_op(src: str, ctx: Context = DEFAULT_CONTEXT) -> OpExpr:
 # printing
 
 
-def _atom_text(atom, latex: bool) -> str:
-    if isinstance(atom, Jet):
-        if atom.order == 0:
-            return atom.symbol
-        if latex:
-            return "%s_{%s}" % (atom.symbol, "x" * atom.order)
-        return "%s_%s" % (atom.symbol, "x" * atom.order)
-    if isinstance(atom, TestField):
-        name = "\\sigma" if (latex and atom.name == "sigma") else atom.name
+def _atom_text(atom, latex: bool, suffix: str = "x") -> str:
+    """One atom's text; a jet's derivative suffix is ``x`` or, in eta
+    coordinates, ``eta``."""
+    if isinstance(atom, (Jet, TestField)):
+        name = "\\sigma" if (latex and atom[1] == "sigma") else atom[1]
         if atom.order == 0:
             return name
         if latex:
-            return "%s_{%s}" % (name, "x" * atom.order)
-        return "%s_%s" % (atom.name, "x" * atom.order)
+            return "%s_{%s}" % (name, suffix * atom.order)
+        return "%s_%s" % (name, suffix * atom.order)
     if isinstance(atom, InverseSymbol):
         return "%s^{-1}" % atom.base if latex else "%sinv" % atom.base
     if isinstance(atom, Integral):
@@ -378,12 +375,12 @@ def print_field(e: FieldExpr, mode: str = "x") -> str:
 
 def _print_field_eta(e: FieldExpr) -> str:
     symbols = e.jet_symbols()
-    if "r" in symbols or not symbols:
+    if "r" in symbols:
         tag = DerivationTag.MIRROR
     elif "s" in symbols:
         tag = DerivationTag.DIRECT
-    else:  # jets of neither r nor s, such as the heat family's u
-        tag = DerivationTag.PLAIN
+    else:  # neither r nor s: the tag of its antiderivatives, else plain
+        tag = next((a.tag for a in e.atoms() if isinstance(a, Integral)), DerivationTag.PLAIN)
     try:
         eta = _to_eta_expr(tag, e)
     except _ForeignAtom as exc:
@@ -393,11 +390,10 @@ def _print_field_eta(e: FieldExpr) -> str:
         ) from None
 
     def atom_text(a) -> str:
-        if a[0] in ("j", "t"):
-            return a[1] if a[2] == 0 else "%s_%s" % (a[1], "eta" * a[2])
-        inner = _join_terms(
-            [(c, " ".join(atom_text(b) for b in w)) for w, c in a[1].sorted_terms()], False
-        )
+        if not isinstance(a, Integral):
+            return _atom_text(a, False, "eta")
+        terms = sorted(a.body.terms.items(), key=lambda kv: word_key(kv[0]))
+        inner = _join_terms([(c, " ".join(map(atom_text, w))) for w, c in terms], False)
         return "%s[%s]" % (_DERINV_NAMES[tag], inner)
 
     parts = []

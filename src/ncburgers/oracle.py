@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, perm
+from math import gcd, lcm, perm
 from operator import mul
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -81,6 +81,10 @@ def int_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
+def _int_scale(m: IntMatrix, k: int) -> IntMatrix:
+    return m if k == 1 else tuple([tuple([k * x for x in row]) for row in m])
+
+
 def int_add_into(acc: List[List[int]], den: int, m: IntMatrix, m_den: int, coeff: Rat) -> int:
     """Add ``coeff * m / m_den`` to the matrix ``acc / den`` in place and
     return the new denominator, the lcm of ``den`` and the term's."""
@@ -121,21 +125,21 @@ class MatrixScene:
             out[name] = (tuple(ints[k * d:(k + 1) * d] for k in range(len(poly))), den)
         return out
 
-    def jet_value(self, symbol: str, order: int, x0: Fraction) -> Matrix:
-        """The ``order``-th x-derivative at x0: the sum over k >= order of
-        k!/(k-order)! x0^(k-order) C_k, zero when order exceeds the degree."""
+    def jet_value(self, symbol: str, order: int, x0: Fraction) -> Tuple[IntMatrix, int]:
+        """The ``order``-th x-derivative at x0 as (integer matrix, least
+        denominator): the sum over k >= order of k!/(k-order)! x0^(k-order)
+        C_k, zero when order exceeds the degree."""
         coeffs, den = self._cleared[symbol]
         top = len(coeffs) - 1
         if order > top:
-            return mat_zero(self.dim)
+            return tuple((0,) * self.dim for _ in range(self.dim)), 1
         # x0^(k-order) = p^(k-order) q^(top-k) / q^(top-order) for x0 = p/q
         p, q = x0.numerator, x0.denominator
         weights = [perm(k, order) * p ** (k - order) * q ** (top - k) for k in range(order, top + 1)]
         den *= q ** (top - order)
-        return tuple(
-            tuple(Fraction(sum(map(mul, weights, entry)), den) for entry in zip(*rows))
-            for rows in zip(*coeffs[order:])
-        )
+        m = [[sum(map(mul, weights, entry)) for entry in zip(*rows)] for rows in zip(*coeffs[order:])]
+        g = gcd(den, *(x for row in m for x in row))
+        return tuple([tuple([x // g for x in row]) for row in m]), den // g
 
 
 def make_scene(seed: int, dim: int = 3, degree: int = 2) -> MatrixScene:
@@ -164,10 +168,8 @@ def make_scene(seed: int, dim: int = 3, degree: int = 2) -> MatrixScene:
 
 
 def _atom_symbol(atom: Atom) -> str:
-    if isinstance(atom, Jet):
-        return atom.symbol
-    if isinstance(atom, TestField):
-        return atom.name
+    if isinstance(atom, (Jet, TestField)):
+        return atom[1]
     raise ValueError("matrix evaluation is defined only for local expressions")
 
 
@@ -184,7 +186,7 @@ def _eval_int(e: FieldExpr, scene: MatrixScene, x0: Fraction) -> Tuple[List[List
         for atom in word:
             value = values.get(atom)
             if value is None:
-                value = values[atom] = int_clear(scene.jet_value(_atom_symbol(atom), atom.order, x0))
+                value = values[atom] = scene.jet_value(_atom_symbol(atom), atom.order, x0)
             prod = value[0] if prod is None else int_mul(prod, value[0])
             prod_den *= value[1]
         if prod is None:
@@ -265,13 +267,13 @@ def eval_frechet_dual(
             value = values.get(atom)
             if value is None:
                 name = _atom_symbol(atom)
-                a = scene.jet_value(name, atom.order, x0)
+                a, a_den = scene.jet_value(name, atom.order, x0)
                 if isinstance(atom, Jet) and name == base:
-                    ab, ab_den = int_clear(a + scene.jet_value(direction, atom.order, x0))
-                    value = (ab[:d], ab[d:], ab_den)
+                    b, b_den = scene.jet_value(direction, atom.order, x0)
+                    ab_den = lcm(a_den, b_den)
+                    value = (_int_scale(a, ab_den // a_den), _int_scale(b, ab_den // b_den), ab_den)
                 else:
-                    a_int, a_den = int_clear(a)
-                    value = (a_int, None, a_den)
+                    value = (a, None, a_den)
                 values[atom] = value
             factors.append(value)
         if all(b is None for _, b, _ in factors):

@@ -3,24 +3,27 @@
 The tagged derivation (``ID`` for mirror, ``DD`` for direct) acts on jets of
 its base symbol like an ordinary jet-raising derivation once expressions are
 rewritten in the matching "eta" coordinates: the order-k eta jet of a symbol
-is its k-fold tagged derivative.  In that basis the derivation E satisfies
+is its k-fold tagged derivative.  Eta words are field words over the same
+atoms (``fields.Jet``, ``fields.TestField``), with each antiderivative a
+``PLAIN`` one of an eta body, and in that basis the derivation E is the
+plain D of the free algebra (``fields._d_atom`` under the Leibniz rule):
 
-    E(eta-jet k)        = eta-jet k+1
-    E(antiderivative I) = body of I
+    E(eta-jet k)              = eta-jet k+1
+    E(PLAIN antiderivative I) = body of I
 
-with the plain Leibniz rule and no commutator corrections.  Applying the
-formal inverse then reduces to integrating a free-algebra polynomial with
-respect to a jet-raising derivation, done greedily: repeatedly take the
-largest remaining word under a fixed term order (outermost jets first),
-construct the one preimage candidate (lower the outermost positive jet, or
-wrap the innermost factor in a fresh antiderivative), and accept it only if
-the leading word of its derivative is exactly the word being eliminated.
-Rejected words freeze into antiderivative atoms; an exact derivative
-therefore unwraps completely while anything else splits into an integrated
-part plus irreducible atoms, deterministically.  The splitter reads words
-from the left, in the mirror convention, for the mirror and plain tags; the
-direct inverse is the mirror image (``fields.mirror_image``) of the mirror
-inverse of the mirror image.
+with no commutator corrections.  So ``derinv(tag)`` is the plain inverse
+conjugated by the x <-> eta change of coordinates.  Applying it reduces to
+integrating a free-algebra polynomial with respect to D, done greedily:
+repeatedly take the largest remaining word under a fixed term order
+(outermost jets first), construct the one preimage candidate (lower the
+outermost positive jet, or wrap the innermost factor in a fresh
+antiderivative), and accept it only if the leading word of its derivative is
+exactly the word being eliminated.  Rejected words freeze into
+antiderivative atoms; an exact derivative therefore unwraps completely while
+anything else splits into an integrated part plus irreducible atoms,
+deterministically.  The splitter reads words from the left, in the mirror
+convention, for the mirror and plain tags; the direct inverse is the mirror
+image (``fields.mirror_image``) of the mirror inverse of the mirror image.
 
 ``deep_reduce`` extends this to products mixing antiderivative atoms with
 further factors: every such word is replaced by the antiderivative of its
@@ -41,6 +44,7 @@ from operator import mul
 from typing import Optional, Tuple
 
 from .fields import (
+    Atom,
     Context,
     DEFAULT_CONTEXT,
     DerivationTag,
@@ -53,6 +57,7 @@ from .fields import (
     TestField,
     Word,
     _TAG_SIGN,
+    _d_atom,
     add_into,
     commutator,
     der,
@@ -60,33 +65,27 @@ from .fields import (
     jet,
     mirror_image,
     mirror_word,
+    word_key,
 )
 
-# eta atoms are plain tuples:
-#   ('j', symbol, k)   eta jet of a base symbol
-#   ('t', name, k)     eta jet of a test field
-#   ('i', body)        antiderivative of the EtaExpr ``body``
-EtaAtom = tuple
-EtaWord = Tuple[EtaAtom, ...]
+_PLAIN = DerivationTag.PLAIN
 _R = jet("r")
 
 
 class EtaExpr(LinearCombination):
-    """Linear combination of eta words."""
+    """Linear combination of eta words: field words whose jets are eta jets
+    and whose antiderivatives are ``PLAIN`` ones of eta bodies."""
 
     __slots__ = ()
-
-    def sorted_terms(self):
-        """The terms in canonical word order."""
-        return sorted(self.terms.items(), key=lambda kv: _word_sort(kv[0]))
 
     def __repr__(self) -> str:
         # eta printing sorts words by this text, so coefficients keep the
         # Fraction text (``Fraction(1, 1)``) whatever their type
-        return repr(tuple((w, Fraction(c)) for w, c in self.sorted_terms()))
+        terms = sorted(self.terms.items(), key=lambda kv: word_key(kv[0]))
+        return repr(tuple((w, Fraction(c)) for w, c in terms))
 
 
-def _eta_word(w: EtaWord) -> EtaExpr:
+def _eta_word(w: Word) -> EtaExpr:
     return EtaExpr._raw({w: 1})
 
 
@@ -95,31 +94,19 @@ class _ForeignAtom(Exception):
     express."""
 
 
-def _atom_sort(a: EtaAtom):
-    if a[0] == "j":
-        return (0, a[1], a[2])
-    if a[0] == "t":
-        return (1, a[1], a[2])
-    return (2, tuple(sorted((_word_sort(w), c) for w, c in a[1].terms.items())))
+def _rank(a: Atom) -> int:
+    return -1 if type(a) is Integral else a.order
 
 
-def _word_sort(w: EtaWord):
-    return (len(w), tuple(_atom_sort(a) for a in w))
-
-
-def _rank(a: EtaAtom) -> int:
-    return a[2] if a[0] in ("j", "t") else -1
-
-
-def _mass(w: EtaWord) -> int:
+def _mass(w: Word) -> int:
     """Antiderivatives in a word, each counting one plus its heaviest body word."""
-    return sum(1 + max(map(_mass, a[1].terms), default=0) for a in w if a[0] == "i")
+    return sum(1 + max(map(_mass, a.body.terms), default=0) for a in w if type(a) is Integral)
 
 
 @lru_cache(maxsize=None)
-def _greedy_key(w: EtaWord):
+def _greedy_key(w: Word):
     """Processing order: highest jets first, fewest antiderivatives next."""
-    return (tuple(map(_rank, w)), -_mass(w), _word_sort(w))
+    return (tuple(map(_rank, w)), -_mass(w), word_key(w))
 
 
 class _ByKeyDesc:
@@ -135,23 +122,16 @@ class _ByKeyDesc:
         return self.key > other.key
 
 
-def _E(a: EtaAtom) -> EtaExpr:
-    """The jet-raising derivation E on one atom; ``leibniz`` extends it."""
-    if a[0] == "i":
-        return a[1]
-    return _eta_word(((a[0], a[1], a[2] + 1),))
-
-
-def _candidate(w: EtaWord) -> Optional[EtaWord]:
+def _candidate(w: Word) -> Optional[Word]:
     if not w:
         return None
     # the leading word of E(u) raises u's leftmost raisable factor, so the
     # candidate preimage lowers the leftmost positive jet
     for i, a in enumerate(w):
         if _rank(a) >= 1:
-            return w[:i] + ((a[0], a[1], a[2] - 1),) + w[i + 1 :]
+            return w[:i] + (type(a)(a[1], a[2] - 1),) + w[i + 1 :]
     # nothing left to lower: wrap the innermost (last) factor
-    return w[:-1] + (("i", _eta_word(w[-1:])),)
+    return w[:-1] + (Integral(_PLAIN, _eta_word(w[-1:])),)
 
 
 def _greedy_split(f: EtaExpr, rounds: int) -> Tuple[dict, dict]:
@@ -173,7 +153,7 @@ def _greedy_split(f: EtaExpr, rounds: int) -> Tuple[dict, dict]:
         u = _candidate(w)
         done = False
         if u is not None:
-            image = _eta_word(u).leibniz(_E).terms
+            image = _eta_word(u).leibniz(_d_atom).terms
             if image and max(image, key=_greedy_key) == w:
                 d = image[w]
                 # exact: never a float, an int whenever the quotient is whole
@@ -195,25 +175,21 @@ def _greedy_split(f: EtaExpr, rounds: int) -> Tuple[dict, dict]:
 # conversion between x jets and eta jets
 
 @lru_cache(maxsize=None)
-def _x_jet_to_eta(tag: DerivationTag, kind: str, name: str, order: int) -> EtaExpr:
-    """An x jet in eta coordinates, where the x-derivative is
-    E + sign*[base, .], the mirror image of ``fields.der``."""
-    if order == 0:
-        return _eta_word(((kind, name, 0),))
-    f = _x_jet_to_eta(tag, kind, name, order - 1)
-    sign = _TAG_SIGN[tag]
-    if not sign:
-        return f.leibniz(_E)
-    return f.leibniz(_E) + commutator(_eta_word((("j", TAG_BASE[tag], 0),)), f).scale(sign)
+def _x_jet_to_eta(tag: DerivationTag, atom: Atom) -> EtaExpr:
+    """An x jet (a ``Jet`` or ``TestField``) in eta coordinates, where the
+    x-derivative is E + sign*[base, .], the mirror image of ``fields.der``."""
+    if atom.order == 0:
+        return _eta_word((atom,))
+    f = _x_jet_to_eta(tag, type(atom)(atom[1], atom[2] - 1))
+    df, sign = f.leibniz(_d_atom), _TAG_SIGN[tag]
+    return df + commutator(_eta_word((Jet(TAG_BASE[tag]),)), f).scale(sign) if sign else df
 
 
-def _to_eta_atom(tag: DerivationTag, atom) -> EtaExpr:
-    if isinstance(atom, Jet):
-        return _x_jet_to_eta(tag, "j", atom.symbol, atom.order)
-    if isinstance(atom, TestField):
-        return _x_jet_to_eta(tag, "t", atom.name, atom.order)
+def _to_eta_atom(tag: DerivationTag, atom: Atom) -> EtaExpr:
+    if isinstance(atom, (Jet, TestField)):
+        return _x_jet_to_eta(tag, atom)
     if isinstance(atom, Integral) and atom.tag == tag:
-        return _eta_word((("i", _to_eta_expr(tag, atom.body)),))
+        return _eta_word((Integral(_PLAIN, _to_eta_expr(tag, atom.body)),))
     raise _ForeignAtom(atom)
 
 
@@ -228,16 +204,16 @@ def _to_eta_expr(tag: DerivationTag, f: FieldExpr) -> EtaExpr:
 
 
 @lru_cache(maxsize=None)
-def _eta_jet_to_x(tag: DerivationTag, kind: str, name: str, order: int) -> FieldExpr:
+def _eta_jet_to_x(tag: DerivationTag, atom: Atom) -> FieldExpr:
     """An eta jet in x coordinates, computed in the default context.
 
     Only valid where ``_standard_field(tag, ctx)`` holds: then the tag's
     commutator field is the default one, so the value depends on the key
     alone.
     """
-    if order == 0:
-        return FieldExpr.from_atom(Jet(name, 0) if kind == "j" else TestField(name, 0))
-    return der(tag, _eta_jet_to_x(tag, kind, name, order - 1), DEFAULT_CONTEXT)
+    if atom.order == 0:
+        return FieldExpr.from_atom(atom)
+    return der(tag, _eta_jet_to_x(tag, type(atom)(atom[1], atom[2] - 1)), DEFAULT_CONTEXT)
 
 
 # Bounded because an unbounded memo keeps every word of every field reduced
@@ -245,7 +221,7 @@ def _eta_jet_to_x(tag: DerivationTag, kind: str, name: str, order: int) -> Field
 # random fields.  A proof's words recur close together, so 1024 entries keep
 # its hits (60.8 k against 60.3 k unbounded over the proofs benchmark).
 @lru_cache(maxsize=1024)
-def _from_eta_word_d(tag: DerivationTag, w: EtaWord, depth: int) -> FieldExpr:
+def _from_eta_word_d(tag: DerivationTag, w: Word, depth: int) -> FieldExpr:
     """An eta word in x coordinates: the value of ``w[:-1]`` times that of
     its last atom, so words share their prefixes.  Antiderivatives nest at
     most ``depth`` deep.
@@ -256,11 +232,11 @@ def _from_eta_word_d(tag: DerivationTag, w: EtaWord, depth: int) -> FieldExpr:
     if not w:
         return FieldExpr.unit()
     a = w[-1]
-    if a[0] in ("j", "t"):
-        last = _eta_jet_to_x(tag, a[0], a[1], a[2])
-    else:
-        body = FieldExpr.sum((_from_eta_word_d(tag, bw, depth), c) for bw, c in a[1].terms.items())
+    if type(a) is Integral:
+        body = FieldExpr.sum((_from_eta_word_d(tag, bw, depth), c) for bw, c in a.body.terms.items())
         last = _integral_atom(tag, body, depth)
+    else:
+        last = _eta_jet_to_x(tag, a)
     return _from_eta_word_d(tag, w[:-1], depth) * last
 
 

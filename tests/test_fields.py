@@ -254,3 +254,21 @@ def test_linear_combination_core(cls, atoms):
     other = OpExpr if cls is FieldExpr else FieldExpr
     assert cls({(): 1}).terms == other({(): 1}).terms
     assert cls({(): 1}) != other({(): 1})
+
+
+def test_atoms_of_different_kinds_never_merge():
+    body = FieldExpr.from_atom(Probe("V"))
+    pairs = [
+        (Jet("V"), Probe("V")),
+        (Jet("V", 2), Probe("V", 2)),
+        (Jet("u"), InverseSymbol("u")),
+        (Integral(P, body), Integral(M, body)),
+        (Integral(M, body), Integral(DIR, body)),
+    ]
+    for a, b in pairs:
+        assert a != b and {a: 1, b: 2} == {b: 2, a: 1} and len({a, b}) == 2
+        assert len(FieldExpr.from_atom(a) + FieldExpr.from_atom(b)) == 2
+    assert Jet("V", 2) == Jet("V", 2) and hash(Probe("V", 1)) == hash(Probe("V", 1))
+    assert (Jet("r", 3).symbol, Jet("r", 3).order) == ("r", 3)
+    assert (Probe("W").name, Probe("W").order, InverseSymbol().base) == ("W", 0, "u")
+    assert (Integral(M, body).tag, Integral(M, body).body) == (M, body)

@@ -101,6 +101,21 @@ def test_print_antiderivatives_golden(src, x_text, eta_text):
     assert print_field(e, "eta") == eta_text
 
 
+@pytest.mark.parametrize(
+    "src, eta_text",
+    [
+        # no r or s jet: the tag of the field's antiderivatives, else plain
+        ("V_xx", "V_etaeta"),
+        ("V W_x", "V W_eta"),
+        ("Dinv[V] V_x", "Dinv[V] V_eta"),
+        ("DDinv[V] V_x", "-DDinv[V] s V + DDinv[V] V s + DDinv[V] V_eta"),
+        ("IDinv[V] V_x", "IDinv[V] r V - IDinv[V] V r + IDinv[V] V_eta"),  # as before
+    ],
+)
+def test_print_eta_without_base_jets(src, eta_text):
+    assert print_field(parse_field(src), "eta") == eta_text
+
+
 def test_print_eta_orders_nested_bodies_as_fraction_text():
     # eta words are ordered by their text, which embeds nested bodies with
     # each coefficient written as a Fraction: Fraction(1, 2) sorts before

@@ -12,6 +12,7 @@ from ncburgers.fields import (
     Integral,
     Jet,
     NestingLimitExceeded,
+    TestField as Probe,
     commutator,
     d_total,
     der,
@@ -202,3 +203,50 @@ def test_deep_reduce_consistent_across_presentations():
         b = derinv(M, der(M, a))
         assert deep_reduce(a) == deep_reduce(b)
         assert deep_reduce(a - b).is_zero()
+
+
+@pytest.mark.parametrize("tag", [M, DIR, P])
+def test_eta_coordinates_round_trip_on_jets(tag):
+    # x -> eta -> x is the identity on every jet
+    for atom in [kind(name, k) for kind, name in ((Jet, "r"), (Jet, "s"), (Probe, "V"))
+                 for k in range(7)]:
+        eta = reduction._to_eta_expr(tag, FieldExpr.from_atom(atom))
+        back = FieldExpr.sum(
+            (reduction._from_eta_word_d(tag, w, 4), c) for w, c in eta.terms.items()
+        )
+        assert back == FieldExpr.from_atom(atom), atom
+
+
+def _atom_sort(a):
+    # the eta atom order from before eta words were field words
+    if a[0] == "j":
+        return (0, a[1], a[2])
+    if a[0] == "t":
+        return (1, a[1], a[2])
+    return (2, tuple(sorted((_word_sort(w), c) for w, c in a.body.terms.items())))
+
+
+def _word_sort(w):
+    return (len(w), tuple(_atom_sort(a) for a in w))
+
+
+def _random_eta_word(rng, depth=2):
+    atoms = []
+    for _ in range(rng.randint(0, 4)):
+        if depth and rng.random() < 0.25:
+            body = {
+                _random_eta_word(rng, depth - 1): Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2))
+                for _ in range(rng.randint(1, 2))
+            }
+            atoms.append(Integral(P, reduction.EtaExpr(body)))
+        else:
+            kind = rng.choice((Jet, Probe))
+            atoms.append(kind(rng.choice("rsV"), rng.randint(0, 3)))
+    return tuple(atoms)
+
+
+def test_word_key_orders_eta_words_as_before():
+    rng = random.Random(37)
+    words = [_random_eta_word(rng) for _ in range(2000)]
+    assert sum(any(isinstance(a, Integral) for a in w) for w in words) > 200
+    assert sorted(words, key=fields.word_key) == sorted(words, key=_word_sort)
