@@ -50,7 +50,7 @@ from .operators import (
     op_right,
     op_word_key,
 )
-from .reduction import _ForeignAtom, _to_eta_expr, derinv
+from .reduction import EtaExpr, _ForeignAtom, _image, derinv
 
 _DERINV_NAMES = {
     DerivationTag.MIRROR: "IDinv",
@@ -382,7 +382,7 @@ def _print_field_eta(e: FieldExpr) -> str:
     else:  # neither r nor s: the tag of its antiderivatives, else plain
         tag = next((a.tag for a in e.atoms() if isinstance(a, Integral)), DerivationTag.PLAIN)
     try:
-        eta = _to_eta_expr(tag, e)
+        eta = _image(tag, EtaExpr, e)
     except _ForeignAtom as exc:
         raise ValueError(
             "%s cannot be written in %s eta coordinates"

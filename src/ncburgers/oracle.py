@@ -210,7 +210,8 @@ class ZeroCheckReport:
 
 def check_equal(a: FieldExpr, b: FieldExpr, scenes: Sequence[MatrixScene]) -> ZeroCheckReport:
     """Exact test that ``a`` and ``b`` take the same matrix value in every
-    scene at every evaluation point."""
+    scene at every evaluation point; with no point to evaluate it raises
+    ``ValueError`` rather than pass."""
     points = 0
     for scene in scenes:
         for x0 in scene.points:
@@ -223,6 +224,8 @@ def check_equal(a: FieldExpr, b: FieldExpr, scenes: Sequence[MatrixScene]) -> Ze
                     points,
                     "seed=%d x0=%s" % (scene.seed, x0),
                 )
+    if not points:
+        raise ValueError("the oracle needs at least one scene point")
     return ZeroCheckReport(True, len(scenes), points)
 
 
@@ -403,6 +406,8 @@ def cole_hopf_numeric(
     grid, computed from closed-form x- and t-derivatives of u."""
     import numpy as np
 
+    if len(xs) == 0 or len(ts) == 0:
+        raise ValueError("the Cole-Hopf check needs a nonempty grid")
     worst = 0.0
     for x in xs:
         for t in ts:

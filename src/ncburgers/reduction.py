@@ -12,7 +12,8 @@ plain D of the free algebra (``fields._d_atom`` under the Leibniz rule):
     E(PLAIN antiderivative I) = body of I
 
 with no commutator corrections.  So ``derinv(tag)`` is the plain inverse
-conjugated by the x <-> eta change of coordinates.  Applying it reduces to
+conjugated by the x <-> eta change of coordinates: one map for both
+directions, memoized per atom and per word prefix.  Applying it reduces to
 integrating a free-algebra polynomial with respect to D, done greedily:
 repeatedly take the largest remaining word under a fixed term order
 (outermost jets first), construct the one preimage candidate (lower the
@@ -24,6 +25,9 @@ anything else splits into an integrated part plus irreducible atoms,
 deterministically.  The splitter reads words from the left, in the mirror
 convention, for the mirror and plain tags; the direct inverse is the mirror
 image (``fields.mirror_image``) of the mirror inverse of the mirror image.
+The change of coordinates keeps the nesting of every antiderivative, so the
+nesting bound is checked once per call, on the eta words: an integrated word
+nests as deep as its image, a rejected one a level deeper.
 
 ``deep_reduce`` extends this to products mixing antiderivative atoms with
 further factors: every such word is replaced by the antiderivative of its
@@ -38,9 +42,8 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain
-from operator import mul
 from typing import Optional, Tuple
 
 from .fields import (
@@ -172,81 +175,58 @@ def _greedy_split(f: EtaExpr, rounds: int) -> Tuple[dict, dict]:
 
 
 # ---------------------------------------------------------------------------
-# conversion between x jets and eta jets
-
-@lru_cache(maxsize=None)
-def _x_jet_to_eta(tag: DerivationTag, atom: Atom) -> EtaExpr:
-    """An x jet (a ``Jet`` or ``TestField``) in eta coordinates, where the
-    x-derivative is E + sign*[base, .], the mirror image of ``fields.der``."""
-    if atom.order == 0:
-        return _eta_word((atom,))
-    f = _x_jet_to_eta(tag, type(atom)(atom[1], atom[2] - 1))
-    df, sign = f.leibniz(_d_atom), _TAG_SIGN[tag]
-    return df + commutator(_eta_word((Jet(TAG_BASE[tag]),)), f).scale(sign) if sign else df
+# the x <-> eta change of coordinates
+#
+# One algebra isomorphism and its inverse, both valid only where
+# ``_standard_field(tag, ctx)`` holds: then the tag's commutator field is the
+# base jet, so each value depends on its memo key alone.  Toward eta the
+# x-derivative is E + sign*[base, .]; toward x the eta derivation E is
+# ``der(tag, .)`` = D - sign*[base, .].  Antiderivatives of ``tag`` in x and
+# ``PLAIN`` ones in eta map to each other through their bodies.
 
 
-def _to_eta_atom(tag: DerivationTag, atom: Atom) -> EtaExpr:
-    if isinstance(atom, (Jet, TestField)):
-        return _x_jet_to_eta(tag, atom)
-    if isinstance(atom, Integral) and atom.tag == tag:
-        return _eta_word((Integral(_PLAIN, _to_eta_expr(tag, atom.body)),))
+# Bounded, like the word memo, because antiderivative atoms carry their
+# bodies: unbounded, it keeps every antiderivative the process converted, 749
+# atoms and 1.0 MB more peak memory over the proofs benchmark.  256 entries
+# cost 0.35 MB there, and the atoms they miss are rebuilt mostly from body
+# words the word memo still holds.
+@lru_cache(maxsize=256)
+def _atom_image(tag: DerivationTag, cls: type, atom: Atom) -> LinearCombination:
+    """One atom's image in ``cls`` coordinates: ``EtaExpr`` for eta and
+    ``FieldExpr`` for x.  Any other atom raises ``_ForeignAtom``."""
+    to_eta = cls is EtaExpr
+    kind = type(atom)
+    if kind is Jet or kind is TestField:
+        if atom[2] == 0:
+            return cls._raw({(atom,): 1})
+        f = _atom_image(tag, cls, kind(atom[1], atom[2] - 1))
+        df, sign = f.leibniz(_d_atom), _TAG_SIGN[tag]
+        if not sign:
+            return df
+        base = cls._raw({(Jet(TAG_BASE[tag]),): 1})
+        return df + commutator(base, f).scale(sign if to_eta else -sign)
+    if kind is Integral and atom[1] is (tag if to_eta else _PLAIN):
+        body = _image(tag, cls, atom[2])
+        return cls._raw({(Integral(_PLAIN if to_eta else tag, body),): 1})
     raise _ForeignAtom(atom)
 
 
-def _to_eta_word(tag: DerivationTag, word: Word) -> EtaExpr:
-    if not word:
-        return _eta_word(())
-    return reduce(mul, [_to_eta_atom(tag, a) for a in word])
-
-
-def _to_eta_expr(tag: DerivationTag, f: FieldExpr) -> EtaExpr:
-    return EtaExpr.sum((_to_eta_word(tag, w), c) for w, c in f.terms.items())
-
-
-@lru_cache(maxsize=None)
-def _eta_jet_to_x(tag: DerivationTag, atom: Atom) -> FieldExpr:
-    """An eta jet in x coordinates, computed in the default context.
-
-    Only valid where ``_standard_field(tag, ctx)`` holds: then the tag's
-    commutator field is the default one, so the value depends on the key
-    alone.
-    """
-    if atom.order == 0:
-        return FieldExpr.from_atom(atom)
-    return der(tag, _eta_jet_to_x(tag, type(atom)(atom[1], atom[2] - 1)), DEFAULT_CONTEXT)
-
-
 # Bounded because an unbounded memo keeps every word of every field reduced
-# in the process: 5,938 words and 3.4 MB more peak memory over 1,000 small
-# random fields.  A proof's words recur close together, so 1024 entries keep
-# its hits (60.8 k against 60.3 k unbounded over the proofs benchmark).
+# in the process: 10,167 words and 6.5 MB more peak memory over the 1,000
+# small fields of the properties benchmark.  Over the proofs benchmark 1024
+# entries miss 13,542 times against 4,367 unbounded, for 2.3 MB less memory.
 @lru_cache(maxsize=1024)
-def _from_eta_word_d(tag: DerivationTag, w: Word, depth: int) -> FieldExpr:
-    """An eta word in x coordinates: the value of ``w[:-1]`` times that of
-    its last atom, so words share their prefixes.  Antiderivatives nest at
-    most ``depth`` deep.
-
-    Only valid where ``_standard_field(tag, ctx)`` holds, like
-    ``_eta_jet_to_x``; then the key is everything the value depends on.
-    """
+def _word_image(tag: DerivationTag, cls: type, w: Word) -> LinearCombination:
+    """A word's image: the image of ``w[:-1]`` times that of its last atom,
+    so words share their prefixes."""
     if not w:
-        return FieldExpr.unit()
-    a = w[-1]
-    if type(a) is Integral:
-        body = FieldExpr.sum((_from_eta_word_d(tag, bw, depth), c) for bw, c in a.body.terms.items())
-        last = _integral_atom(tag, body, depth)
-    else:
-        last = _eta_jet_to_x(tag, a)
-    return _from_eta_word_d(tag, w[:-1], depth) * last
+        return cls._raw({(): 1})
+    return _word_image(tag, cls, w[:-1]) * _atom_image(tag, cls, w[-1])
 
 
-def _integral_atom(tag: DerivationTag, body: FieldExpr, depth: int) -> FieldExpr:
-    if body.is_zero():
-        return body
-    atom = Integral(tag, body)
-    if 1 + expr_nesting(body) > depth:
-        raise NestingLimitExceeded("antiderivative nesting exceeded depth %d" % depth)
-    return FieldExpr.from_atom(atom)
+def _image(tag: DerivationTag, cls: type, f: LinearCombination) -> LinearCombination:
+    """An expression's image in ``cls`` coordinates."""
+    return cls.sum((_word_image(tag, cls, w), c) for w, c in f.terms.items())
 
 
 def _standard_field(tag: DerivationTag, ctx: Context) -> bool:
@@ -273,23 +253,31 @@ def _derinv(tag: DerivationTag, f: FieldExpr, ctx: Context) -> FieldExpr:
     """``derinv`` for the mirror and plain tags."""
     if f.is_zero():
         return f
-    depth = ctx.integral_depth
     if not _standard_field(tag, ctx):
-        return _integral_atom(tag, f, depth)
-
-    eta_terms, foreign = [], []
-    for w, c in f.terms.items():
-        try:
-            eta_terms.append((_to_eta_word(tag, w), c))
-        except _ForeignAtom:
-            foreign.append((_integral_atom(tag, FieldExpr.from_word(w), depth), c))
-
-    g, h = _greedy_split(EtaExpr.sum(eta_terms), ctx.reduce_rounds)
-    return FieldExpr.sum(chain(
-        ((_from_eta_word_d(tag, w, depth), c) for w, c in g.items()),
-        foreign,
-        ((_integral_atom(tag, _from_eta_word_d(tag, w, depth), depth), c) for w, c in h.items()),
-    ))
+        nesting, terms = 1 + expr_nesting(f), [(FieldExpr.from_atom(Integral(tag, f)), 1)]
+    else:
+        eta_terms, foreign = [], {}
+        for w, c in f.terms.items():
+            try:
+                eta_terms.append((_word_image(tag, EtaExpr, w), c))
+            except _ForeignAtom:
+                foreign[w] = c
+        g, h = _greedy_split(EtaExpr.sum(eta_terms), ctx.reduce_rounds)
+        # the change of coordinates keeps the nesting of every antiderivative,
+        # so the eta words give that of each one this call creates
+        nesting = max(
+            expr_nesting(EtaExpr._raw(g)),
+            1 + expr_nesting(EtaExpr._raw(h)) if h else 0,
+            1 + expr_nesting(FieldExpr._raw(foreign)) if foreign else 0,
+        )
+        terms = chain(
+            ((_word_image(tag, FieldExpr, w), c) for w, c in g.items()),
+            ((FieldExpr.from_atom(Integral(tag, FieldExpr.from_word(w))), c) for w, c in foreign.items()),
+            ((FieldExpr.from_atom(Integral(tag, _word_image(tag, FieldExpr, w))), c) for w, c in h.items()),
+        )
+    if nesting > ctx.integral_depth:
+        raise NestingLimitExceeded("antiderivative nesting exceeded depth %d" % ctx.integral_depth)
+    return FieldExpr.sum(terms)
 
 
 def _word_tag(word: Word) -> Optional[DerivationTag]:

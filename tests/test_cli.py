@@ -103,6 +103,18 @@ def test_verify_commute_oracle_is_independent_of_reducer(capsys, monkeypatch):
     assert any("passed: False" in line for line in log)
 
 
+@pytest.mark.parametrize("scenes", ["0", "-3"])
+def test_verify_commute_oracle_without_scenes_is_usage_error(capsys, scenes):
+    # an oracle that evaluates no point proves nothing
+    code, out, err = run_cli(
+        capsys,
+        "verify", "commute", "--family", "mirror", "--m", "1", "--n", "2", "--scenes", scenes,
+    )
+    assert code == 2
+    assert "proved-zero" not in out
+    assert "scene point" in err
+
+
 def test_verify_cole_hopf(capsys):
     code, out, _ = run_cli(capsys, "verify", "cole-hopf", "--family", "mirror")
     assert code == 0
@@ -157,6 +169,13 @@ def test_oracle_cole_hopf(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] and doc["heat_exact"]
+
+
+def test_oracle_cole_hopf_empty_grid_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "oracle", "cole-hopf", "--dim", "2", "--grid", "0")
+    assert code == 2
+    assert out == ""
+    assert "nonempty grid" in err
 
 
 def test_usage_error_exit_two(capsys):

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from ncburgers.fields import (
     der,
     jet,
     )
+import ncburgers
 from ncburgers import fields, reduction
 from ncburgers.hierarchy import EquationFamily, recursion_operator
 from ncburgers.operators import apply_op
@@ -60,6 +63,17 @@ def test_derinv_of_exact_images_round_trip():
             assert derinv(tag, der(tag, e)) == e
 
 
+def _package_caches():
+    """Every functools cache among the module attributes of the package."""
+    caches = {}
+    for info in pkgutil.iter_modules(ncburgers.__path__):
+        module = importlib.import_module("ncburgers." + info.name)
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                caches[id(value)] = value
+    return list(caches.values())
+
+
 def test_derinv_unchanged_after_cache_clear():
     rng = random.Random(13)
     cases = [
@@ -68,13 +82,8 @@ def test_derinv_unchanged_after_cache_clear():
         for tag in (M, DIR, P)
     ]
     before = [derinv(tag, e) for tag, e in cases]
-    caches = (
-        reduction._greedy_key,
-        reduction._x_jet_to_eta,
-        reduction._eta_jet_to_x,
-        reduction._from_eta_word_d,
-        fields._mirror_atom,
-    )
+    caches = _package_caches()
+    assert reduction._greedy_key in caches and fields._mirror_atom in caches
     for cache in caches:
         cache.cache_clear()
         assert cache.cache_info().currsize == 0
@@ -205,16 +214,60 @@ def test_deep_reduce_consistent_across_presentations():
         assert deep_reduce(a - b).is_zero()
 
 
+def _round_trip(tag, f):
+    return reduction._image(tag, FieldExpr, reduction._image(tag, reduction.EtaExpr, f))
+
+
 @pytest.mark.parametrize("tag", [M, DIR, P])
 def test_eta_coordinates_round_trip_on_jets(tag):
     # x -> eta -> x is the identity on every jet
     for atom in [kind(name, k) for kind, name in ((Jet, "r"), (Jet, "s"), (Probe, "V"))
                  for k in range(7)]:
-        eta = reduction._to_eta_expr(tag, FieldExpr.from_atom(atom))
-        back = FieldExpr.sum(
-            (reduction._from_eta_word_d(tag, w, 4), c) for w, c in eta.terms.items()
-        )
-        assert back == FieldExpr.from_atom(atom), atom
+        assert _round_trip(tag, FieldExpr.from_atom(atom)) == FieldExpr.from_atom(atom), atom
+
+
+@pytest.mark.parametrize("tag", [M, DIR, P])
+def test_eta_coordinates_round_trip_on_antiderivatives(tag):
+    # x -> eta -> x is the identity on nested antiderivatives of the tag
+    rng = random.Random(41)
+    nested = 0
+    kw = dict(symbols=("r", "s"), tests=("V",), max_terms=2, max_len=2, max_order=1)
+    for _ in range(30):
+        inner = derinv(tag, random_field(rng, **kw))
+        g = derinv(tag, random_field(rng, **kw) * inner)
+        nested += fields.expr_nesting(g) >= 2
+        assert _round_trip(tag, g) == g
+    assert nested >= 10, nested
+
+
+@pytest.mark.parametrize("tag", [M, DIR, P])
+def test_nesting_bound_is_exact(tag):
+    # derinv succeeds at exactly the nesting of its result and not one below,
+    # in the standard context and on the Cole-Hopf path alike
+    rng = random.Random(43)
+    nestings = set()
+    for make_context in (fields.default_context, fields.cole_hopf_context):
+        for _ in range(20):
+            f = random_nonlocal_field(rng, symbols=("r", "s"), tests=("V",))
+            g = derinv(tag, f, make_context(6))
+            k = fields.expr_nesting(g)
+            nestings.add(k)
+            assert derinv(tag, f, make_context(k)) == g
+            if k >= 1:
+                with pytest.raises(NestingLimitExceeded, match="depth %d" % (k - 1)):
+                    derinv(tag, f, make_context(k - 1))
+    assert {0, 1, 2} <= nestings
+
+
+def test_greedy_key_breaks_ties_by_word_key():
+    # equal ranks (-1,) and equal antiderivative mass 1: word_key decides
+    def plain_integral(*atoms):
+        return (Integral(P, reduction.EtaExpr({atoms: 1})),)
+
+    w1 = plain_integral(Jet("r"), Jet("s", 3), Probe("W", 2))
+    w2 = plain_integral(Jet("r"), Jet("s", 1), Probe("W", 4))
+    assert reduction._greedy_key(w1)[:2] == reduction._greedy_key(w2)[:2]
+    assert reduction._greedy_key(w1) > reduction._greedy_key(w2)
 
 
 def _atom_sort(a):
