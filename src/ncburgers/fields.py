@@ -430,13 +430,16 @@ class Context:
     a context is its own mirror image.  ``integral_depth`` bounds the
     nesting of antiderivative atoms a single reduction is allowed to
     create; exceeding it raises :class:`NestingLimitExceeded` so a
-    verification can report itself as inconclusive instead of looping.
+    verification can report itself as inconclusive instead of looping.  So
+    do the fixed budgets: ``reduce_rounds`` steps and ``split_rejects``
+    rejected words (each one an antiderivative atom of the result) in one
+    greedy split, and ``reduce_passes`` passes of ``deep_reduce``.
     """
 
     field: FieldExpr
     integral_depth: int = 4
-    # fixed budgets of the greedy split and of ``deep_reduce``
     reduce_rounds: ClassVar[int] = 200000
+    split_rejects: ClassVar[int] = 4096
     reduce_passes: ClassVar[int] = 80
 
     @cached_property

@@ -37,31 +37,6 @@ MatPoly = Tuple[Matrix, ...]  # coefficient matrices, lowest power first
 SCENE_SYMBOLS = ("r", "s", "u", "v", "V", "W", "sigma")
 
 
-def mat_zero(d: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d))
-
-
-def mat_eye(d: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d)
-    )
-
-
-def mat_scale(a: Matrix, c: Fraction) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 # ---------------------------------------------------------------------------
 # exact integer kernel: a rational matrix is an integer matrix over one
 # positive denominator, and Fractions are built only at the public boundary

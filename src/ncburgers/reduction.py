@@ -22,9 +22,13 @@ antiderivative), and accept it only if the leading word of its derivative is
 exactly the word being eliminated.  Rejected words freeze into
 antiderivative atoms; an exact derivative therefore unwraps completely while
 anything else splits into an integrated part plus irreducible atoms,
-deterministically.  The splitter reads words from the left, in the mirror
-convention, for the mirror and plain tags; the direct inverse is the mirror
-image (``fields.mirror_image``) of the mirror inverse of the mirror image.
+deterministically.  A step reads its word alone, so it is memoized per word.
+A split that rejects more than ``Context.split_rejects`` words raises
+:class:`NestingLimitExceeded`, so an input whose inverse would blow up into
+thousands of atoms makes a verification inconclusive within seconds.  The
+splitter reads words from the left, in the mirror convention, for the mirror
+and plain tags; the direct inverse is the mirror image
+(``fields.mirror_image``) of the mirror inverse of the mirror image.
 The change of coordinates keeps the nesting of every antiderivative, so the
 nesting bound is checked once per call, on the eta words: an integrated word
 nests as deep as its image, a rejected one a level deeper.
@@ -125,26 +129,37 @@ class _ByKeyDesc:
         return self.key > other.key
 
 
-def _candidate(w: Word) -> Optional[Word]:
+# The step reads the word alone, not its coefficient or the context.  One pass
+# of the proofs benchmark makes 59,875 steps over 1,782 distinct words; the
+# properties benchmark makes 8,856 over 4,511 and hits 45% of them at 2,048
+# entries (49% at 4,096).  So 2,048 entries cover proofs with room to spare.
+@lru_cache(maxsize=2048)
+def _step(w: Word) -> Optional[Tuple[Word, dict]]:
+    """The greedy step for w: its preimage candidate u and the terms of E(u),
+    or None when w is rejected.  The returned dict is shared: read it only."""
     if not w:
         return None
     # the leading word of E(u) raises u's leftmost raisable factor, so the
     # candidate preimage lowers the leftmost positive jet
     for i, a in enumerate(w):
         if _rank(a) >= 1:
-            return w[:i] + (type(a)(a[1], a[2] - 1),) + w[i + 1 :]
-    # nothing left to lower: wrap the innermost (last) factor
-    return w[:-1] + (Integral(_PLAIN, _eta_word(w[-1:])),)
+            u = w[:i] + (type(a)(a[1], a[2] - 1),) + w[i + 1 :]
+            break
+    else:
+        # nothing left to lower: wrap the innermost (last) factor
+        u = w[:-1] + (Integral(_PLAIN, _eta_word(w[-1:])),)
+    image = _eta_word(u).leibniz(_d_atom).terms
+    return (u, image) if image and max(image, key=_greedy_key) == w else None
 
 
-def _greedy_split(f: EtaExpr, rounds: int) -> Tuple[dict, dict]:
+def _greedy_split(f: EtaExpr, ctx: Context) -> Tuple[dict, dict]:
     """Split f = E(g) + h with h made of words the greedy scheme rejects."""
     work = dict(f.terms)
     heap = [_ByKeyDesc(_greedy_key(w), w) for w in work]
     heapq.heapify(heap)
     g: dict = {}
     h: dict = {}
-    budget = rounds
+    budget = ctx.reduce_rounds
     while heap:
         w = heapq.heappop(heap).word
         c = work.get(w)
@@ -153,24 +168,26 @@ def _greedy_split(f: EtaExpr, rounds: int) -> Tuple[dict, dict]:
         budget -= 1
         if budget < 0:
             raise NestingLimitExceeded("antiderivative splitting exceeded round budget")
-        u = _candidate(w)
-        done = False
-        if u is not None:
-            image = _eta_word(u).leibniz(_d_atom).terms
-            if image and max(image, key=_greedy_key) == w:
-                d = image[w]
-                # exact: never a float, an int whenever the quotient is whole
-                ratio = c // d if type(c) is int and c % d == 0 else Fraction(c) / d
-                add_into(g, u, ratio)
-                for iw, ic in image.items():
-                    was_present = iw in work
-                    add_into(work, iw, -ratio * ic)
-                    if iw in work and not was_present:
-                        heapq.heappush(heap, _ByKeyDesc(_greedy_key(iw), iw))
-                done = True
-        if not done:
+        step = _step(w)
+        if step is None:
             add_into(h, w, c)
             del work[w]
+            if len(h) > ctx.split_rejects:
+                raise NestingLimitExceeded(
+                    "antiderivative splitting rejected more than split_rejects = %d words"
+                    % ctx.split_rejects
+                )
+            continue
+        u, image = step
+        d = image[w]
+        # exact: never a float, an int whenever the quotient is whole
+        ratio = c // d if type(c) is int and c % d == 0 else Fraction(c) / d
+        add_into(g, u, ratio)
+        for iw, ic in image.items():
+            was_present = iw in work
+            add_into(work, iw, -ratio * ic)
+            if iw in work and not was_present:
+                heapq.heappush(heap, _ByKeyDesc(_greedy_key(iw), iw))
     return g, h
 
 
@@ -213,8 +230,10 @@ def _atom_image(tag: DerivationTag, cls: type, atom: Atom) -> LinearCombination:
 
 # Bounded because an unbounded memo keeps every word of every field reduced
 # in the process: 10,167 words and 6.5 MB more peak memory over the 1,000
-# small fields of the properties benchmark.  Over the proofs benchmark 1024
-# entries miss 13,542 times against 4,367 unbounded, for 2.3 MB less memory.
+# small fields of the properties benchmark.  Over one proofs pass 1024
+# entries miss 13,542 times and 2048 miss 10,810; in ten paired runs 2048
+# gave no reliable wall-time gain (proofs 1.74 -> 1.70 s, better in 7 of
+# 10, properties 1.84 -> 1.79 s, 6 of 10) for 0.9 MB and 0.5 MB more memory.
 @lru_cache(maxsize=1024)
 def _word_image(tag: DerivationTag, cls: type, w: Word) -> LinearCombination:
     """A word's image: the image of ``w[:-1]`` times that of its last atom,
@@ -262,7 +281,7 @@ def _derinv(tag: DerivationTag, f: FieldExpr, ctx: Context) -> FieldExpr:
                 eta_terms.append((_word_image(tag, EtaExpr, w), c))
             except _ForeignAtom:
                 foreign[w] = c
-        g, h = _greedy_split(EtaExpr.sum(eta_terms), ctx.reduce_rounds)
+        g, h = _greedy_split(EtaExpr.sum(eta_terms), ctx)
         # the change of coordinates keeps the nesting of every antiderivative,
         # so the eta words give that of each one this call creates
         nesting = max(

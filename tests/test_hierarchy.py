@@ -128,11 +128,14 @@ def test_commutative_scene_value_matches_scalar_burgers():
     # K2 with a commuting scene r = p(x) I equals (p'' + 2 p' p) I
     from fractions import Fraction
 
-    from ncburgers.oracle import MatrixScene, eval_field, mat_eye, mat_scale
+    from ncburgers.oracle import MatrixScene, eval_field
+
+    def scalar_matrix(c):
+        return tuple(tuple(c if i == j else Fraction(0) for j in range(d)) for i in range(d))
 
     p = (Fraction(2), Fraction(1, 2), Fraction(3))  # 2 + x/2 + 3x^2
     d = 2
-    poly = tuple(mat_scale(mat_eye(d), c) for c in p)
+    poly = tuple(map(scalar_matrix, p))
     scene = MatrixScene(0, d, 2, {"r": poly}, (Fraction(1), Fraction(-2)))
     k2 = hierarchy_member(MIR, 2).rhs
     for x0 in scene.points:
@@ -140,7 +143,7 @@ def test_commutative_scene_value_matches_scalar_burgers():
         pp = p[1] + 2 * p[2] * x0
         ppp = 2 * p[2]
         scalar = ppp + 2 * pp * (p[0] + p[1] * x0 + p[2] * x0 * x0)
-        assert val == mat_scale(mat_eye(d), scalar)
+        assert val == scalar_matrix(scalar)
 
 
 @pytest.mark.parametrize("family", [MIR, DIR])

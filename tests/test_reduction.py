@@ -9,6 +9,7 @@ from ncburgers.fields import test as tfield
 
 from ncburgers.fields import (
     Context,
+    DEFAULT_CONTEXT,
     DerivationTag,
     FieldExpr,
     Integral,
@@ -21,8 +22,9 @@ from ncburgers.fields import (
     jet,
     )
 import ncburgers
-from ncburgers import fields, reduction
+from ncburgers import fields, reduction, verify
 from ncburgers.hierarchy import EquationFamily, recursion_operator
+from ncburgers.lang import parse_field
 from ncburgers.operators import apply_op
 from ncburgers.reduction import deep_reduce, derinv
 
@@ -303,3 +305,42 @@ def test_word_key_orders_eta_words_as_before():
     words = [_random_eta_word(rng) for _ in range(2000)]
     assert sum(any(isinstance(a, Integral) for a in w) for w in words) > 200
     assert sorted(words, key=fields.word_key) == sorted(words, key=_word_sort)
+
+
+# Unbounded, the split of this field's mirror inverse rejects 16,829 words,
+# and ``derinv`` returns 16,856 terms after seconds of work and 220 MB.
+BLOW_UP = "- V_xxx s r_xxx + 3/2 r_xxx s_xxx V_xxx r_x"
+
+
+def test_split_reject_bound_stops_a_blow_up():
+    bound = "rejected more than split_rejects = %d words" % Context.split_rejects
+    with pytest.raises(NestingLimitExceeded, match=bound):
+        derinv(M, parse_field(BLOW_UP))
+    # a claim that meets such a field is inconclusive and says why
+    report = verify._check("blow-up", DEFAULT_CONTEXT, lambda log: derinv(M, parse_field(BLOW_UP)))
+    assert report.status is verify.Status.INCONCLUSIVE
+    assert any(bound in line for line in report.log), report.log
+
+
+def test_step_memo_changes_no_split(monkeypatch):
+    # the eta inputs of every split derinv makes on random nonlocal fields
+    rng = random.Random(47)
+    inputs, split = [], reduction._greedy_split
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "_greedy_split", lambda f, ctx: inputs.append(f) or split(f, ctx))
+        for _ in range(20):
+            for tag in (M, DIR, P):
+                derinv(tag, random_nonlocal_field(rng, symbols=("r", "s"), tests=("V",)))
+    assert len(inputs) >= 50
+
+    def splits():
+        # g and h with their insertion order
+        return [[list(part.items()) for part in split(f, DEFAULT_CONTEXT)] for f in inputs]
+
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "_step", reduction._step.__wrapped__)
+        expected = splits()
+    reduction._step.cache_clear()
+    assert splits() == expected  # cold cache
+    assert reduction._step.cache_info().hits > 0
+    assert splits() == expected  # warm cache
