@@ -2,11 +2,21 @@
 
 Field grammar (juxtaposition binds tighter than + and -):
 
-    expr    := term (("+"|"-") term)*
-    term    := [rational] factor+
-    factor  := atom | "(" expr ")" | "IDinv" "[" expr "]" | "DDinv" "[" expr "]"
-             | "Dinv" "[" expr "]" | "D" "(" expr ")"
-    atom    := ident ("_" "x"+)?
+    expr     := term (sign term)*
+    term     := sign* rational factor* | sign* factor+
+    sign     := "+" | "-"                  (a run multiplies: "- - r" is r)
+    rational := digits ("/" digits)?       (the denominator must be nonzero)
+    factor   := atom | "(" expr ")" | "IDinv" "[" expr "]" | "DDinv" "[" expr "]"
+              | "Dinv" "[" expr "]" | "D" "(" expr ")"
+    atom     := ident ("_" "x"+)?
+
+A term's run of atoms is one word; products are taken only at the other
+factors.  An antiderivative group is not trusted to be canonical: its body
+goes through ``reduction.derinv`` again, so parsing canonical text still pays
+for those calls: 0.2-0.3 s of one ``properties`` benchmark pass on a
+two-core Xeon virtual machine, about 40% of the time in ``parse_field``.
+That cost is kept on purpose, because any text, printed or typed, parses
+to the same canonical form.
 
 Reserved identifiers: r, s, u, uinv, v, V, W, sigma.  Operator expressions
 reuse the field grammar for multiplication factors; a bare field factor
@@ -22,9 +32,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import List, Optional, Tuple
 
 from .fields import (
+    Atom,
     Context,
     DEFAULT_CONTEXT,
     DerivationTag,
@@ -100,141 +112,141 @@ class ParseError(Exception):
         self.diagnostic = diagnostic
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<ident>[A-Za-z][A-Za-z0-9]*(?:_x+)?)"
-    r"|(?P<punct>[+\-()\[\]]))"
-)
+class _AtomTable(dict):
+    """Token -> the atom it names on its own (a jet, a test field or
+    ``uinv``), or None; filled as tokens are met."""
+
+    def __missing__(self, text: str) -> Optional[Atom]:
+        stem, _, suffix = text.partition("_")
+        if stem in JET_IDENTS:
+            atom = Jet(stem, len(suffix))
+        elif stem in TEST_IDENTS:
+            atom = TestField(stem, len(suffix))
+        else:
+            atom = InverseSymbol("u") if text == "uinv" else None
+        self[text] = atom
+        return atom
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    pos: int
+# a number, an identifier or a punctuation mark, after optional space
+_TOKEN_RE = re.compile(r"\s*(\d+(?:/\d+)?|[A-Za-z][A-Za-z0-9]*(?:_x+)?|[+\-()\[\]])")
 
 
 class _Lexer:
+    """The tokens of ``src`` as strings, a cursor, and the atoms the tokens
+    name.  A token's position is found again only for a diagnostic."""
+
     def __init__(self, src: str):
         self.src = src
-        self.tokens: List[_Token] = []
-        pos = 0
-        while pos < len(src):
-            m = _TOKEN_RE.match(src, pos)
-            if not m or m.end() == pos:
-                rest = src[pos:].lstrip()
-                if not rest:
-                    break
-                raise ParseError(self._diag(pos + len(src[pos:]) - len(rest), "unexpected character %r" % rest[0]))
-            pos = m.end()
-            for kind in ("number", "ident", "punct"):
-                text = m.group(kind)
-                if text is not None:
-                    self.tokens.append(_Token(kind, text, m.start(kind)))
-                    break
+        self.tokens: List[str] = _TOKEN_RE.findall(src)
         self.index = 0
+        self.atoms = _AtomTable()
+        # tokens hold no space and never overlap, so they cover every other
+        # character exactly when their lengths add up
+        if len("".join(self.tokens)) != len("".join(src.split())):
+            pos = 0
+            for m in _TOKEN_RE.finditer(src):
+                if m.start() != pos:
+                    break
+                pos = m.end()
+            rest = src[pos:].lstrip()
+            raise ParseError(self._diag(len(src) - len(rest), "unexpected character %r" % rest[0]))
 
     def _diag(self, pos: int, message: str, expected: Tuple[str, ...] = ()) -> ParseDiagnostic:
         line = self.src.count("\n", 0, pos) + 1
         column = pos - (self.src.rfind("\n", 0, pos) + 1) + 1
         return ParseDiagnostic(line, column, message, expected)
 
-    def peek(self, offset: int = 0) -> Optional[_Token]:
+    def peek(self, offset: int = 0) -> Optional[str]:
         i = self.index + offset
         return self.tokens[i] if i < len(self.tokens) else None
 
-    def next(self) -> Optional[_Token]:
-        tok = self.peek()
-        if tok is not None:
-            self.index += 1
-        return tok
+    def next(self) -> None:
+        self.index += 1
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> None:
         tok = self.peek()
-        if tok is None or tok.text != text:
-            pos = tok.pos if tok else len(self.src)
-            raise ParseError(self._diag(pos, "unexpected %s" % (repr(tok.text) if tok else "end of input"), (text,)))
-        return self.next()
+        if tok != text:
+            raise self.error("unexpected %s" % ("end of input" if tok is None else repr(tok)), (text,))
+        self.index += 1
 
     def error(self, message: str, expected: Tuple[str, ...] = ()) -> ParseError:
-        tok = self.peek()
-        pos = tok.pos if tok else len(self.src)
+        """A diagnostic at the cursor's token, or at the end of input."""
+        if self.index < len(self.tokens):
+            pos = next(islice(_TOKEN_RE.finditer(self.src), self.index, None)).start(1)
+        else:
+            pos = len(self.src)
         return ParseError(self._diag(pos, message, expected))
 
 
-def _split_ident(text: str) -> Tuple[str, int]:
-    if "_" in text:
-        stem, suffix = text.split("_", 1)
-        return stem, len(suffix)
-    return text, 0
-
-
-def _field_atom(lx: _Lexer, ctx: Context) -> Optional[FieldExpr]:
-    tok = lx.peek()
-    if tok is None:
+def _field_atom(lx: _Lexer, ctx: Context):
+    """The next field factor: a plain atom as itself, a group as a
+    ``FieldExpr``, or None when the next token starts no factor."""
+    text = lx.peek()
+    if text is None:
         return None
-    if tok.kind == "punct" and tok.text == "(":
+    if text == "(":
         return _group(lx, ctx, _field_atom, ")")
-    if tok.kind != "ident":
-        return None
-    stem, order = _split_ident(tok.text)
-    if stem in DERINV_IDENTS and order == 0:
-        after = lx.peek(1)
-        if after is not None and after.text == "[":
-            lx.next()
-            return derinv(DERINV_IDENTS[stem], _group(lx, ctx, _field_atom, "]"), ctx)
-        return None
-    if stem == "D" and order == 0:
-        after = lx.peek(1)
-        if after is not None and after.text == "(":
-            lx.next()
-            return d_total(_group(lx, ctx, _field_atom, ")"), ctx)
-        return None
-    if stem in JET_IDENTS:
+    atom = lx.atoms[text]
+    if atom is not None:
         lx.next()
-        return FieldExpr.from_atom(Jet(stem, order))
-    if stem in TEST_IDENTS:
+        return atom
+    after = lx.peek(1)
+    if text in DERINV_IDENTS and after == "[":
         lx.next()
-        return FieldExpr.from_atom(TestField(stem, order))
-    if stem == "uinv" and order == 0:
+        return derinv(DERINV_IDENTS[text], _group(lx, ctx, _field_atom, "]"), ctx)
+    if text == "D" and after == "(":
         lx.next()
-        return FieldExpr.from_atom(InverseSymbol("u"))
+        return d_total(_group(lx, ctx, _field_atom, ")"), ctx)
     return None
 
 
-def _coefficient(lx: _Lexer) -> Tuple[Fraction, bool]:
-    sign = Fraction(1)
-    while True:
-        tok = lx.peek()
-        if tok is not None and tok.text in ("+", "-"):
-            if tok.text == "-":
-                sign = -sign
-            lx.next()
-            continue
-        break
+def _coefficient(lx: _Lexer) -> Tuple[Rat, bool]:
+    """The sign run and the optional number that start a term."""
+    sign = 1
     tok = lx.peek()
-    if tok is not None and tok.kind == "number":
+    while tok in ("+", "-"):
+        if tok == "-":
+            sign = -sign
         lx.next()
-        return sign * Fraction(tok.text), True
-    return sign, False
+        tok = lx.peek()
+    if tok is None or not tok[0].isdigit():
+        return sign, False
+    num, _, den = tok.partition("/")
+    if den and not int(den):
+        raise lx.error("zero denominator in %r" % tok)
+    lx.next()
+    return sign * (Fraction(int(num), int(den)) if den else int(num)), True
 
 
 def _term(lx: _Lexer, ctx: Context, factor):
     """A coefficient times the product of the factors ``factor`` parses:
-    field atoms or operator factors."""
+    field factors or operator factors.  A run of plain atoms is one word,
+    multiplied in at the next group and at the end of the term."""
     coeff, explicit = _coefficient(lx)
     is_field = factor is _field_atom
-    out = (FieldExpr.unit() if is_field else OpExpr.identity()).scale(coeff)
-    found = False
+    out, run = None, []  # the product of the factors before ``run``
     while (f := factor(lx, ctx)) is not None:
-        out, found = out * f, True
-    if found or explicit:
-        return out
+        if isinstance(f, tuple):
+            run.append(f)
+            continue
+        if run:
+            word, run = FieldExpr.from_word(run), []
+            out = word if out is None else out * word
+        out = f if out is None else out * f
+    if run:  # the coefficient rides on the last word
+        word = FieldExpr.from_word(run, coeff)
+        return word if out is None else out * word
+    if out is not None:
+        return out.scale(coeff)
+    if explicit:
+        return (FieldExpr.unit() if is_field else OpExpr.identity()).scale(coeff)
     if not is_field:
         raise lx.error("expected an operator factor", ("D", "ID", "IDinv", "L[", "identifier"))
     tok = lx.peek()
-    if tok is not None and tok.kind == "ident":
+    if tok is not None and tok[0].isalpha():
         raise lx.error(
-            "unknown symbol %r" % tok.text,
+            "unknown symbol %r" % tok,
             tuple(sorted(JET_IDENTS) + sorted(TEST_IDENTS) + ["uinv"]),
         )
     raise lx.error("expected a field factor", ("identifier", "(", "IDinv["))
@@ -244,7 +256,7 @@ def _sum_of_terms(lx: _Lexer, ctx: Context, factor):
     acc = _term(lx, ctx, factor)
     while True:
         tok = lx.peek()
-        if tok is None or tok.text not in ("+", "-"):
+        if tok not in ("+", "-"):
             return acc
         acc = acc + _term(lx, ctx, factor)
 
@@ -273,35 +285,29 @@ def parse_field(src: str, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
 
 
 def _op_factor(lx: _Lexer, ctx: Context) -> Optional[OpExpr]:
-    tok = lx.peek()
-    if tok is None:
-        return None
-    if tok.kind == "punct" and tok.text == "(":
+    text, after = lx.peek(), lx.peek(1)
+    if text == "(":
         return _group(lx, ctx, _op_factor, ")")
-    if tok.kind == "ident":
-        stem, order = _split_ident(tok.text)
-        after = lx.peek(1)
-        bracketed = after is not None and after.text == "["
-        if stem == "D" and order == 0 and not (after is not None and after.text == "("):
-            lx.next()
-            return OpExpr.from_atoms(OpD())
-        if stem == "Id" and order == 0:
-            lx.next()
-            return OpExpr.identity()
-        if stem in DER_IDENTS and order == 0:
-            lx.next()
-            return OpExpr.from_atoms(OpDer(DER_IDENTS[stem]))
-        if stem in DERINV_IDENTS and order == 0 and not bracketed:
-            lx.next()
-            return OpExpr.from_atoms(OpDerInv(DERINV_IDENTS[stem]))
-        if stem in ("L", "R", "C") and order == 0 and bracketed:
-            lx.next()
-            mult = {"L": op_left, "R": op_right, "C": op_comm}[stem]
-            return mult(_group(lx, ctx, _field_atom, "]"))
+    if text == "D" and after != "(":
+        lx.next()
+        return OpExpr.from_atoms(OpD())
+    if text == "Id":
+        lx.next()
+        return OpExpr.identity()
+    if text in DER_IDENTS:
+        lx.next()
+        return OpExpr.from_atoms(OpDer(DER_IDENTS[text]))
+    if text in DERINV_IDENTS and after != "[":
+        lx.next()
+        return OpExpr.from_atoms(OpDerInv(DERINV_IDENTS[text]))
+    if text in ("L", "R", "C") and after == "[":
+        lx.next()
+        mult = {"L": op_left, "R": op_right, "C": op_comm}[text]
+        return mult(_group(lx, ctx, _field_atom, "]"))
     field = _field_atom(lx, ctx)
-    if field is not None:
-        return op_left(field)
-    return None
+    if field is None:
+        return None
+    return op_left(FieldExpr.from_atom(field) if isinstance(field, tuple) else field)
 
 
 def parse_op(src: str, ctx: Context = DEFAULT_CONTEXT) -> OpExpr:

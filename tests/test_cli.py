@@ -189,6 +189,13 @@ def test_parse_error_exit_two(capsys):
     assert "parse error" in err
 
 
+def test_zero_denominator_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "reduce", "--commutative", "--expr", "r + 3/0 s")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ") and "zero denominator" in err
+
+
 def test_ibp_depth_env(capsys, monkeypatch):
     monkeypatch.setenv("NCBURGERS_IBP_DEPTH", "6")
     code, out, _ = run_cli(

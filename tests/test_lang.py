@@ -6,7 +6,7 @@ import pytest
 from ncburgers.fields import test as tfield
 
 from ncburgers import fields
-from ncburgers.fields import DerivationTag, FieldExpr, Integral, jet
+from ncburgers.fields import DerivationTag, FieldExpr, Integral, Jet, d_total, jet, uinv
 from ncburgers.hierarchy import EquationFamily, hierarchy_member, recursion_operator
 from ncburgers.lang import (
     ParseError,
@@ -197,6 +197,74 @@ def test_missing_factor_messages():
         parse_op("D + ]")
     assert parse_field("2") == FieldExpr.scalar(2)
     assert parse_op("-1/2") == OpExpr.identity().scale(Fraction(-1, 2))
+
+
+FIELD_EXPECTED = ("r", "s", "u", "v", "V", "W", "sigma", "uinv")
+FACTOR_EXPECTED = ("identifier", "(", "IDinv[")
+
+
+@pytest.mark.parametrize(
+    "parse, src, diagnostic",
+    [
+        (parse_field, "r_x + \n q r", (2, 2, "unknown symbol 'q'", FIELD_EXPECTED)),
+        (parse_field, "r + )", (1, 5, "expected a field factor", FACTOR_EXPECTED)),
+        (parse_op, "D + ]", (1, 5, "expected an operator factor", ("D", "ID", "IDinv", "L[", "identifier"))),
+        (parse_field, "r r ]", (1, 5, "trailing input", ())),
+        (parse_field, "IDinv r", (1, 1, "unknown symbol 'IDinv'", FIELD_EXPECTED)),
+        (parse_field, "(r + s", (1, 7, "unexpected end of input", (")",))),
+        (parse_field, "IDinv[r V", (1, 10, "unexpected end of input", ("]",))),
+        (parse_field, "r ? s", (1, 3, "unexpected character '?'", ())),
+        (parse_field, "r\n\n  ?", (3, 3, "unexpected character '?'", ())),
+        (parse_field, "", (1, 1, "expected a field factor", FACTOR_EXPECTED)),
+        (parse_field, "D(", (1, 3, "expected a field factor", FACTOR_EXPECTED)),
+        (parse_op, "L[", (1, 3, "expected a field factor", FACTOR_EXPECTED)),
+        (parse_field, "r _", (1, 3, "unexpected character '_'", ())),
+        (parse_field, "uinv_x", (1, 1, "unknown symbol 'uinv_x'", FIELD_EXPECTED)),
+        (parse_field, "IDinv[r] ]", (1, 10, "trailing input", ())),
+    ],
+)
+def test_diagnostics_pinned(parse, src, diagnostic):
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    d = info.value.diagnostic
+    assert (d.line, d.column, d.message, d.expected) == diagnostic
+
+
+@pytest.mark.parametrize(
+    "parse, src, column",
+    [(parse_field, "r + 3/0 s", 5), (parse_field, "1/0 r", 1), (parse_op, "3/0", 1), (parse_op, "D - 0/0", 5)],
+)
+def test_zero_denominator_is_a_parse_error(parse, src, column):
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    d = info.value.diagnostic
+    assert (d.line, d.column) == (1, column)
+    assert "zero denominator" in d.message
+
+
+def test_atom_runs_and_groups_build_the_same_words():
+    r, s, u, V = jet("r"), jet("s"), jet("u"), tfield("V")
+    r1, s1 = jet("r", 1), jet("s", 1)
+    assert parse_field("r (s + V) r_x") == r * (s + V) * r1
+    # u u^-1 pairs cancel across the group's edges: r + u s
+    e = parse_field("u (uinv r + s) uinv u")
+    assert e == u * (uinv() * r + s) * uinv() * u
+    assert e == FieldExpr.from_word((Jet("r"),)) + FieldExpr.from_word((Jet("u"), Jet("s")))
+    assert parse_field("u uinv r uinv u") == r
+    assert parse_field("2") == FieldExpr.scalar(2)
+    assert parse_field("-1/2") == FieldExpr.scalar(Fraction(-1, 2))
+    assert parse_field("- - r") == r
+    assert parse_field("+ - + r - - s") == s - r
+    assert parse_field("r D(r s) V") == r * d_total(r * s) * V
+    assert parse_field("r IDinv[r IDinv[V] s] s_x") == r * derinv(M, r * derinv(M, V) * s) * s1
+    assert parse_field("0 IDinv[V] r") == FieldExpr.zero()
+
+
+@pytest.mark.parametrize("src, word, coeff", [("3/3 r", (Jet("r"),), 1), ("-4/2 s", (Jet("s"),), -2), ("6/3", (), 2)])
+def test_whole_rationals_parse_to_int_coefficients(src, word, coeff):
+    terms = parse_field(src).terms
+    assert terms == {word: coeff}
+    assert type(terms[word]) is int
 
 
 def test_trailing_input_rejected():
