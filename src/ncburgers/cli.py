@@ -17,7 +17,8 @@ Exit codes: 0 all checks passed, 1 failed or nonzero verification,
 The NCBURGERS_IBP_DEPTH environment variable sets the default nesting
 depth for the bounded integration-by-parts strategy; a value that is not an
 integer is a usage error.  ``verify commute`` also runs the exact matrix
-oracle on the two halves of the Lie bracket.
+oracle on the two halves of the Lie bracket.  ``reduce`` reduces a text
+that parses as a field as a field, and any other text as an operator.
 """
 
 from __future__ import annotations
@@ -200,15 +201,27 @@ _NAMED_OPERATORS = {
 }
 
 
+def _parse_field_or_op(text: str):
+    """A field if ``text`` parses as one, else an operator; when neither
+    grammar accepts it, the diagnostic of the one that got further (the
+    field's on a tie)."""
+    try:
+        return parse_field(text)
+    except ParseError as field_error:
+        try:
+            return parse_op(text)
+        except ParseError as op_error:
+            op_at, field_at = op_error.diagnostic, field_error.diagnostic
+            further = (op_at.line, op_at.column) > (field_at.line, field_at.column)
+            raise op_error if further else field_error from None
+
+
 def _cmd_reduce(args) -> int:
     text = args.expr.strip()
     if text in _NAMED_OPERATORS:
         value = _NAMED_OPERATORS[text]()
     else:
-        try:
-            value = parse_op(text)
-        except ParseError:
-            value = parse_field(text)
+        value = _parse_field_or_op(text)
     reduced = reduce_commutative(value)
     print(print_expr(reduced, "latex" if args.format == "latex" else "x"))
     return EXIT_OK

@@ -158,7 +158,8 @@ def _reduce_word_commutative(word: Word) -> Word:
 
 def reduce_commutative(e: Union[FieldExpr, OpExpr]) -> Union[FieldExpr, OpExpr]:
     """Collapse to the scalar (commuting) case: base symbols become v, word
-    factors sort canonically, left and right multiplication merge."""
+    factors sort canonically, right multiplication becomes left, and
+    adjacent left multiplications merge (L_a L_b = L_ab)."""
     if isinstance(e, FieldExpr):
         reduced = ((FieldExpr.from_word(_reduce_word_commutative(w)), c) for w, c in e.terms.items())
         return FieldExpr.sum(reduced)
@@ -174,7 +175,15 @@ def reduce_commutative(e: Union[FieldExpr, OpExpr]) -> Union[FieldExpr, OpExpr]:
             return OpExpr.zero()  # commutators vanish in the scalar case
         raise ValueError("unknown operator atom %r" % (atom,))
 
-    return e.map_atoms(atom_value)
+    def merge_left(word) -> OpExpr:
+        atoms = []
+        for atom in word:
+            if atoms and isinstance(atom, OpLeft) and isinstance(atoms[-1], OpLeft):
+                atom = OpLeft(_reduce_word_commutative(atoms.pop().word + atom.word))
+            atoms.append(atom)
+        return OpExpr.from_atoms(*atoms)
+
+    return OpExpr.sum((merge_left(w), c) for w, c in e.map_atoms(atom_value).terms.items())
 
 
 # ---------------------------------------------------------------------------

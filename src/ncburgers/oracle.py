@@ -1,18 +1,20 @@
 """Independent validation by exact matrix instantiation.
 
 Symbols are assigned square-matrix-valued polynomials in x with exact
-rational entries; jets evaluate through one closed form for polynomial
-derivatives, once per distinct atom per call, and words to matrix products.
-The products run on integer matrices that share one positive denominator:
-a word's value is the product of its atoms' integer matrices over the
-product of their denominators, and a sum is kept over the lcm of its terms'
+rational entries.  One pass evaluates a field expression in a scene: each
+distinct atom goes once per call through one closed form for polynomial
+derivatives, and words become matrix products.  The pass carries dual
+numbers a + eps b as pairs (a, b), with (a, b)(c, d) = (ac, ad + bc), where
+b is nonzero only for the jets of the symbol a directional derivative is
+taken along; it returns the value and the eps part side by side.  The
+products run on integer matrices that share one positive denominator: a
+word's value is the product of its atoms' integer matrices over the product
+of their denominators, and a sum is kept over the lcm of its terms'
 denominators, so ``Fraction`` entries are built only for a returned value.
-Directional derivatives use dual numbers a + eps b as pairs (a, b), with
-(a, b)(c, d) = (ac, ad + bc).  A symbolic zero must then evaluate to the
-zero matrix in every scene, with no tolerance.  A separate floating-point
-check feeds an explicit matrix heat-equation solution through the Cole-Hopf
-map and measures the residual of the mirror Burgers equation on a grid;
-only it needs numpy.
+A symbolic zero must then evaluate to the zero matrix in every scene, with
+no tolerance.  A separate floating-point check feeds an explicit matrix
+heat-equation solution through the Cole-Hopf map and measures the residual
+of the mirror Burgers equation on a grid; only it needs numpy.
 """
 
 from __future__ import annotations
@@ -142,37 +144,66 @@ def make_scene(seed: int, dim: int = 3, degree: int = 2) -> MatrixScene:
     return MatrixScene(seed, dim, degree, assignment, points)
 
 
-def _atom_symbol(atom: Atom) -> str:
-    if isinstance(atom, (Jet, TestField)):
-        return atom[1]
-    raise ValueError("matrix evaluation is defined only for local expressions")
-
-
-def _eval_int(e: FieldExpr, scene: MatrixScene, x0: Fraction) -> Tuple[List[List[int]], int]:
-    """``eval_field`` as (integer matrix, denominator): each distinct atom
-    goes once through ``scene.jet_value``, a word is the product of its
-    atoms' integer matrices over the product of their denominators."""
-    values: Dict[Atom, Tuple[IntMatrix, int]] = {}
+def _eval_pass(
+    e: FieldExpr, scene: MatrixScene, x0: Fraction, base: str = "", direction: str = ""
+) -> Tuple[List[List[int]], int, List[List[int]], int]:
+    """The value of ``e`` and the epsilon part of ``e(base + epsilon*direction)``
+    as (integer matrix, denominator) each.  Every distinct atom goes once
+    through ``scene.jet_value`` to (a, b, denominator), b being None unless
+    the atom is a jet of ``base``; a word multiplies these dual pairs as
+    (a, b)(c, d) = (ac, ad + bc)."""
+    values: Dict[Atom, Tuple[IntMatrix, Optional[IntMatrix], int]] = {}
     d = scene.dim
-    acc = [[0] * d for _ in range(d)]
-    den = 1
+    acc, eps = [[0] * d for _ in range(d)], [[0] * d for _ in range(d)]
+    den = eps_den = 1
     for word, coeff in e.terms.items():
-        prod, prod_den = None, 1
+        p = q = None
+        prod_den = 1
         for atom in word:
             value = values.get(atom)
             if value is None:
-                value = values[atom] = scene.jet_value(_atom_symbol(atom), atom.order, x0)
-            prod = value[0] if prod is None else int_mul(prod, value[0])
-            prod_den *= value[1]
-        if prod is None:
-            prod = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        den = int_add_into(acc, den, prod, prod_den, coeff)
-    return acc, den
+                if not isinstance(atom, (Jet, TestField)):
+                    raise ValueError("matrix evaluation is defined only for local expressions")
+                a, a_den = scene.jet_value(atom[1], atom.order, x0)
+                if isinstance(atom, Jet) and atom[1] == base:
+                    b, b_den = scene.jet_value(direction, atom.order, x0)
+                    ab_den = lcm(a_den, b_den)
+                    value = (_int_scale(a, ab_den // a_den), _int_scale(b, ab_den // b_den), ab_den)
+                else:
+                    value = (a, None, a_den)
+                values[atom] = value
+            a, b, a_den = value
+            if p is None:
+                p, q = a, b
+            else:
+                q = None if q is None else int_mul(q, a)
+                if b is not None:
+                    pb = int_mul(p, b)
+                    q = pb if q is None else tuple(
+                        [tuple([x + y for x, y in zip(rq, rp)]) for rq, rp in zip(q, pb)]
+                    )
+                p = int_mul(p, a)
+            prod_den *= a_den
+        if p is None:
+            p = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        den = int_add_into(acc, den, p, prod_den, coeff)
+        if q is not None:
+            eps_den = int_add_into(eps, eps_den, q, prod_den, coeff)
+    return acc, den, eps, eps_den
 
 
 def eval_field(e: FieldExpr, scene: MatrixScene, x0: Fraction) -> Matrix:
     """Exact matrix value of an antiderivative-free field expression."""
-    return int_to_fractions(*_eval_int(e, scene, x0))
+    return int_to_fractions(*_eval_pass(e, scene, x0)[:2])
+
+
+def eval_frechet_dual(
+    K: FieldExpr, scene: MatrixScene, base: str, direction: str, x0: Fraction
+) -> Matrix:
+    """Exact directional derivative of K at the scene's base assignment
+    along the scene's direction assignment: the epsilon coefficient of
+    K(base + epsilon*dir), with epsilon^2 = 0."""
+    return int_to_fractions(*_eval_pass(K, scene, x0, base, direction)[2:])
 
 
 @dataclass
@@ -191,7 +222,7 @@ def check_equal(a: FieldExpr, b: FieldExpr, scenes: Sequence[MatrixScene]) -> Ze
     for scene in scenes:
         for x0 in scene.points:
             points += 1
-            (va, da), (vb, db) = _eval_int(a, scene, x0), _eval_int(b, scene, x0)
+            (va, da), (vb, db) = _eval_pass(a, scene, x0)[:2], _eval_pass(b, scene, x0)[:2]
             if any(x * db != y * da for ra, rb in zip(va, vb) for x, y in zip(ra, rb)):
                 return ZeroCheckReport(
                     False,
@@ -223,56 +254,6 @@ def default_scenes(count: int = 10, dim: int = 3, degree: int = 2) -> List[Matri
 
 
 # ---------------------------------------------------------------------------
-# dual-number (nilpotent) directional derivative
-
-
-def eval_frechet_dual(
-    K: FieldExpr, scene: MatrixScene, base: str, direction: str, x0: Fraction
-) -> Matrix:
-    """Exact directional derivative of K at the scene's base assignment
-    along the scene's direction assignment, via nilpotent dual numbers
-    (epsilon^2 = 0): the epsilon coefficient of K(base + epsilon*dir).  A
-    dual number a + epsilon b is a pair of integer matrices over one
-    denominator, multiplied as (a, b)(c, d) = (ac, ad + bc)."""
-    # atom -> (a, b or None where b is zero, denominator)
-    values: Dict[Atom, Tuple[IntMatrix, Optional[IntMatrix], int]] = {}
-    d = scene.dim
-    acc = [[0] * d for _ in range(d)]
-    den = 1
-    for word, coeff in K.terms.items():
-        factors = []
-        for atom in word:
-            value = values.get(atom)
-            if value is None:
-                name = _atom_symbol(atom)
-                a, a_den = scene.jet_value(name, atom.order, x0)
-                if isinstance(atom, Jet) and name == base:
-                    b, b_den = scene.jet_value(direction, atom.order, x0)
-                    ab_den = lcm(a_den, b_den)
-                    value = (_int_scale(a, ab_den // a_den), _int_scale(b, ab_den // b_den), ab_den)
-                else:
-                    value = (a, None, a_den)
-                values[atom] = value
-            factors.append(value)
-        if all(b is None for _, b, _ in factors):
-            continue  # no epsilon part
-        p, q, prod_den = factors[0]
-        last = len(factors) - 1
-        for i, (a, b, a_den) in enumerate(factors[1:], 1):
-            q = None if q is None else int_mul(q, a)
-            if b is not None:
-                pb = int_mul(p, b)
-                q = pb if q is None else tuple(
-                    [tuple([x + y for x, y in zip(rq, rp)]) for rq, rp in zip(q, pb)]
-                )
-            if i < last:  # the last a-part is not needed
-                p = int_mul(p, a)
-            prod_den *= a_den
-        den = int_add_into(acc, den, q, prod_den, coeff)
-    return int_to_fractions(acc, den)
-
-
-# ---------------------------------------------------------------------------
 # scene serialization (stable text format)
 
 
@@ -294,37 +275,43 @@ def scene_to_text(scene: MatrixScene) -> str:
 
 
 def scene_from_text(text: str) -> MatrixScene:
+    """Parse a ``scene_to_text`` document.  Every symbol of ``SCENE_SYMBOLS``
+    needs one dim x dim coefficient block for each power 0..degree; a
+    document that breaks this raises ``ValueError``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "ncburgers-scene v1":
         raise ValueError("not a scene document (missing 'ncburgers-scene v1' header)")
-    seed = dim = degree = None
+    header: Dict[str, int] = {}
     points: Tuple[Fraction, ...] = ()
     polys: Dict[str, Dict[int, List[Tuple[Fraction, ...]]]] = {}
-    current: Tuple[str, int] = ("", -1)
+    rows: Optional[List[Tuple[Fraction, ...]]] = None
     for ln in lines[1:]:
-        stripped = ln.strip()
-        head = stripped.split()
-        if head[0] == "seed":
-            seed = int(head[1])
-        elif head[0] == "dim":
-            dim = int(head[1])
-        elif head[0] == "degree":
-            degree = int(head[1])
+        head = ln.split()
+        if head[0] in ("seed", "dim", "degree") and len(head) == 2:
+            header[head[0]] = int(head[1])
         elif head[0] == "points":
             points = tuple(Fraction(tok) for tok in head[1:])
-        elif head[0] == "poly":
-            current = (head[1], int(head[2]))
-            polys.setdefault(current[0], {})[current[1]] = []
+        elif head[0] == "poly" and len(head) == 3:
+            rows = polys.setdefault(head[1], {})[int(head[2])] = []
+        elif rows is None:
+            raise ValueError("matrix row %r before any 'poly' line" % ln.strip())
         else:
-            polys[current[0]][current[1]].append(tuple(Fraction(tok) for tok in head))
-    if seed is None or dim is None or degree is None:
+            rows.append(tuple(Fraction(tok) for tok in head))
+    if len(header) < 3:
         raise ValueError("scene document missing seed/dim/degree")
+    dim, degree = header["dim"], header["degree"]
+    for name in SCENE_SYMBOLS:
+        if name not in polys:
+            raise ValueError("scene document has no 'poly %s' block" % name)
     assignment = {}
     for name, by_power in polys.items():
-        assignment[name] = tuple(
-            tuple(by_power[k]) for k in range(max(by_power) + 1)
-        )
-    return MatrixScene(seed, dim, degree, assignment, points)
+        if sorted(by_power) != list(range(degree + 1)):
+            raise ValueError("poly %s must have the powers 0..%d" % (name, degree))
+        for k, block in by_power.items():
+            if len(block) != dim or any(len(row) != dim for row in block):
+                raise ValueError("poly %s %d is not a %dx%d matrix" % (name, k, dim, dim))
+        assignment[name] = tuple(tuple(by_power[k]) for k in range(degree + 1))
+    return MatrixScene(header["seed"], dim, degree, assignment, points)
 
 
 # ---------------------------------------------------------------------------

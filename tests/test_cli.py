@@ -147,6 +147,62 @@ def test_reduce_commutative_field(capsys):
     assert out.strip() == "v_xx + 2 v v_x"
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("s_x s - s s_x", "0"),
+    ("L[s_x] L[s] - L[s] L[s_x]", "0"),
+    ("D(r s)", "2 v v_x"),
+])
+def test_reduce_commutative_scalars_commute(capsys, text, expected):
+    # a field text is reduced as a field, not as left multiplications
+    code, out, _ = run_cli(capsys, "reduce", "--commutative", "--expr", text)
+    assert code == 0
+    assert out == expected + "\n"
+
+
+@pytest.mark.parametrize("text, diagnostic", [
+    ("L[r] + q", "line 1, column 8: expected an operator factor "),
+    ("D + ]", "line 1, column 5: expected an operator factor "),
+    ("q +", "line 1, column 1: unknown symbol 'q' (expected r, s, u, v, V, W, sigma, uinv)\n"),
+    ("r + 3/0 s", "line 1, column 5: zero denominator in '3/0'\n"),
+])
+def test_reduce_reports_the_grammar_that_got_further(capsys, text, diagnostic):
+    code, out, err = run_cli(capsys, "reduce", "--commutative", "--expr", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: " + diagnostic)
+
+
+def _drop(lines, head, start, count):
+    """``lines`` without ``count`` lines from ``start`` lines after ``head``."""
+    i = lines.index(head) + start
+    return lines[:i] + lines[i + count:]
+
+
+# edits of a valid dim 2, degree 1 scene document
+MALFORMED_SCENES = {
+    "rows-of-three": lambda lines: [ln + " 1" if ln.startswith("  ") else ln for ln in lines],
+    "row-before-poly": lambda lines: lines[:5] + ["  1 2", "  3 4"] + lines[5:],
+    "no-poly-V": lambda lines: _drop(lines, "poly V 0", 0, 6),
+    "one-row-block": lambda lines: _drop(lines, "poly r 0", 2, 1),
+    "missing-power": lambda lines: _drop(lines, "poly r 0", 0, 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_SCENES))
+def test_eval_rejects_a_malformed_scene(tmp_path, capsys, kind):
+    from ncburgers.oracle import make_scene, scene_to_text
+
+    lines = scene_to_text(make_scene(1, 2, 1)).splitlines()
+    scene_file = tmp_path / "scene.txt"
+    scene_file.write_text("\n".join(MALFORMED_SCENES[kind](lines)) + "\n")
+    code, out, err = run_cli(
+        capsys, "eval", "--scene", str(scene_file), "--expr", "V r r", "--at", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_scene_and_eval(tmp_path, capsys):
     scene_file = tmp_path / "scene.txt"
     code, _, _ = run_cli(

@@ -120,6 +120,15 @@ def test_commutative_second_member_is_scalar_burgers():
     assert collapsed == parse_field("v_xx + 2 v v_x")
 
 
+def test_reduce_commutative_merges_adjacent_multiplications():
+    # L_a L_b = L_ab for commuting a, b; R becomes L first, and D splits a run
+    assert reduce_commutative(parse_op("L[s_x] L[s] - L[s] L[s_x]")).is_zero()
+    assert reduce_commutative(parse_op("L[s] R[r_x] + 2 r C[s] L[r]")) == parse_op("L[v v_x]")
+    merged = reduce_commutative(parse_op("L[s_x] D L[s] L[r]"))
+    assert merged == parse_op("L[v_x] D L[v v]")
+    assert print_op(merged) == "v_x D (v v)"
+
+
 def test_reduce_commutative_zero():
     assert reduce_commutative(FieldExpr.zero()).is_zero()
 

@@ -189,6 +189,22 @@ def test_integer_kernel_against_fraction_reference():
                 assert eval_field(e, scene, x0) == _reference_field(e, scene, x0)
                 assert eval_frechet_dual(e, scene, "r", "V", x0) == \
                     _reference_frechet(e, scene, "r", "V", x0)
+    # dual edge cases: a base jet last in its word, a word without a base
+    # jet, the empty word, and a lone base jet
+    edges = [
+        tfield("V") * jet("s", 1) * jet("r", 2),
+        (jet("s") * tfield("W", 1)).scale(Fraction(3, 7)) - tfield("V"),
+        FieldExpr({(): Fraction(5, 2)}),
+        jet("r", 1) + FieldExpr({(): -1}) + jet("s") * jet("r"),
+    ]
+    for scene in REFERENCE_SCENES:
+        for e in edges + [sum(edges, FieldExpr.zero())]:
+            for x0 in scene.points:
+                assert eval_field(e, scene, x0) == _reference_field(e, scene, x0)
+                assert eval_frechet_dual(e, scene, "r", "V", x0) == \
+                    _reference_frechet(e, scene, "r", "V", x0)
+    assert not mat_is_zero(_reference_frechet(edges[0], scene, "r", "V", scene.points[0]))
+    assert mat_is_zero(eval_frechet_dual(edges[1] + edges[2], scene, "r", "V", scene.points[0]))
 
 
 def test_check_equal_sees_a_tiny_difference():
