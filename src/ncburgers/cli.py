@@ -40,6 +40,7 @@ from .oracle import (
     default_scenes,
     eval_field,
     make_scene,
+    rational_from_text,
     scene_from_text,
     scene_to_text,
 )
@@ -231,7 +232,7 @@ def _cmd_eval(args) -> int:
     with open(args.scene, "r", encoding="utf-8") as fh:
         scene = scene_from_text(fh.read())
     expr = parse_field(args.expr)
-    value = eval_field(expr, scene, Fraction(args.at))
+    value = eval_field(expr, scene, rational_from_text(args.at))
     for row in value:
         print(" ".join(str(x) for x in row))
     return EXIT_OK

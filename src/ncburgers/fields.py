@@ -430,10 +430,12 @@ class Context:
     a context is its own mirror image.  ``integral_depth`` bounds the
     nesting of antiderivative atoms a single reduction is allowed to
     create; exceeding it raises :class:`NestingLimitExceeded` so a
-    verification can report itself as inconclusive instead of looping.  So
-    do the fixed budgets: ``reduce_rounds`` steps and ``split_rejects``
-    rejected words (each one an antiderivative atom of the result) in one
-    greedy split, and ``reduce_passes`` passes of ``deep_reduce``.
+    verification can report itself as inconclusive instead of looping; a
+    negative depth raises ``ValueError``.  So do the fixed budgets:
+    ``split_rejects`` words in the running rejected part of one greedy split
+    (each one an antiderivative atom of the result), ``reduce_rounds``
+    rewrites in one ``operators.normal_op``, and ``reduce_passes`` passes of
+    ``deep_reduce``.
     """
 
     field: FieldExpr
@@ -441,6 +443,10 @@ class Context:
     reduce_rounds: ClassVar[int] = 200000
     split_rejects: ClassVar[int] = 4096
     reduce_passes: ClassVar[int] = 80
+
+    def __post_init__(self):
+        if self.integral_depth < 0:
+            raise ValueError("integral_depth must not be negative, not %d" % self.integral_depth)
 
     @cached_property
     def tag_fields(self) -> Mapping[DerivationTag, FieldExpr]:

@@ -22,6 +22,7 @@ from .fields import (
     FieldExpr,
     LinearCombination,
     MIRROR_TAG,
+    NestingLimitExceeded,
     Rat,
     TestField,
     Word,
@@ -258,11 +259,13 @@ def normal_op(P: OpExpr, ctx: Context = DEFAULT_CONTEXT) -> OpExpr:
     """
     pending = [(tuple(w), c) for w, c in P.terms.items()]
     done: dict = {}
-    guard = 0
+    budget = ctx.reduce_rounds
     while pending:
-        guard += 1
-        if guard > 200000:
-            raise RuntimeError("operator normalization did not terminate")
+        budget -= 1
+        if budget < 0:
+            raise NestingLimitExceeded(
+                "operator normalization exceeded reduce_rounds = %d rewrites" % ctx.reduce_rounds
+            )
         word, coeff = pending.pop()
         if coeff == 0:
             continue

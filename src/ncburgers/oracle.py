@@ -274,10 +274,19 @@ def scene_to_text(scene: MatrixScene) -> str:
     return "\n".join(lines) + "\n"
 
 
+def rational_from_text(text: str) -> Fraction:
+    """The rational number written ``text``, such as ``-3/4``; a zero
+    denominator raises ``ValueError`` like any other malformed number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
 def scene_from_text(text: str) -> MatrixScene:
     """Parse a ``scene_to_text`` document.  Every symbol of ``SCENE_SYMBOLS``
-    needs one dim x dim coefficient block for each power 0..degree; a
-    document that breaks this raises ``ValueError``."""
+    needs one dim x dim coefficient block, dim >= 1, for each power
+    0..degree; a document that breaks this raises ``ValueError``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "ncburgers-scene v1":
         raise ValueError("not a scene document (missing 'ncburgers-scene v1' header)")
@@ -290,16 +299,18 @@ def scene_from_text(text: str) -> MatrixScene:
         if head[0] in ("seed", "dim", "degree") and len(head) == 2:
             header[head[0]] = int(head[1])
         elif head[0] == "points":
-            points = tuple(Fraction(tok) for tok in head[1:])
+            points = tuple(map(rational_from_text, head[1:]))
         elif head[0] == "poly" and len(head) == 3:
             rows = polys.setdefault(head[1], {})[int(head[2])] = []
         elif rows is None:
             raise ValueError("matrix row %r before any 'poly' line" % ln.strip())
         else:
-            rows.append(tuple(Fraction(tok) for tok in head))
+            rows.append(tuple(map(rational_from_text, head)))
     if len(header) < 3:
         raise ValueError("scene document missing seed/dim/degree")
     dim, degree = header["dim"], header["degree"]
+    if dim < 1:
+        raise ValueError("scene dimension must be at least 1, not %d" % dim)
     for name in SCENE_SYMBOLS:
         if name not in polys:
             raise ValueError("scene document has no 'poly %s' block" % name)

@@ -14,18 +14,20 @@ plain D of the free algebra (``fields._d_atom`` under the Leibniz rule):
 with no commutator corrections.  So ``derinv(tag)`` is the plain inverse
 conjugated by the x <-> eta change of coordinates: one map for both
 directions, memoized per atom and per word prefix.  Applying it reduces to
-integrating a free-algebra polynomial with respect to D, done greedily:
-repeatedly take the largest remaining word under a fixed term order
-(outermost jets first), construct the one preimage candidate (lower the
-outermost positive jet, or wrap the innermost factor in a fresh
-antiderivative), and accept it only if the leading word of its derivative is
-exactly the word being eliminated.  Rejected words freeze into
-antiderivative atoms; an exact derivative therefore unwraps completely while
-anything else splits into an integrated part plus irreducible atoms,
-deterministically.  A step reads its word alone, so it is memoized per word.
-A split that rejects more than ``Context.split_rejects`` words raises
-:class:`NestingLimitExceeded`, so an input whose inverse would blow up into
-thousands of atoms makes a verification inconclusive within seconds.  The
+integrating a free-algebra polynomial with respect to D.  The split
+f = E(g) + h is linear, so it is the sum of the splits of f's words, and
+each word's split is memoized.  A word's split is greedy: construct the one
+preimage candidate u (lower the outermost positive jet, or wrap the
+innermost factor in a fresh antiderivative), accept it only if the leading
+word of E(u) under a fixed term order (outermost jets first) is exactly the
+word being eliminated, and split the rest of E(u), whose words all come
+later in that order.  Rejected words freeze into antiderivative atoms; an
+exact derivative therefore unwraps completely while anything else splits
+into an integrated part plus irreducible atoms, deterministically.  A split
+whose running rejected part holds more than ``Context.split_rejects`` words
+raises :class:`NestingLimitExceeded`, so an input whose inverse would blow
+up into thousands of atoms makes a verification inconclusive within
+seconds; so does a split that recurses past Python's recursion limit.  The
 splitter reads words from the left, in the mirror convention, for the mirror
 and plain tags; the direct inverse is the mirror image
 (``fields.mirror_image``) of the mirror inverse of the mirror image.
@@ -39,12 +41,11 @@ own tagged derivative (innermost trailing factors first), which lines up the
 integration-by-parts presentations of one value.  This is the engine's
 bounded integration-by-parts strategy; it raises
 :class:`NestingLimitExceeded` instead of looping when the nesting depth or
-round budget is exhausted.
+pass budget is exhausted.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -65,6 +66,7 @@ from .fields import (
     Word,
     _TAG_SIGN,
     _d_atom,
+    _rat,
     add_into,
     commutator,
     der,
@@ -110,33 +112,18 @@ def _mass(w: Word) -> int:
     return sum(1 + max(map(_mass, a.body.terms), default=0) for a in w if type(a) is Integral)
 
 
-@lru_cache(maxsize=None)
+# Bounded, because only a word's first split ranks the words of its step's
+# image.  Over one pass of the proofs benchmark 1,024 entries hit 79% of
+# 31,896 reads, and over one of the properties benchmark 69% of 25,682.
+@lru_cache(maxsize=1024)
 def _greedy_key(w: Word):
     """Processing order: highest jets first, fewest antiderivatives next."""
     return (tuple(map(_rank, w)), -_mass(w), word_key(w))
 
 
-class _ByKeyDesc:
-    """Heap entry ordered by descending greedy key."""
-
-    __slots__ = ("key", "word")
-
-    def __init__(self, key, word):
-        self.key = key
-        self.word = word
-
-    def __lt__(self, other):
-        return self.key > other.key
-
-
-# The step reads the word alone, not its coefficient or the context.  One pass
-# of the proofs benchmark makes 59,875 steps over 1,782 distinct words; the
-# properties benchmark makes 8,856 over 4,511 and hits 45% of them at 2,048
-# entries (49% at 4,096).  So 2,048 entries cover proofs with room to spare.
-@lru_cache(maxsize=2048)
 def _step(w: Word) -> Optional[Tuple[Word, dict]]:
     """The greedy step for w: its preimage candidate u and the terms of E(u),
-    or None when w is rejected.  The returned dict is shared: read it only."""
+    or None when w is rejected."""
     if not w:
         return None
     # the leading word of E(u) raises u's leftmost raisable factor, so the
@@ -152,43 +139,54 @@ def _step(w: Word) -> Optional[Tuple[Word, dict]]:
     return (u, image) if image and max(image, key=_greedy_key) == w else None
 
 
-def _greedy_split(f: EtaExpr, ctx: Context) -> Tuple[dict, dict]:
-    """Split f = E(g) + h with h made of words the greedy scheme rejects."""
-    work = dict(f.terms)
-    heap = [_ByKeyDesc(_greedy_key(w), w) for w in work]
-    heapq.heapify(heap)
-    g: dict = {}
-    h: dict = {}
-    budget = ctx.reduce_rounds
-    while heap:
-        w = heapq.heappop(heap).word
-        c = work.get(w)
-        if c is None:
-            continue  # stale entry
-        budget -= 1
-        if budget < 0:
-            raise NestingLimitExceeded("antiderivative splitting exceeded round budget")
-        step = _step(w)
-        if step is None:
-            add_into(h, w, c)
-            del work[w]
-            if len(h) > ctx.split_rejects:
-                raise NestingLimitExceeded(
-                    "antiderivative splitting rejected more than split_rejects = %d words"
-                    % ctx.split_rejects
-                )
-            continue
-        u, image = step
-        d = image[w]
-        # exact: never a float, an int whenever the quotient is whole
-        ratio = c // d if type(c) is int and c % d == 0 else Fraction(c) / d
-        add_into(g, u, ratio)
-        for iw, ic in image.items():
-            was_present = iw in work
-            add_into(work, iw, -ratio * ic)
-            if iw in work and not was_present:
-                heapq.heappush(heap, _ByKeyDesc(_greedy_key(iw), iw))
+def _quotient(c, d):
+    """c / d exactly: never a float, an int whenever the quotient is whole."""
+    return c // d if type(c) is int and c % d == 0 else _rat(Fraction(c) / d)
+
+
+def _add_splits(pairs, g: dict, h: dict) -> Tuple[dict, dict]:
+    """Add c * split(w) to g and h for each (w, c) in pairs, bounding the
+    running rejected part h by ``Context.split_rejects`` words."""
+    for w, c in pairs:
+        w_g, w_h = _split_word(w)
+        for x, k in w_g:
+            add_into(g, x, c * k)
+        for x, k in w_h:
+            add_into(h, x, c * k)
+        if len(h) > Context.split_rejects:
+            raise NestingLimitExceeded(
+                "antiderivative splitting rejected more than split_rejects = %d words"
+                % Context.split_rejects
+            )
     return g, h
+
+
+# A word's split reads the word alone, not its coefficient or the context.
+# Over one pass of the proofs benchmark 1,024 entries hit 81% of 34,242
+# calls (90% at 4,096, for 3.5 MB more peak memory and no clear wall-time
+# gain), and over one of the properties benchmark 52% of 10,661.
+@lru_cache(maxsize=1024)
+def _split_word(w: Word) -> Tuple[tuple, tuple]:
+    """split(w) = (g, h): w = E(g) + h with h made of rejected words, as
+    shared tuples of (word, coefficient) pairs.  E(u) is d w plus words after
+    w in greedy order, so the recursion on those words terminates."""
+    step = _step(w)
+    if step is None:
+        return (), ((w, 1),)
+    u, image = step
+    d = image[w]
+    rest = ((iw, _quotient(-ic, d)) for iw, ic in image.items() if iw != w)
+    g, h = _add_splits(rest, {u: _quotient(1, d)}, {})
+    return tuple(g.items()), tuple(h.items())
+
+
+def _greedy_split(f: EtaExpr) -> Tuple[dict, dict]:
+    """Split f = E(g) + h with h made of words the greedy scheme rejects: the
+    sum of c * split(w) over the terms c w of f."""
+    try:
+        return _add_splits(f.terms.items(), {}, {})
+    except RecursionError:
+        raise NestingLimitExceeded("antiderivative splitting exceeded the recursion limit") from None
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +279,7 @@ def _derinv(tag: DerivationTag, f: FieldExpr, ctx: Context) -> FieldExpr:
                 eta_terms.append((_word_image(tag, EtaExpr, w), c))
             except _ForeignAtom:
                 foreign[w] = c
-        g, h = _greedy_split(EtaExpr.sum(eta_terms), ctx)
+        g, h = _greedy_split(EtaExpr.sum(eta_terms))
         # the change of coordinates keeps the nesting of every antiderivative,
         # so the eta words give that of each one this call creates
         nesting = max(
@@ -337,7 +335,7 @@ def deep_reduce(f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
     rewritten as the antiderivative of its own tagged derivative, innermost
     trailing products first.  Each rewrite preserves the value of the word,
     so the result equals the input as an abstract field; iterated to a fixed
-    point within the context's round budget.
+    point within the context's pass budget.
     """
     cache: dict = {}
     cur = f

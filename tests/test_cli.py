@@ -185,6 +185,15 @@ MALFORMED_SCENES = {
     "no-poly-V": lambda lines: _drop(lines, "poly V 0", 0, 6),
     "one-row-block": lambda lines: _drop(lines, "poly r 0", 2, 1),
     "missing-power": lambda lines: _drop(lines, "poly r 0", 0, 3),
+    "points-zero-denominator": lambda lines: [
+        "points 1/0" if ln.startswith("points ") else ln for ln in lines
+    ],
+    "entry-zero-denominator": lambda lines: [
+        "  1/0 1" if i == lines.index("poly r 0") + 1 else ln for i, ln in enumerate(lines)
+    ],
+    "dim-0": lambda lines: [
+        "dim 0" if ln == "dim 2" else ln for ln in lines if not ln.startswith("  ")
+    ],
 }
 
 
@@ -201,6 +210,15 @@ def test_eval_rejects_a_malformed_scene(tmp_path, capsys, kind):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_eval_rejects_a_zero_denominator_point(tmp_path, capsys):
+    scene_file = tmp_path / "scene.txt"
+    run_cli(capsys, "scene", "--seed", "1", "--dim", "2", "--degree", "1", "--out", str(scene_file))
+    code, out, err = run_cli(capsys, "eval", "--scene", str(scene_file), "--expr", "V r", "--at", "1/0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "zero denominator" in err
 
 
 def test_scene_and_eval(tmp_path, capsys):
@@ -265,6 +283,16 @@ def test_ibp_depth_env_rejects_non_integer(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "hereditary", "--family", "mirror")
     assert code == 2
     assert "NCBURGERS_IBP_DEPTH" in err
+
+
+def test_negative_ibp_depth_is_a_usage_error(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "verify", "hereditary", "--family", "mirror", "--ibp-depth", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    monkeypatch.setenv("NCBURGERS_IBP_DEPTH", "-2")
+    code, out, err = run_cli(capsys, "verify", "strong-symmetry", "--family", "direct", "--member", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_inconclusive_exit_three(capsys):

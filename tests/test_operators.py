@@ -3,7 +3,17 @@ import random
 
 import pytest
 
-from ncburgers.fields import DerivationTag, FieldExpr, commutator, d_total, der, jet
+from ncburgers.fields import (
+    Context,
+    DerivationTag,
+    FieldExpr,
+    NestingLimitExceeded,
+    commutator,
+    d_total,
+    der,
+    jet,
+)
+from ncburgers.hierarchy import EquationFamily, recursion_operator
 from ncburgers.operators import (
     OpExpr,
     apply_op,
@@ -90,6 +100,14 @@ def test_normal_op_expands_and_merges():
 def test_normal_op_cancels_derivation_against_inverse():
     assert normal_op(op_der(M) * op_derinv(M)) == OpExpr.identity()
     assert normal_op(op_derinv(M) * op_der(M)) == OpExpr.identity()
+
+
+def test_normal_op_stops_at_the_round_budget(monkeypatch):
+    phi_cubed = recursion_operator(EquationFamily.MIRROR, "expanded") ** 3
+    assert normal_op(phi_cubed).terms
+    monkeypatch.setattr(Context, "reduce_rounds", 20)
+    with pytest.raises(NestingLimitExceeded, match="reduce_rounds = 20"):
+        normal_op(phi_cubed)
 
 
 def test_op_power_and_identity():

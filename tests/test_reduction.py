@@ -322,25 +322,48 @@ def test_split_reject_bound_stops_a_blow_up():
     assert any(bound in line for line in report.log), report.log
 
 
-def test_step_memo_changes_no_split(monkeypatch):
+def test_split_memo_changes_no_split(monkeypatch):
     # the eta inputs of every split derinv makes on random nonlocal fields
     rng = random.Random(47)
     inputs, split = [], reduction._greedy_split
     with monkeypatch.context() as m:
-        m.setattr(reduction, "_greedy_split", lambda f, ctx: inputs.append(f) or split(f, ctx))
+        m.setattr(reduction, "_greedy_split", lambda f: inputs.append(f) or split(f))
         for _ in range(20):
             for tag in (M, DIR, P):
                 derinv(tag, random_nonlocal_field(rng, symbols=("r", "s"), tests=("V",)))
     assert len(inputs) >= 50
-
-    def splits():
-        # g and h with their insertion order
-        return [[list(part.items()) for part in split(f, DEFAULT_CONTEXT)] for f in inputs]
+    for f in inputs:
+        g, h = split(f)
+        # f = E(g) + h, and the greedy step rejects every word of h
+        E_g = reduction.EtaExpr._raw(g).leibniz(fields._d_atom)
+        assert E_g + reduction.EtaExpr._raw(h) == f
+        assert all(reduction._step(w) is None for w in h)
 
     with monkeypatch.context() as m:
-        m.setattr(reduction, "_step", reduction._step.__wrapped__)
-        expected = splits()
-    reduction._step.cache_clear()
-    assert splits() == expected  # cold cache
-    assert reduction._step.cache_info().hits > 0
-    assert splits() == expected  # warm cache
+        m.setattr(reduction, "_split_word", reduction._split_word.__wrapped__)
+        expected = [split(f) for f in inputs]
+    reduction._split_word.cache_clear()
+    assert [split(f) for f in inputs] == expected  # cold cache
+    assert reduction._split_word.cache_info().hits > 0
+    assert [split(f) for f in inputs] == expected  # warm cache
+
+
+def test_an_endless_split_is_inconclusive(monkeypatch):
+    # a fake step whose image always holds one more word, further down the
+    # greedy order
+    def endless(w):
+        (a,) = w
+        return w, {w: 1, (Jet(a[1], a[2] - 1),): 1}
+
+    monkeypatch.setattr(reduction, "_step", endless)
+    reduction._split_word.cache_clear()
+    try:
+        with pytest.raises(NestingLimitExceeded, match="recursion limit"):
+            derinv(P, r)
+    finally:
+        reduction._split_word.cache_clear()
+
+
+def test_negative_nesting_depth_is_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        Context(r, integral_depth=-1)
