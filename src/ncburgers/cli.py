@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -239,6 +240,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.dim < 1:
+        raise ValueError("--dim must be at least 1, not %d" % args.dim)
+    if not 0 < args.tol < math.inf:
+        raise ValueError("--tol must be a finite positive number, not %r" % args.tol)
     import numpy as np
 
     d = args.dim

@@ -2,8 +2,13 @@
 inverses, and multiplication operators, with rational coefficients.
 
 An operator word acts on field expressions from the right end inward, so
-``(D, L(r))`` means "multiply by r on the left, then differentiate".  The
-canonical form expands commutator and tagged-derivation atoms over the
+``(D, L(r))`` means "multiply by r on the left, then differentiate".
+``apply_op`` applies each leftmost atom once, to the sum of the tails of the
+words that share it.  That is exact because every atom is linear, except
+``derinv`` under the Cole-Hopf substitution: it keeps its whole input as one
+antiderivative body, so there it is applied to each word's tail on its own.
+
+The canonical form expands commutator and tagged-derivation atoms over the
 D / DerInv / LeftMul / RightMul alphabet, merges adjacent multiplications,
 and pushes D to the right past multiplication operators; equality of
 operators is decided by probing with a fresh test field (``op_probe_equal``),
@@ -34,7 +39,7 @@ from .fields import (
     mirror_word,
     word_key,
 )
-from .reduction import deep_reduce, derinv
+from .reduction import _standard_field, deep_reduce, derinv
 
 
 @dataclass(frozen=True)
@@ -184,15 +189,34 @@ def _apply_atom(atom: OpAtom, f: FieldExpr, ctx: Context) -> FieldExpr:
 
 
 def apply_op(P: OpExpr, f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
-    """Structural action of an operator expression on a field expression."""
+    """Structural action of an operator expression on a field expression.
 
-    def act(word: OpWord) -> FieldExpr:
-        cur = f
-        for atom in reversed(word):
-            cur = _apply_atom(atom, cur, ctx)
-        return cur
+    The words are walked as a prefix trie: those sharing a leftmost atom,
+    which acts last, are grouped, and the atom is applied once to the sum
+    of the group's tails applied to f.  This is exact because D, the tagged
+    derivations, the multiplications and ``derinv`` in a standard context
+    are linear.  Where the context's commutator field is not the base jet
+    (the Cole-Hopf substitution) ``derinv`` keeps its whole input as one
+    antiderivative body, so there each inverse is applied per word.
+    """
+    return _apply_terms(P.terms.items(), f, ctx)
 
-    return FieldExpr.sum((act(word), coeff) for word, coeff in P.terms.items())
+
+def _apply_terms(terms, f: FieldExpr, ctx: Context) -> FieldExpr:
+    """The sum of c * w(f) over the (w, c) pairs, each leftmost atom applied
+    once to the sum of its words' tails."""
+    parts, groups = [], {}
+    for word, c in terms:
+        if word:
+            groups.setdefault(word[0], []).append((word[1:], c))
+        else:
+            parts.append((f, c))
+    for atom, tails in groups.items():
+        if isinstance(atom, OpDerInv) and not _standard_field(atom.tag, ctx):
+            parts.extend((_apply_atom(atom, _apply_terms(((t, 1),), f, ctx), ctx), c) for t, c in tails)
+        else:
+            parts.append((_apply_atom(atom, _apply_terms(tails, f, ctx), ctx), 1))
+    return FieldExpr.sum(parts)
 
 
 # -- canonical form ----------------------------------------------------------

@@ -113,8 +113,8 @@ def _mass(w: Word) -> int:
 
 
 # Bounded, because only a word's first split ranks the words of its step's
-# image.  Over one pass of the proofs benchmark 1,024 entries hit 79% of
-# 31,896 reads, and over one of the properties benchmark 69% of 25,682.
+# image.  Over one pass of the proofs benchmark 1,024 entries hit 80% of
+# 25,998 reads, and over one of the properties benchmark 69% of 25,682.
 @lru_cache(maxsize=1024)
 def _greedy_key(w: Word):
     """Processing order: highest jets first, fewest antiderivatives next."""
@@ -162,9 +162,9 @@ def _add_splits(pairs, g: dict, h: dict) -> Tuple[dict, dict]:
 
 
 # A word's split reads the word alone, not its coefficient or the context.
-# Over one pass of the proofs benchmark 1,024 entries hit 81% of 34,242
-# calls (90% at 4,096, for 3.5 MB more peak memory and no clear wall-time
-# gain), and over one of the properties benchmark 52% of 10,661.
+# Over one pass of the proofs benchmark 1,024 entries hit 68% of 16,243
+# calls, missing 5,208 times (2,337 at 4,096 entries, for 1.0 MB more peak
+# memory), and over one of the properties benchmark 52% of 10,661.
 @lru_cache(maxsize=1024)
 def _split_word(w: Word) -> Tuple[tuple, tuple]:
     """split(w) = (g, h): w = E(g) + h with h made of rejected words, as
@@ -229,9 +229,10 @@ def _atom_image(tag: DerivationTag, cls: type, atom: Atom) -> LinearCombination:
 # Bounded because an unbounded memo keeps every word of every field reduced
 # in the process: 10,167 words and 6.5 MB more peak memory over the 1,000
 # small fields of the properties benchmark.  Over one proofs pass 1024
-# entries miss 13,542 times and 2048 miss 10,810; in ten paired runs 2048
-# gave no reliable wall-time gain (proofs 1.74 -> 1.70 s, better in 7 of
-# 10, properties 1.84 -> 1.79 s, 6 of 10) for 0.9 MB and 0.5 MB more memory.
+# entries miss 11,765 times and 2048 miss 8,370; in ten paired runs before
+# operators.apply_op merged its words' tails, 2048 gave no reliable
+# wall-time gain (proofs 1.74 -> 1.70 s, better in 7 of 10, properties
+# 1.84 -> 1.79 s, 6 of 10) for 0.9 MB and 0.5 MB more memory.
 @lru_cache(maxsize=1024)
 def _word_image(tag: DerivationTag, cls: type, w: Word) -> LinearCombination:
     """A word's image: the image of ``w[:-1]`` times that of its last atom,

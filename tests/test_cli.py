@@ -252,6 +252,17 @@ def test_oracle_cole_hopf_empty_grid_is_usage_error(capsys):
     assert "nonempty grid" in err
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-0.5"), ("--dim", "0"), ("--dim", "-1")],
+)
+def test_oracle_cole_hopf_rejects_bad_numbers(capsys, flag, value):
+    code, out, err = run_cli(capsys, "oracle", "cole-hopf", "--grid", "3", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: %s must be" % flag)
+
+
 def test_usage_error_exit_two(capsys):
     code, _, err = run_cli(capsys, "hierarchy", "--family", "mirror")
     assert code == 2

@@ -5,17 +5,26 @@ import pytest
 
 from ncburgers.fields import (
     Context,
+    DEFAULT_CONTEXT,
     DerivationTag,
     FieldExpr,
     NestingLimitExceeded,
+    cole_hopf_context,
     commutator,
     d_total,
+    default_context,
     der,
     jet,
 )
-from ncburgers.hierarchy import EquationFamily, recursion_operator
+from ncburgers.hierarchy import (
+    EquationFamily,
+    cole_hopf_identities,
+    hierarchy_member,
+    recursion_operator,
+)
 from ncburgers.operators import (
     OpExpr,
+    _apply_atom,
     apply_op,
     normal_op,
     op_comm,
@@ -27,6 +36,8 @@ from ncburgers.operators import (
     op_right,
 )
 from ncburgers.reduction import derinv
+from ncburgers.variational import frechet_op, member_operator
+from ncburgers.verify import _subst_direction_op
 
 from conftest import random_field
 
@@ -40,6 +51,60 @@ def test_apply_expanded_recursion_operator():
     out = apply_op(phi, sigma)
     expected = tfield("sigma", 1) + sigma * r + rx * derinv(M, sigma)
     assert out == expected
+
+
+def _apply_per_word(P, f, ctx):
+    """Reference action: each word's atoms applied right to left, one word
+    at a time, and the results summed."""
+
+    def act(word):
+        cur = f
+        for atom in reversed(word):
+            cur = _apply_atom(atom, cur, ctx)
+        return cur
+
+    return FieldExpr.sum((act(word), c) for word, c in P.terms.items())
+
+
+def _reference_operators():
+    """Strong-symmetry defect operators (n = 2..4), products of the recursion
+    operator, its Frechet derivative and member operators, and the Cole-Hopf
+    identities' lhs - rhs, of both families."""
+    out = []
+    for family in (EquationFamily.MIRROR, EquationFamily.DIRECT):
+        phi = recursion_operator(family, "expanded")
+        dphi = frechet_op(phi, "V", family.base)
+        for n in (2, 3, 4):
+            member = hierarchy_member(family, n).rhs
+            k_op = member_operator(member, family.base)
+            dphi_at_member = _subst_direction_op(dphi, "V", member, DEFAULT_CONTEXT)
+            out.append(dphi_at_member - (k_op * phi - phi * k_op))
+        k_op = member_operator(hierarchy_member(family, 2).rhs, family.base)
+        out += [
+            phi ** 2 - phi.scale(2) + (phi ** 0).scale(3),
+            phi * dphi - dphi * phi,
+            k_op * phi ** 2 - recursion_operator(family, "factored") * dphi,
+        ]
+        out += [lhs - rhs for _, lhs, rhs, _ in cole_hopf_identities(family)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [DEFAULT_CONTEXT, default_context(1), cole_hopf_context()],
+    ids=["default", "depth-1", "cole-hopf"],
+)
+def test_apply_op_matches_the_per_word_reference(ctx):
+    # grouping words by their leftmost atom must change no value, and no
+    # outcome of the nesting bound
+    for P in _reference_operators():
+        outcomes = []
+        for apply in (apply_op, _apply_per_word):
+            try:
+                outcomes.append(apply(P, sigma, ctx))
+            except NestingLimitExceeded:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1]
 
 
 def test_apply_commutator_on_base_is_zero():

@@ -4,7 +4,7 @@ import pytest
 
 from ncburgers.fields import test as tfield
 
-from ncburgers.fields import DerivationTag, FieldExpr, Integral, der, jet
+from ncburgers.fields import DerivationTag, FieldExpr, Integral, default_context, der, jet
 from ncburgers.hierarchy import EquationFamily, hierarchy_member, recursion_operator
 from ncburgers.operators import (
     OpExpr,
@@ -180,6 +180,23 @@ def test_hereditary_defect(family):
     report = hereditary_defect(family)
     assert report.status == Status.PROVED_ZERO
     assert report.terms_before > 0
+
+
+@pytest.mark.parametrize("family", [MIR, DIR])
+def test_nesting_bound_boundary(family):
+    # one derinv call receives the merged tails of a whole group of operator
+    # words, and the bound sees that merged input: depth 1 stops every claim
+    # below, depth 2 proves each one
+    def reports(ctx):
+        return [strong_symmetry_member(family, n, ctx) for n in (1, 2, 3, 4)] + [
+            hereditary_defect(family, ctx)
+        ]
+
+    for report in reports(default_context(1)):
+        assert report.status == Status.INCONCLUSIVE, report.claim
+        assert any("exceeded depth 1" in line for line in report.log), report.log
+    for report in reports(default_context(2)):
+        assert report.status == Status.PROVED_ZERO, report.claim
 
 
 def test_hereditary_bilinear_is_symmetric_in_canonical_form():
