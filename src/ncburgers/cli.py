@@ -244,6 +244,8 @@ def _cmd_oracle(args) -> int:
         raise ValueError("--dim must be at least 1, not %d" % args.dim)
     if not 0 < args.tol < math.inf:
         raise ValueError("--tol must be a finite positive number, not %r" % args.tol)
+    if args.grid < 1:
+        raise ValueError("--grid must be at least 1 for a nonempty grid, not %d" % args.grid)
     import numpy as np
 
     d = args.dim

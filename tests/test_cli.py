@@ -254,7 +254,10 @@ def test_oracle_cole_hopf_empty_grid_is_usage_error(capsys):
 
 @pytest.mark.parametrize(
     "flag,value",
-    [("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-0.5"), ("--dim", "0"), ("--dim", "-1")],
+    [
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-0.5"),
+        ("--dim", "0"), ("--dim", "-1"), ("--grid", "-1"),
+    ],
 )
 def test_oracle_cole_hopf_rejects_bad_numbers(capsys, flag, value):
     code, out, err = run_cli(capsys, "oracle", "cole-hopf", "--grid", "3", flag, value)

@@ -367,3 +367,79 @@ def test_an_endless_split_is_inconclusive(monkeypatch):
 def test_negative_nesting_depth_is_rejected():
     with pytest.raises(ValueError, match="negative"):
         Context(r, integral_depth=-1)
+
+
+def _full_step(w):
+    # the greedy step ranked in full: build E(u) and compare its leading word
+    if not w:
+        return None
+    for i, a in enumerate(w):
+        if reduction._rank(a) >= 1:
+            u = w[:i] + (type(a)(a[1], a[2] - 1),) + w[i + 1 :]
+            break
+    else:
+        u = w[:-1] + (Integral(P, reduction._eta_word(w[-1:])),)
+    image = reduction._eta_word(u).leibniz(fields._d_atom).terms
+    return (u, image) if image and max(image, key=reduction._greedy_key) == w else None
+
+
+def _eta_integral(*words):
+    return Integral(P, reduction.EtaExpr({w: 1 for w in words}))
+
+
+R0, R1, R2, S0, V0 = Jet("r"), Jet("r", 1), Jet("r", 2), Jet("s"), Probe("V")
+# (word, whether the greedy step accepts it)
+HAND_WORDS = [
+    ((R0, R1), False),  # an order-0 jet before a positive jet
+    ((V0, S0, R2), False),
+    ((_eta_integral((R0,)), R0), False),  # an order-0 jet as the last atom
+    ((_eta_integral((_eta_integral((R0,)),)), S0), True),
+    ((_eta_integral((R1,)), R1), False),  # the body's word beats w
+    ((_eta_integral((_eta_integral((R0,)),)), R1), True),  # w wins
+    ((_eta_integral((_eta_integral((R0,)), S0)), R2, R0), True),
+    ((R0,), True),  # a single atom
+    ((R2,), True),
+    ((_eta_integral((R0, S0)),), True),
+    ((R1, R0, V0), True),  # the pivot comes first
+]
+
+
+def test_step_shape_rules_agree_with_the_full_step(monkeypatch):
+    rng = random.Random(53)
+    seen, split_word = set(), reduction._split_word
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "_split_word", lambda w: seen.add(w) or split_word(w))
+        for tag in (M, DIR, P):
+            for _ in range(20):
+                derinv(tag, random_nonlocal_field(rng, symbols=("r", "s"), tests=("V",)))
+    words = sorted(seen, key=fields.word_key)
+    assert len(words) >= 300
+    # the random words are accepted and rejected both with a leading
+    # antiderivative, so ranked in full, and without one, so by shape
+    outcomes = {(_full_step(w) is not None, len(w) > 1 and type(w[0]) is Integral) for w in words}
+    assert outcomes == {(False, False), (True, False), (False, True), (True, True)}
+    for w, accepted in HAND_WORDS:
+        assert (_full_step(w) is not None) == accepted, w
+    for w in words + [w for w, _ in HAND_WORDS]:
+        assert reduction._step(w) == _full_step(w), w
+
+
+def _count_calls(monkeypatch, name):
+    calls, f = [], getattr(reduction, name)
+    monkeypatch.setattr(reduction, name, lambda *args: calls.append(args) or f(*args))
+    return calls
+
+
+def test_step_rejects_by_shape_without_building_the_image(monkeypatch):
+    d_atom_calls = _count_calls(monkeypatch, "_d_atom")
+    before = reduction._greedy_key.cache_info()
+    assert reduction._step((R0, R1)) is None
+    assert reduction._greedy_key.cache_info() == before
+    assert d_atom_calls == []
+
+
+def test_step_accepts_a_first_pivot_without_ranking(monkeypatch):
+    key_calls = _count_calls(monkeypatch, "_greedy_key")
+    u, image = reduction._step((R2, R0, V0))
+    assert u == (R1, R0, V0) and image[(R2, R0, V0)] == 1
+    assert key_calls == []
