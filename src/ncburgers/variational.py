@@ -109,6 +109,9 @@ def member_operator(K: FieldExpr, base: str) -> OpExpr:
 
     Requires K free of antiderivatives; each jet occurrence contributes a
     left-prefix, right-suffix multiplication around the matching power of D.
+    This operator form is what the tests compare against and what the
+    benchmark's tracer table names; the verifier applies K' by substitution
+    (``frechet_field`` then ``subst_test``) instead.
     """
     if K.contains_integral():
         raise ValueError("member operator needs an antiderivative-free expression")

@@ -20,9 +20,9 @@ def _local_part(e: FieldExpr) -> FieldExpr:
     )
 
 
-def _raw_strong_symmetry_defect(family, n):
+def _raw_strong_symmetry_defect(family, member):
+    """apply_op(Phi'[K] - (K' Phi - Phi K'), sigma) with K' composed as an operator."""
     phi = recursion_operator(family, "expanded")
-    member = hierarchy_member(family, n).rhs
     dphi = frechet_op(phi, "V", family.base)
     dphi_at = _subst_direction_op(dphi, "V", member, DEFAULT_CONTEXT)
     kop = member_operator(member, family.base)
@@ -33,7 +33,7 @@ def test_local_part_of_raw_defects_is_scene_zero():
     scenes = default_scenes(6)
     for family in (MIR, DIR):
         for n in (1, 2):
-            raw = _raw_strong_symmetry_defect(family, n)
+            raw = _raw_strong_symmetry_defect(family, hierarchy_member(family, n).rhs)
             assert check_zero(_local_part(raw), scenes).passed
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from ncburgers.fields import test as tfield
 
-from ncburgers.fields import DerivationTag, FieldExpr, Integral, default_context, der, jet
+from ncburgers.fields import DEFAULT_CONTEXT, DerivationTag, FieldExpr, Integral, default_context, der, jet
 from ncburgers.hierarchy import EquationFamily, hierarchy_member, recursion_operator
 from ncburgers.operators import (
     OpExpr,
@@ -22,6 +22,7 @@ from ncburgers.oracle import check_zero, default_scenes
 from ncburgers.reduction import deep_reduce
 from ncburgers.verify import (
     Status,
+    _strong_symmetry_field,
     flow_commutation,
     hereditary_bilinear,
     hereditary_defect,
@@ -30,6 +31,7 @@ from ncburgers.verify import (
     strong_symmetry_member,
     verify_cole_hopf,
 )
+from test_invariants import _raw_strong_symmetry_defect
 
 MIR = EquationFamily.MIRROR
 DIR = EquationFamily.DIRECT
@@ -58,6 +60,35 @@ def test_strong_symmetry_square_is_not_a_symmetry():
     oracle = check_zero(local, default_scenes(6))
     # the defect has a genuinely nonzero local part in generic scenes
     assert not oracle.passed
+
+
+@pytest.mark.parametrize("family", [MIR, DIR])
+def test_strong_symmetry_field_equals_the_composed_operator_route(family):
+    # the reference composes K' with Phi as operators and applies the whole
+    # defect operator to sigma; the verifier's field must be the same
+    # expression, and reduce to the same report
+    members = [hierarchy_member(family, n).rhs for n in range(1, 7)]
+    controls = [r * r, jet("r", 2) + r * r, rx.scale(3) * r]
+    for k in members + controls:
+        raw = _raw_strong_symmetry_defect(family, k)
+        assert _strong_symmetry_field(family, k, DEFAULT_CONTEXT, []) == raw
+        reduced = deep_reduce(raw)
+        report = strong_symmetry_defect(family, k)
+        status = Status.PROVED_ZERO if reduced.is_zero() else Status.NONZERO
+        assert report.status == status
+        assert (report.terms_before, report.terms_after) == (len(raw.terms), len(reduced.terms))
+    assert strong_symmetry_defect(family, controls[0]).status == Status.NONZERO
+
+
+@pytest.mark.parametrize(
+    "member,before,after", [(rx + V * r, 9, 6), (jet("r", 2) + tfield("V", 1), 27, 24)]
+)
+def test_strong_symmetry_of_a_member_holding_v(member, before, after):
+    # V is Phi's derivative direction; a member may hold it, and the
+    # direction of K' must not collide with it either
+    report = strong_symmetry_defect(MIR, member)
+    assert report.status == Status.NONZERO
+    assert (report.terms_before, report.terms_after) == (before, after)
 
 
 def test_strong_symmetry_defect_scale_invariance():
