@@ -333,9 +333,6 @@ class LinearCombination:
     def __iter__(self) -> Iterator[Tuple[tuple, Rat]]:
         return iter(self.terms.items())
 
-    def coefficient(self, word) -> Rat:
-        return self.terms.get(tuple(word), 0)
-
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self.terms == other.terms
 

@@ -352,13 +352,14 @@ def deep_reduce(f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
     rewritten as the antiderivative of its own tagged derivative, innermost
     trailing products first.  Each rewrite preserves the value of the word,
     so the result equals the input as an abstract field; iterated to a fixed
-    point within the context's pass budget.
+    point within the context's pass budget, whose terms come in
+    :func:`word_key` order whatever the input's order.
     """
     cache: dict = {}
     cur = f
     for _ in range(ctx.reduce_passes):
         vals = [(_canon_word(word, ctx, cache), coeff) for word, coeff in cur.terms.items()]
         if all(val == FieldExpr.from_word(word) for (val, _), word in zip(vals, cur.terms)):
-            return cur
+            return FieldExpr._raw({w: cur.terms[w] for w in sorted(cur.terms, key=word_key)})
         cur = FieldExpr.sum(vals)
     raise NestingLimitExceeded("deep reduction did not reach a fixed point")

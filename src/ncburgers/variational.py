@@ -76,7 +76,12 @@ def frechet_field(
 def frechet_op(
     P: OpExpr, direction: str, base: str, ctx: Context = DEFAULT_CONTEXT
 ) -> OpExpr:
-    """Directional derivative of an operator expression along ``direction``."""
+    """Directional derivative of an operator expression along ``direction``.
+
+    This operator form is what the tests compare against and what the
+    benchmark's tracer table names; the verifier differentiates the field
+    P sigma instead (``frechet_field``), which gives P'[V] sigma term for term.
+    """
     dirf = test(direction)
 
     def datom(atom) -> Optional[OpExpr]:

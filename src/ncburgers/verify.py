@@ -9,13 +9,15 @@ reducer.  The outcome is a :class:`VerificationReport` whose status is
 * ``nonzero``      -- a nonzero normal form survived,
 * ``inconclusive`` -- the reducer hit its nesting/round bounds.
 
-The strong-symmetry defect (Phi'[K] - K' Phi + Phi K') sigma is assembled as
-the field Phi'[K] sigma - K'[Phi sigma] + Phi(K'[sigma]): Phi sigma is
-computed once and K' acts by substitution, so K' is never composed with Phi.
-This is exact because K has no antiderivatives, so K' is a sum of
-L[prefix] D^k R[suffix] words, and because ``derinv`` is linear in a
-standard context: the field equals the composed operator applied to sigma,
-term for term.
+Both structural claims are fields built from ``apply_op(Phi, .)``,
+``frechet_field`` and ``subst_test``; no operator is differentiated.
+Phi'[X] Y is the derivative of Phi Y along V with X put in for V, and
+K'[X] the derivative of K along sigma with X put in for sigma.  This is
+exact: ``frechet_field`` takes (ID^-1 b)' = ID^-1 b' + sign ID^-1 [V, ID^-1 b],
+the operator rule (ID^-1)' = ID^-1 C_V ID^-1 applied to b, and ``subst_test``
+integrates a changed body again with ``derinv``, which is linear in a
+standard context.  So each field equals its composed operator applied to
+the probe, term for term.
 
 Probe discipline: ``sigma`` for operator probes (and as the direction of
 K'), ``V`` then ``W`` for the bilinear hereditary form; a probe is rejected
@@ -47,21 +49,9 @@ from .hierarchy import (
     recursion_operator,
 )
 from .lang import print_field
-from .operators import (
-    OpComm,
-    OpExpr,
-    OpLeft,
-    OpRight,
-    _mult_op,
-    apply_op,
-    mirror_op,
-    op_comm,
-    op_derinv,
-    op_left,
-    op_right,
-)
+from .operators import OpExpr, apply_op, mirror_op, op_comm, op_derinv, op_left, op_right
 from .reduction import deep_reduce
-from .variational import frechet_field, frechet_op, lie_bracket
+from .variational import frechet_field, lie_bracket
 
 
 class Status(enum.Enum):
@@ -132,12 +122,7 @@ def strong_symmetry_defect(
 
     The defect (Phi'[K] - K' Phi + Phi K') sigma is assembled as the field
     Phi'[K] sigma - K'[Phi sigma] + Phi(K'[sigma]), never as a composed
-    operator.  K' acts by substitution: K'[sigma] is the derivative of K
-    along sigma, and K'[Phi sigma] replaces each jet of sigma in it by the
-    matching derivative of Phi sigma.  This is exact because K has no
-    antiderivatives, so K' is the sum of L[prefix] D^k R[suffix] words, and
-    because ``derinv`` is linear in a standard context: the field equals
-    ``apply_op(Phi'[K] - (K' Phi - Phi K'), sigma)`` term for term."""
+    operator (see the module docstring)."""
     if member.contains_integral():
         raise ValueError("strong symmetry check needs an antiderivative-free member")
     if "sigma" in member.test_names():
@@ -154,32 +139,20 @@ def _strong_symmetry_field(
 ) -> FieldExpr:
     """Phi'[K] sigma - K'[Phi sigma] + Phi(K'[sigma]) for K = ``member``,
     before reduction, with the pieces' term counts appended to ``log``.
-    Phi sigma and each of its derivatives are computed once, not once per
-    word of K'; sigma, absent from K, is also the direction of K'."""
+    Phi sigma is computed once: Phi'[K] sigma is its derivative along V with
+    K put in for V, and K'[Phi sigma] puts it in for sigma, the direction of
+    K', which K does not hold."""
     phi = recursion_operator(family, "expanded")
-    sigma = test("sigma")
-    dphi = frechet_op(phi, "V", family.base, ctx)
-    dphi_sigma = apply_op(_subst_direction_op(dphi, "V", member, ctx), sigma, ctx)
+    phi_sigma = apply_op(phi, test("sigma"), ctx)
+    dphi_sigma = subst_test(frechet_field(phi_sigma, "V", family.base, ctx), "V", member, ctx)
     k_sigma = frechet_field(member, "sigma", family.base, ctx)
-    k_phi_sigma = subst_test(k_sigma, "sigma", apply_op(phi, sigma, ctx), ctx)
+    k_phi_sigma = subst_test(k_sigma, "sigma", phi_sigma, ctx)
     phi_k_sigma = apply_op(phi, k_sigma, ctx)
     log.append(
         "defect piece terms: Phi'[K] sigma %d, K'[Phi sigma] %d, Phi(K'[sigma]) %d"
         % (len(dphi_sigma.terms), len(k_phi_sigma.terms), len(phi_k_sigma.terms))
     )
     return dphi_sigma - k_phi_sigma + phi_k_sigma
-
-
-def _subst_direction_op(P: OpExpr, name: str, replacement: FieldExpr, ctx: Context) -> OpExpr:
-    """Substitute a field for the direction symbol inside operator atoms."""
-
-    def atom_value(atom) -> OpExpr:
-        if isinstance(atom, (OpLeft, OpRight, OpComm)):
-            sub = subst_test(FieldExpr.from_word(atom.word), name, replacement, ctx)
-            return _mult_op(type(atom), sub)
-        return OpExpr.from_atoms(atom)
-
-    return P.map_atoms(atom_value)
 
 
 def strong_symmetry_member(
@@ -242,17 +215,13 @@ def hereditary_defect(
 
 
 def _bilinear(family: EquationFamily, ctx: Context) -> FieldExpr:
-    """B(V,W) = (Phi Phi'[V] - Phi'[Phi V]) W, before reduction.
-
-    The operator stays composed, unlike the strong-symmetry defect: applying
-    Phi Phi'[V] and Phi'[Phi V] to W one at a time gives the same field, but
-    in another term order, which ``hereditary_bilinear`` would show, and the
-    claim takes only about 0.01 s."""
+    """B(V,W) = Phi(Phi'[V] W) - Phi'[Phi V] W, before reduction, with
+    Phi'[V] W the derivative of Phi W along V and Phi'[Phi V] W the same
+    field with Phi V put in for V."""
     phi = recursion_operator(family, "expanded")
-    dphi = frechet_op(phi, "V", family.base, ctx)
+    dphi_w = frechet_field(apply_op(phi, test("W"), ctx), "V", family.base, ctx)
     phi_v = apply_op(phi, test("V"), ctx)
-    dphi_at_phi_v = _subst_direction_op(dphi, "V", phi_v, ctx)
-    return apply_op(phi * dphi - dphi_at_phi_v, test("W"), ctx)
+    return apply_op(phi, dphi_w, ctx) - subst_test(dphi_w, "V", phi_v, ctx)
 
 
 def hereditary_bilinear(

@@ -2,12 +2,31 @@
 
 from ncburgers.fields import test as tfield
 
-from ncburgers.fields import DEFAULT_CONTEXT, DerivationTag, FieldExpr, Integral, jet, rename_tests
+from ncburgers.fields import (
+    DEFAULT_CONTEXT,
+    DerivationTag,
+    FieldExpr,
+    Integral,
+    jet,
+    rename_tests,
+    subst_test,
+)
 from ncburgers.hierarchy import EquationFamily, hierarchy_member, recursion_operator, reduce_commutative
-from ncburgers.operators import apply_op, op_comm, op_d, op_derinv, op_probe_equal
+from ncburgers.operators import (
+    OpComm,
+    OpExpr,
+    OpLeft,
+    OpRight,
+    _mult_op,
+    apply_op,
+    op_comm,
+    op_d,
+    op_derinv,
+    op_probe_equal,
+)
 from ncburgers.oracle import check_zero, default_scenes
 from ncburgers.variational import frechet_op, member_operator
-from ncburgers.verify import _subst_direction_op, hereditary_bilinear
+from ncburgers.verify import hereditary_bilinear
 
 M = DerivationTag.MIRROR
 MIR = EquationFamily.MIRROR
@@ -20,13 +39,33 @@ def _local_part(e: FieldExpr) -> FieldExpr:
     )
 
 
+def _subst_direction_op(P: OpExpr, name: str, replacement: FieldExpr, ctx=DEFAULT_CONTEXT) -> OpExpr:
+    """Substitute a field for the direction symbol inside operator atoms: the
+    composed route's Phi'[X], from ``frechet_op(Phi, name, base)``."""
+
+    def atom_value(atom) -> OpExpr:
+        if isinstance(atom, (OpLeft, OpRight, OpComm)):
+            sub = subst_test(FieldExpr.from_word(atom.word), name, replacement, ctx)
+            return _mult_op(type(atom), sub)
+        return OpExpr.from_atoms(atom)
+
+    return P.map_atoms(atom_value)
+
+
 def _raw_strong_symmetry_defect(family, member):
     """apply_op(Phi'[K] - (K' Phi - Phi K'), sigma) with K' composed as an operator."""
     phi = recursion_operator(family, "expanded")
     dphi = frechet_op(phi, "V", family.base)
-    dphi_at = _subst_direction_op(dphi, "V", member, DEFAULT_CONTEXT)
+    dphi_at = _subst_direction_op(dphi, "V", member)
     kop = member_operator(member, family.base)
     return apply_op(dphi_at - (kop * phi - phi * kop), tfield("sigma"))
+
+
+def _bilinear_op(family):
+    """Phi Phi'[V] - Phi'[Phi V], composed as an operator; B(V,W) is its value at W."""
+    phi = recursion_operator(family, "expanded")
+    dphi = frechet_op(phi, "V", family.base)
+    return phi * dphi - _subst_direction_op(dphi, "V", apply_op(phi, tfield("V")))
 
 
 def test_local_part_of_raw_defects_is_scene_zero():

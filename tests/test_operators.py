@@ -37,9 +37,9 @@ from ncburgers.operators import (
 )
 from ncburgers.reduction import derinv
 from ncburgers.variational import frechet_op, member_operator
-from ncburgers.verify import _subst_direction_op
 
 from conftest import random_field
+from test_invariants import _subst_direction_op
 
 M = DerivationTag.MIRROR
 r, rx = jet("r"), jet("r", 1)
@@ -77,7 +77,7 @@ def _reference_operators():
         for n in (2, 3, 4):
             member = hierarchy_member(family, n).rhs
             k_op = member_operator(member, family.base)
-            dphi_at_member = _subst_direction_op(dphi, "V", member, DEFAULT_CONTEXT)
+            dphi_at_member = _subst_direction_op(dphi, "V", member)
             out.append(dphi_at_member - (k_op * phi - phi * k_op))
         k_op = member_operator(hierarchy_member(family, 2).rhs, family.base)
         out += [

@@ -9,6 +9,7 @@ from ncburgers.fields import DerivationTag, FieldExpr, d_total, der, jet
 from ncburgers.hierarchy import EquationFamily, hierarchy_member, recursion_operator
 from ncburgers.operators import (
     apply_op,
+    mirror_op,
     op_comm,
     op_d,
     op_derinv,
@@ -117,6 +118,30 @@ def test_frechet_op_eta_presentation():
 
 def test_frechet_op_of_constant_operator():
     assert frechet_op(op_d(), "V", "r").is_zero()
+
+
+def _applied_frechet_cases():
+    idi = op_derinv(M)
+    lr = op_left(r) * idi * op_right(rx)
+    cases = {}
+    for family in (EquationFamily.MIRROR, EquationFamily.DIRECT):
+        for form in ("expanded", "factored"):
+            cases["Phi %s %s" % (family.value, form)] = (recursion_operator(family, form), family.base)
+        cases["Phi^2 %s" % family.value] = (recursion_operator(family) ** 2, family.base)
+    cases["IDinv C[r] IDinv"] = (idi * op_comm(r) * idi, "r")
+    cases["L[r] IDinv R[r_x]"] = (lr, "r")
+    cases["its mirror image"] = (mirror_op(lr), "s")
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_applied_frechet_cases()))
+def test_frechet_field_of_an_applied_operator_is_its_frechet_op_applied(name):
+    # the derivative of P sigma along V is P'[V] sigma, term for term: the
+    # rule for an antiderivative atom, (ID^-1 b)' = ID^-1 b' + sign ID^-1 [V, ID^-1 b],
+    # is frechet_op's (ID^-1)' = ID^-1 C_V ID^-1 applied to the body b
+    P, base = _applied_frechet_cases()[name]
+    sigma = tfield("sigma")
+    assert frechet_field(apply_op(P, sigma), "V", base) == apply_op(frechet_op(P, "V", base), sigma)
 
 
 def test_member_operator_matches_field_frechet():

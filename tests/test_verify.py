@@ -1,11 +1,21 @@
 import json
+import pathlib
 
 import pytest
 
 from ncburgers.fields import test as tfield
 
-from ncburgers.fields import DEFAULT_CONTEXT, DerivationTag, FieldExpr, Integral, default_context, der, jet
-from ncburgers.hierarchy import EquationFamily, hierarchy_member, recursion_operator
+from ncburgers.fields import (
+    DEFAULT_CONTEXT,
+    DerivationTag,
+    FieldExpr,
+    Integral,
+    default_context,
+    der,
+    jet,
+    word_key,
+)
+from ncburgers.hierarchy import EquationFamily, hierarchy_member
 from ncburgers.operators import (
     OpExpr,
     apply_op,
@@ -22,6 +32,7 @@ from ncburgers.oracle import check_zero, default_scenes
 from ncburgers.reduction import deep_reduce
 from ncburgers.verify import (
     Status,
+    _bilinear,
     _strong_symmetry_field,
     flow_commutation,
     hereditary_bilinear,
@@ -31,7 +42,7 @@ from ncburgers.verify import (
     strong_symmetry_member,
     verify_cole_hopf,
 )
-from test_invariants import _raw_strong_symmetry_defect
+from test_invariants import _bilinear_op, _raw_strong_symmetry_defect, _subst_direction_op
 
 MIR = EquationFamily.MIRROR
 DIR = EquationFamily.DIRECT
@@ -180,19 +191,11 @@ def test_s_split_contains_expected_display_terms():
 
 
 def test_s_split_sum_is_full_defect():
-    from ncburgers.fields import DEFAULT_CONTEXT
-    from ncburgers.variational import frechet_op
-    from ncburgers.verify import _subst_direction_op
-
     for family in (MIR, DIR):
-        phi = recursion_operator(family, "expanded")
-        dphi = frechet_op(phi, "V", family.base)
-        phi_v = apply_op(phi, V)
-        full = phi * dphi - _subst_direction_op(dphi, "V", phi_v, DEFAULT_CONTEXT)
         total = OpExpr.zero()
         for _, sj in s_split(family):
             total = total + sj
-        assert op_probe_equal(total, full)
+        assert op_probe_equal(total, _bilinear_op(family))
 
 
 def test_s_split_collapses_when_base_vanishes():
@@ -230,6 +233,30 @@ def test_nesting_bound_boundary(family):
         assert report.status == Status.PROVED_ZERO, report.claim
 
 
+@pytest.mark.parametrize("family", [MIR, DIR])
+def test_bilinear_field_equals_the_composed_operator_route(family):
+    # Phi(Phi'[V] W) - Phi'[Phi V] W, with Phi'[X] W the derivative of Phi W
+    # along V at X, is the composed operator applied to W, term for term
+    assert _bilinear(family, DEFAULT_CONTEXT) == apply_op(_bilinear_op(family), tfield("W"))
+
+
+@pytest.mark.parametrize("family", [MIR, DIR])
+def test_reduced_terms_come_in_word_key_order_whatever_the_assembly(family):
+    b = jet(family.base)
+    field = _strong_symmetry_field(family, b * b, DEFAULT_CONTEXT, [])
+    defects = [
+        strong_symmetry_defect(family, b * b).defect,
+        deep_reduce(_raw_strong_symmetry_defect(family, b * b)),
+        deep_reduce(FieldExpr(dict(reversed(list(field.terms.items()))))),
+    ]
+    bilinears = [hereditary_bilinear(family), deep_reduce(apply_op(_bilinear_op(family), tfield("W")))]
+    for reduced in (defects, bilinears):
+        first = list(reduced[0].terms.items())
+        assert first and [w for w, _ in first] == sorted(reduced[0].terms, key=word_key)
+        for other in reduced[1:]:
+            assert list(other.terms.items()) == first
+
+
 def test_hereditary_bilinear_is_symmetric_in_canonical_form():
     from ncburgers.fields import rename_tests
 
@@ -258,6 +285,32 @@ def test_cole_hopf_reports(family):
         assert rep.status == Status.PROVED_ZERO, rep.claim
 
 
+GOLDEN_REPORTS = pathlib.Path(__file__).parent / "golden_reports.jsonl"
+
+
+def _golden_reports():
+    """Strong symmetry n=1..5, three nonzero controls and hereditariness for
+    both families at nesting depths 4 and 1, then Cole-Hopf at depth 4."""
+    for depth in (4, 1):
+        ctx = default_context(depth)
+        for family in (MIR, DIR):
+            for n in range(1, 6):
+                yield strong_symmetry_member(family, n, ctx)
+            b = jet(family.base)
+            for control in (b * b, jet(family.base, 2) + b * b, jet(family.base, 1).scale(3) * b):
+                yield strong_symmetry_defect(family, control, ctx)
+            yield hereditary_defect(family, ctx)
+    for family in (MIR, DIR):
+        yield from verify_cole_hopf(family, 4)
+
+
+def test_reports_match_the_golden_fixture():
+    # frozen from the reports of an earlier engine; a change to any status,
+    # normal form, term count or log line shows here byte for byte
+    lines = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in _golden_reports())
+    assert lines == GOLDEN_REPORTS.read_text()
+
+
 def test_report_serialization_round_trip():
     report = strong_symmetry_member(MIR, 1)
     doc = json.loads(report.to_json())
@@ -278,23 +331,16 @@ def test_strong_symmetry_higher_members(family, n):
 def test_wrong_operator_fails_hereditariness():
     # left multiplication in place of right multiplication breaks the claim,
     # guarding against a reducer that proves everything zero
-    from ncburgers.fields import DEFAULT_CONTEXT, rename_tests
+    from ncburgers.fields import rename_tests
     from ncburgers.variational import frechet_op
 
     wrong = op_d() + op_left(r) + op_left(rx) * op_derinv(M)
     dwrong = frechet_op(wrong, "V", "r")
     wv = apply_op(wrong, V)
-    dw_at = _subst_direction_op_public(dwrong, wv)
+    dw_at = _subst_direction_op(dwrong, "V", wv)
     bilinear = apply_op(wrong * dwrong - dw_at, tfield("W"))
     defect = deep_reduce(bilinear - rename_tests(bilinear, {"V": "W", "W": "V"}))
     assert not defect.is_zero()
-
-
-def _subst_direction_op_public(P, replacement):
-    from ncburgers.fields import DEFAULT_CONTEXT
-    from ncburgers.verify import _subst_direction_op
-
-    return _subst_direction_op(P, "V", replacement, DEFAULT_CONTEXT)
 
 
 def test_trivial_operator_fails_strong_symmetry_of_second_flow():
