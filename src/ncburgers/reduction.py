@@ -43,11 +43,23 @@ nests as deep as its image, a rejected one a level deeper.
 
 ``deep_reduce`` extends this to products mixing antiderivative atoms with
 further factors: every such word is replaced by the antiderivative of its
-own tagged derivative (innermost trailing factors first), which lines up the
-integration-by-parts presentations of one value.  This is the engine's
-bounded integration-by-parts strategy; it raises
-:class:`NestingLimitExceeded` instead of looping when the nesting depth or
-pass budget is exhausted.
+own tagged derivative (its tail first: the word without its first atom, or
+without its last for a direct word, which reads as the mirror image of a
+mirror word), which lines up the integration-by-parts presentations of one
+value.  A word whose tail stays as it is and whose lead is a jet or test
+field is that antiderivative already, so it is decided from its shape, with
+no ``der`` or ``derinv``: every eta word of it is eta_k v, and E(eta_k v) =
+eta_(k+1) v + eta_k E(v), whose first word the greedy step accepts at its
+first atom with preimage eta_k v, while the split of the rest cancels that
+of eta_k E(v) by linearity, so g is the word and h is 0.  The rule needs an
+eta image for every atom at every depth (no ``u^-1`` and no antiderivative
+of another tag) and a nesting within ``Context.integral_depth``; any other
+word takes the full route, which wraps the atoms without an image or raises
+the nesting error.  The rule also skips the split's transient rejected part,
+which could trip ``split_rejects`` only with a body of more than 4,096
+words.  This is the engine's bounded integration-by-parts strategy; it
+raises :class:`NestingLimitExceeded` instead of looping when the nesting
+depth or pass budget is exhausted.
 """
 
 from __future__ import annotations
@@ -64,6 +76,7 @@ from .fields import (
     DerivationTag,
     FieldExpr,
     Integral,
+    InverseSymbol,
     Jet,
     LinearCombination,
     NestingLimitExceeded,
@@ -79,7 +92,6 @@ from .fields import (
     expr_nesting,
     jet,
     mirror_image,
-    mirror_word,
     word_key,
 )
 
@@ -178,9 +190,9 @@ def _add_splits(pairs, g: dict, h: dict) -> Tuple[dict, dict]:
 
 
 # A word's split reads the word alone, not its coefficient or the context.
-# Over one pass of the proofs benchmark 1,024 entries hit 68% of 16,243
-# calls, missing 5,208 times (2,337 at 4,096 entries, for 1.0 MB more peak
-# memory), and over one of the properties benchmark 52% of 10,661.
+# Over one pass of the proofs benchmark 1,024 entries hit 89% of 7,200
+# calls and never fill (809 misses), and over one of the properties
+# benchmark they hit 52% of 10,634, missing 5,077 times.
 @lru_cache(maxsize=1024)
 def _split_word(w: Word) -> Tuple[tuple, tuple]:
     """split(w) = (g, h): w = E(g) + h with h made of rejected words, as
@@ -217,10 +229,11 @@ def _greedy_split(f: EtaExpr) -> Tuple[dict, dict]:
 
 
 # Bounded, like the word memo, because antiderivative atoms carry their
-# bodies: unbounded, it keeps every antiderivative the process converted, 749
-# atoms and 1.0 MB more peak memory over the proofs benchmark.  256 entries
-# cost 0.35 MB there, and the atoms they miss are rebuilt mostly from body
-# words the word memo still holds.
+# bodies: unbounded, it keeps every antiderivative the process converted.
+# One pass of the proofs benchmark converts 49 atoms and one of the
+# properties benchmark 88, so 256 entries hold them all there; the atoms a
+# longer run misses are rebuilt mostly from body words the word memo still
+# holds.
 @lru_cache(maxsize=256)
 def _atom_image(tag: DerivationTag, cls: type, atom: Atom) -> LinearCombination:
     """One atom's image in ``cls`` coordinates: ``EtaExpr`` for eta and
@@ -244,8 +257,9 @@ def _atom_image(tag: DerivationTag, cls: type, atom: Atom) -> LinearCombination:
 
 # Bounded because an unbounded memo keeps every word of every field reduced
 # in the process: 10,167 words and 6.5 MB more peak memory over the 1,000
-# small fields of the properties benchmark.  Over one proofs pass 1024
-# entries miss 11,765 times and 2048 miss 8,370; in ten paired runs before
+# small fields of the properties benchmark.  1024 entries miss 5,621 times
+# in 15,206 calls over one proofs pass (2048 hold its 1,941 words) and
+# 14,771 times in 41,207 over one properties pass; in ten paired runs before
 # operators.apply_op merged its words' tails, 2048 gave no reliable
 # wall-time gain (proofs 1.74 -> 1.70 s, better in 7 of 10, properties
 # 1.84 -> 1.79 s, 6 of 10) for 0.9 MB and 0.5 MB more memory.
@@ -325,22 +339,36 @@ def _is_mixed(word: Word) -> bool:
     return len(word) >= 2 and any(isinstance(a, Integral) for a in word)
 
 
+def _has_eta_image(tag: DerivationTag, word: Word) -> bool:
+    """Whether every atom of ``word``, at every depth, has an eta image: no
+    ``u^-1`` and no antiderivative of a tag other than ``tag``."""
+    return all(
+        type(a) is not InverseSymbol
+        and (type(a) is not Integral or a[1] is tag and all(_has_eta_image(tag, w) for w in a[2].terms))
+        for a in word
+    )
+
+
 def _canon_word(word: Word, ctx: Context, cache: dict) -> FieldExpr:
-    """Canonical value of one word, rewriting innermost products first."""
+    """Canonical value of one word, its tail first; a word led by a jet or
+    test field whose tail is fixed is kept by shape (see ``deep_reduce``)."""
     if word in cache:
         return cache[word]
     out = FieldExpr.from_word(word)
     tag = _word_tag(word)
     if _is_mixed(word) and tag is not None and _standard_field(tag, ctx):
-        if tag == DerivationTag.DIRECT:
-            # a context is its own mirror image, so the mirror word shares the cache
-            out = mirror_image(_canon_word(mirror_word(word), ctx, cache))
-        else:
-            inner = word[1:]
-            if _is_mixed(inner) and _canon_word(inner, ctx, cache) != FieldExpr.from_word(inner):
-                out = FieldExpr.from_word(word[:1]) * cache[inner]
-            else:
-                out = derinv(tag, der(tag, out, ctx), ctx)
+        # a direct word is read from the right, the mirror image of a mirror word
+        direct = tag is DerivationTag.DIRECT
+        lead, tail = (word[-1], word[:-1]) if direct else (word[0], word[1:])
+        if _is_mixed(tail) and _canon_word(tail, ctx, cache) != FieldExpr.from_word(tail):
+            head = FieldExpr.from_atom(lead)
+            out = cache[tail] * head if direct else head * cache[tail]
+        elif (
+            type(lead) is Integral
+            or not _has_eta_image(tag, word)
+            or expr_nesting(out) > ctx.integral_depth
+        ):
+            out = derinv(tag, der(tag, out, ctx), ctx)
     cache[word] = out
     return out
 
@@ -349,11 +377,15 @@ def deep_reduce(f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
     """Bounded integration-by-parts normalization.
 
     Every word that multiplies an antiderivative atom by further factors is
-    rewritten as the antiderivative of its own tagged derivative, innermost
-    trailing products first.  Each rewrite preserves the value of the word,
-    so the result equals the input as an abstract field; iterated to a fixed
-    point within the context's pass budget, whose terms come in
-    :func:`word_key` order whatever the input's order.
+    rewritten as the antiderivative of its own tagged derivative, its tail
+    (all atoms but the first, or but the last for a direct word) first.
+    Each rewrite preserves the value of the word, so the result equals the
+    input as an abstract field; iterated to a fixed point within the
+    context's pass budget, whose terms come in :func:`word_key` order
+    whatever the input's order.  A word led by a jet or test field whose
+    tail is fixed is kept without a ``derinv`` call, where every atom has an
+    eta image and the nesting is within bound: the split of E(eta_k v) =
+    eta_(k+1) v + eta_k E(v) is eta_k v (see the module docstring).
     """
     cache: dict = {}
     cur = f

@@ -23,7 +23,7 @@ from ncburgers.fields import (
     )
 import ncburgers
 from ncburgers import fields, reduction, verify
-from ncburgers.hierarchy import EquationFamily, recursion_operator
+from ncburgers.hierarchy import EquationFamily, hierarchy_member, recursion_operator
 from ncburgers.lang import parse_field
 from ncburgers.operators import apply_op
 from ncburgers.reduction import deep_reduce, derinv
@@ -442,3 +442,93 @@ def test_step_accepts_a_first_pivot_without_ranking(monkeypatch):
     u, image = reduction._step((R2, R0, V0))
     assert u == (R1, R0, V0) and image[(R2, R0, V0)] == 1
     assert key_calls == []
+
+
+@pytest.mark.parametrize("tag", [M, DIR, P])
+def test_words_with_an_unchanged_tail_keep_the_value_of_their_derivative(tag):
+    # a mixed word whose tail is its own value is worth derinv(tag, der(tag, w)):
+    # led by a jet or test field, that is the word itself, decided from its
+    # shape; led by an antiderivative, it is computed (a direct word is led
+    # by its last atom)
+    rng = random.Random(61)
+    kw = dict(symbols=("r", "s"), tests=("V",), max_terms=2, max_len=2, max_order=1)
+    jets = [kind(name, k) for kind, name in ((Jet, "r"), (Jet, "s"), (Probe, "V")) for k in range(3)]
+    checked, rewritten = {"jet": 0, "antiderivative": 0}, 0
+    for _ in range(150):
+        inner = derinv(tag, random_field(rng, **kw))
+        outer = derinv(tag, random_field(rng, **kw) * inner)
+        integrals = [a for f in (inner, outer) for w in f.terms for a in w if type(a) is Integral]
+        if not integrals:
+            continue
+        lead = rng.choice(jets if rng.random() < 0.5 else integrals)
+        atoms = [lead, rng.choice(integrals)] + [rng.choice(jets + integrals) for _ in range(rng.randint(0, 1))]
+        word = tuple(reversed(atoms) if tag is DIR else atoms)
+        tail = FieldExpr.from_word(word[:-1] if tag is DIR else word[1:])
+        if deep_reduce(tail) != tail:
+            continue
+        f = FieldExpr.from_word(word)
+        expected = derinv(tag, der(tag, f))
+        assert reduction._canon_word(word, DEFAULT_CONTEXT, {}) == expected, word
+        if type(lead) is Integral:
+            checked["antiderivative"] += 1
+            rewritten += expected != f
+        else:
+            checked["jet"] += 1
+            assert deep_reduce(f) == expected == f, word
+    assert min(checked.values()) >= 15, checked
+    # so the test fails if the shape rule takes words led by an antiderivative
+    assert rewritten >= 1
+
+
+def test_the_shape_rule_keeps_the_nesting_bound(monkeypatch):
+    # r_x ID^-1[r ID^-1[sigma]]: a word led by a jet, nested two deep
+    word = rx * derinv(M, r * derinv(M, sigma))
+    assert len(word.terms) == 1 and fields.expr_nesting(word) == 2
+    with pytest.raises(NestingLimitExceeded, match="depth 1"):
+        deep_reduce(word, Context(r, integral_depth=1))
+    calls = _count_calls(monkeypatch, "derinv")
+    assert deep_reduce(word, Context(r, integral_depth=2)) == word
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "body",
+    [FieldExpr.from_word((fields.InverseSymbol("u"), Probe("sigma"))), FieldExpr.from_atom(Integral(P, sigma))],
+    ids=["uinv", "plain-antiderivative"],
+)
+def test_a_word_without_an_eta_image_keeps_its_old_value(body):
+    # u^-1, or an antiderivative of another tag, inside the body: derinv wraps
+    # the derivative's words that have no eta image, as before the shape rule
+    word = FieldExpr.from_word((R0, Integral(M, body)))
+    expected = derinv(M, der(M, word))
+    assert expected != word
+    assert deep_reduce(word) == expected
+
+
+def test_fixed_defect_words_make_no_derinv_call(monkeypatch):
+    member = hierarchy_member(EquationFamily.MIRROR, 5).rhs
+    defect = verify._strong_symmetry_field(EquationFamily.MIRROR, member, DEFAULT_CONTEXT, [])
+    fixed = FieldExpr._raw({w: c for w, c in defect.terms.items() if len(w) == 2})
+    assert len(fixed.terms) == 47
+    assert all(w[0] == Jet("r", 1) and type(w[1]) is Integral for w in fixed.terms)
+    calls = _count_calls(monkeypatch, "derinv")
+    assert deep_reduce(fixed) == fixed
+    assert calls == []
+    # every other word of the defect is rewritten, one call each
+    assert deep_reduce(defect).is_zero()
+    assert len(calls) == len(defect.terms) - 47
+
+
+def test_deep_reduce_commutes_with_the_mirror_image():
+    # a direct word is read from the right, so the direct reduction is the
+    # mirror image of the mirror one (plain words are read from the left in
+    # both, so they stay out)
+    rng = random.Random(67)
+    kw = dict(symbols=("r", "s"), tests=("V",), max_terms=2, max_len=2, max_order=1)
+    rewritten = 0
+    for _ in range(30):
+        f = random_field(rng, **kw) * derinv(M, random_field(rng, **kw)) * random_field(rng, **kw)
+        reduced = deep_reduce(f)
+        rewritten += reduced != f
+        assert deep_reduce(fields.mirror_image(f)) == fields.mirror_image(reduced)
+    assert rewritten >= 10, rewritten
