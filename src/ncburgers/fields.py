@@ -474,7 +474,10 @@ def cole_hopf_context(integral_depth: int = 4) -> Context:
 # the mirror image
 
 
-@lru_cache(maxsize=None)
+# Bounded so that a long-lived process does not keep every antiderivative
+# atom it ever mirrored.  2048 entries hold all of one proofs benchmark pass
+# (508 atoms) and of the direct strong-symmetry claim at n = 9 (1,058).
+@lru_cache(maxsize=2048)
 def _mirror_atom(atom: Atom) -> Atom:
     if isinstance(atom, Jet) and atom.symbol in ("r", "s"):
         return Jet("s" if atom.symbol == "r" else "r", atom.order)

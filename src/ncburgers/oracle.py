@@ -11,6 +11,8 @@ products run on integer matrices that share one positive denominator: a
 word's value is the product of its atoms' integer matrices over the product
 of their denominators, and a sum is kept over the lcm of its terms'
 denominators, so ``Fraction`` entries are built only for a returned value.
+The d x d product is written out entry by entry, compiled once per
+dimension from its source text, and stays exact integer arithmetic.
 A symbolic zero must then evaluate to the zero matrix in every scene, with
 no tolerance.  A separate floating-point check feeds an explicit matrix
 heat-equation solution through the Cole-Hopf map and measures the residual
@@ -25,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, perm
 from operator import mul
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .fields import DEFAULT_CONTEXT, Atom, FieldExpr, Jet, Rat, TestField
 from .variational import lie_bracket_halves
@@ -53,9 +55,35 @@ def int_clear(m: Matrix) -> Tuple[IntMatrix, int]:
     return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in m), den
 
 
+_INT_MUL: Dict[int, Callable[[IntMatrix, IntMatrix], IntMatrix]] = {}
+
+
+def int_mul_kernel(d: int) -> Callable[[IntMatrix, IntMatrix], IntMatrix]:
+    """The product of two d x d integer matrices with every entry written
+    out, ``a0_0 * b0_1 + a0_1 * b1_1 + ...``, compiled from its source text
+    the first time dimension d is asked for.  Every row and matrix tuple
+    ends in a comma, so at d = 1 the names unpack the entry, not the row."""
+    kernel = _INT_MUL.get(d)
+    if kernel is None:
+        def matrix(entry: Callable[[int, int], str]) -> str:
+            return "(%s)" % "".join(
+                "(%s,), " % ", ".join(entry(i, j) for j in range(d)) for i in range(d)
+            )
+
+        source = "def int_mul(a, b):\n    %s = a\n    %s = b\n    return %s\n" % (
+            matrix("a{}_{}".format),
+            matrix("b{}_{}".format),
+            matrix(lambda i, j: " + ".join("a%d_%d * b%d_%d" % (i, k, k, j) for k in range(d))),
+        )
+        namespace: Dict[str, Callable] = {}
+        exec(source, namespace)
+        kernel = _INT_MUL[d] = namespace["int_mul"]
+    return kernel
+
+
 def int_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    bt = list(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
+    """The product of two square integer matrices of one dimension."""
+    return int_mul_kernel(len(a))(a, b)
 
 
 def _int_scale(m: IntMatrix, k: int) -> IntMatrix:
@@ -154,6 +182,7 @@ def _eval_pass(
     (a, b)(c, d) = (ac, ad + bc)."""
     values: Dict[Atom, Tuple[IntMatrix, Optional[IntMatrix], int]] = {}
     d = scene.dim
+    times = int_mul_kernel(d)
     acc, eps = [[0] * d for _ in range(d)], [[0] * d for _ in range(d)]
     den = eps_den = 1
     for word, coeff in e.terms.items():
@@ -176,13 +205,13 @@ def _eval_pass(
             if p is None:
                 p, q = a, b
             else:
-                q = None if q is None else int_mul(q, a)
+                q = None if q is None else times(q, a)
                 if b is not None:
-                    pb = int_mul(p, b)
+                    pb = times(p, b)
                     q = pb if q is None else tuple(
                         [tuple([x + y for x, y in zip(rq, rp)]) for rq, rp in zip(q, pb)]
                     )
-                p = int_mul(p, a)
+                p = times(p, a)
             prod_den *= a_den
         if p is None:
             p = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))

@@ -236,6 +236,21 @@ def test_scene_and_eval(tmp_path, capsys):
     assert out == "655/72 -25/48\n5 -37/72\n"
 
 
+def test_eval_in_a_dim_1_scene(tmp_path, capsys):
+    lines = ["ncburgers-scene v1", "seed 5", "dim 1", "degree 1", "points 1/2"]
+    for k, name in enumerate(("r", "s", "u", "v", "V", "W", "sigma")):
+        lines += ["poly %s 0" % name, "  %d/3" % (k - 3), "poly %s 1" % name, "  %d" % (2 - k)]
+    scene_file = tmp_path / "scene.txt"
+    scene_file.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_cli(
+        capsys, "eval", "--scene", str(scene_file),
+        "--expr", "r_x r r - 2 r r_x s + 1/3 V s_x", "--at", "5/2",
+    )
+    assert code == 0
+    # r = 4, r_x = 2, s = 11/6, s_x = 1 and V = -14/3 at x = 5/2
+    assert out == "10/9\n"
+
+
 def test_oracle_cole_hopf(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "cole-hopf", "--dim", "2", "--grid", "8", "--tol", "1e-8"

@@ -9,6 +9,7 @@ from ncburgers.fields import test as tfield
 from ncburgers.fields import DerivationTag, FieldExpr, Jet, jet, normal_field
 from ncburgers.hierarchy import EquationFamily, hierarchy_member
 from ncburgers.oracle import (
+    SCENE_SYMBOLS,
     CHSolution,
     MatrixScene,
     check_commute,
@@ -18,6 +19,7 @@ from ncburgers.oracle import (
     default_scenes,
     eval_field,
     eval_frechet_dual,
+    int_mul,
     make_scene,
     scene_from_text,
     scene_to_text,
@@ -177,11 +179,45 @@ REFERENCE_SCENES = [make_scene(40 + k, dim, degree)
                     for k, (dim, degree) in enumerate((d, g) for d in (2, 3, 4) for g in (1, 2, 3))]
 
 
+def _dim1_scene():
+    """A 1 x 1 scene of degree 2: ``make_scene`` refuses dimension 1, but a
+    scene document may have it."""
+    import random
+
+    rng = random.Random(97)
+
+    def poly():
+        return tuple(((Fraction(rng.randint(-20, 20), rng.randint(1, 6)),),) for _ in range(3))
+
+    points = (Fraction(-3, 2), Fraction(0), Fraction(5, 3))
+    return MatrixScene(97, 1, 2, {name: poly() for name in SCENE_SYMBOLS}, points)
+
+
+def test_int_mul_matches_the_triple_loop():
+    import random
+
+    rng = random.Random(71)
+
+    def entry():
+        return rng.choice((0, rng.randint(-9, 9), rng.randint(-2 ** 100, 2 ** 100)))
+
+    for d in range(1, 7):
+        for _ in range(20):
+            a, b = (tuple(tuple(entry() for _ in range(d)) for _ in range(d)) for _ in range(2))
+            product = [[0] * d for _ in range(d)]
+            for i in range(d):
+                for j in range(d):
+                    for k in range(d):
+                        product[i][j] += a[i][k] * b[k][j]
+            assert int_mul(a, b) == tuple(map(tuple, product))
+
+
 def test_integer_kernel_against_fraction_reference():
     import random
 
     rng = random.Random(83)
-    for scene in REFERENCE_SCENES:
+    dim1 = _dim1_scene()
+    for scene in REFERENCE_SCENES + [dim1]:
         for _ in range(4):
             e = random_field(rng, symbols=("r", "s"), tests=("V", "W"), max_terms=6,
                              max_len=4, max_order=3, max_den=9)
@@ -197,7 +233,7 @@ def test_integer_kernel_against_fraction_reference():
         FieldExpr({(): Fraction(5, 2)}),
         jet("r", 1) + FieldExpr({(): -1}) + jet("s") * jet("r"),
     ]
-    for scene in REFERENCE_SCENES:
+    for scene in [dim1] + REFERENCE_SCENES:  # the last, 4 x 4 scene is used below
         for e in edges + [sum(edges, FieldExpr.zero())]:
             for x0 in scene.points:
                 assert eval_field(e, scene, x0) == _reference_field(e, scene, x0)

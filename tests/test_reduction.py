@@ -93,6 +93,12 @@ def test_derinv_unchanged_after_cache_clear():
     assert all(cache.cache_info().currsize > 0 for cache in caches)
 
 
+def test_package_caches_are_bounded():
+    # an unbounded memo grows for as long as its process runs
+    assert isinstance(fields._mirror_atom.cache_info().maxsize, int)
+    assert all(isinstance(cache.cache_info().maxsize, int) for cache in _package_caches())
+
+
 def _coefficients(f):
     """Every coefficient of ``f``, antiderivative bodies included."""
     for w, c in f.terms.items():
