@@ -15,10 +15,11 @@ eta-coordinate expressions of ``reduction`` (``reduction.EtaExpr``) all
 use it.
 
 There is one atom vocabulary.  Each atom is a tuple led by a kind letter, so
-words hash and compare at C speed.  The eta words of ``reduction`` are field
-words whose jets are eta jets and whose antiderivatives are ``PLAIN`` ones
-of eta bodies, so the eta derivation E is this module's D on one atom
-(``_d_atom``) under the Leibniz rule, and the eta order is :func:`word_key`.
+words hash and compare at C speed; ``operators`` builds its atoms the same
+way, led by their rank.  The eta words of ``reduction`` are field words whose
+jets are eta jets and whose antiderivatives are ``PLAIN`` ones of eta bodies,
+so the eta derivation E is this module's D on one atom (``_d_atom``) under
+the Leibniz rule, and the eta order is :func:`word_key`.
 
 Derivations come in three flavours, selected by :class:`DerivationTag`:
 
@@ -403,11 +404,6 @@ def test(name: str, order: int = 0) -> FieldExpr:
 
 def uinv() -> FieldExpr:
     return FieldExpr.from_atom(InverseSymbol())
-
-
-def combine(a: FieldExpr, b: FieldExpr, c1: Rat = 1, c2: Rat = 1) -> FieldExpr:
-    """c1*a + c2*b with zero terms dropped."""
-    return FieldExpr.sum(((a, c1), (b, c2)))
 
 
 def commutator(a: FieldExpr, b: FieldExpr) -> FieldExpr:

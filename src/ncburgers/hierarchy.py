@@ -43,7 +43,6 @@ from .fields import (
     word_key,
 )
 from .operators import (
-    OpComm,
     OpD,
     OpDer,
     OpDerInv,
@@ -171,9 +170,7 @@ def reduce_commutative(e: Union[FieldExpr, OpExpr]) -> Union[FieldExpr, OpExpr]:
             return op_derinv(DerivationTag.PLAIN)
         if isinstance(atom, (OpLeft, OpRight)):
             return OpExpr.from_atoms(OpLeft(_reduce_word_commutative(atom.word)))
-        if isinstance(atom, OpComm):
-            return OpExpr.zero()  # commutators vanish in the scalar case
-        raise ValueError("unknown operator atom %r" % (atom,))
+        return OpExpr.zero()  # commutators vanish in the scalar case
 
     def merge_left(word) -> OpExpr:
         atoms = []

@@ -58,6 +58,9 @@ from .operators import (
     OpLeft,
     OpRight,
     op_comm,
+    op_d,
+    op_der,
+    op_derinv,
     op_left,
     op_right,
     op_word_key,
@@ -290,16 +293,16 @@ def _op_factor(lx: _Lexer, ctx: Context) -> Optional[OpExpr]:
         return _group(lx, ctx, _op_factor, ")")
     if text == "D" and after != "(":
         lx.next()
-        return OpExpr.from_atoms(OpD())
+        return op_d()
     if text == "Id":
         lx.next()
         return OpExpr.identity()
     if text in DER_IDENTS:
         lx.next()
-        return OpExpr.from_atoms(OpDer(DER_IDENTS[text]))
+        return op_der(DER_IDENTS[text])
     if text in DERINV_IDENTS and after != "[":
         lx.next()
-        return OpExpr.from_atoms(OpDerInv(DERINV_IDENTS[text]))
+        return op_derinv(DERINV_IDENTS[text])
     if text in ("L", "R", "C") and after == "[":
         lx.next()
         mult = {"L": op_left, "R": op_right, "C": op_comm}[text]
@@ -369,13 +372,18 @@ def print_field(e: FieldExpr, mode: str = "x") -> str:
     """
     if mode == "eta":
         return _print_field_eta(e)
-    latex = mode == "latex"
+    return _print_terms(e, mode, print_word_key, _atom_text)
+
+
+def _print_terms(e, mode: str, order, atom_text, one: str = "") -> str:
+    """The terms of ``e`` in ``order``, mode x or latex; the empty word is ``one``."""
     if mode not in ("x", "latex"):
         raise ValueError("unknown print mode %r" % mode)
+    latex = mode == "latex"
     parts = []
-    for word, coeff in sorted(e.terms.items(), key=lambda kv: print_word_key(kv[0])):
-        body = " ".join(_atom_text(a, latex) for a in word)
-        parts.append((coeff, body))
+    for word, coeff in sorted(e.terms.items(), key=lambda kv: order(kv[0])):
+        body = " ".join(atom_text(a, latex) for a in word)
+        parts.append((coeff, body or one))
     return _join_terms(parts, latex)
 
 
@@ -426,15 +434,9 @@ def _op_atom_text(atom, latex: bool) -> str:
 
 def print_op(P: OpExpr, mode: str = "x") -> str:
     """Canonical text for an operator expression; left multiplications print
-    as bare fields."""
-    latex = mode == "latex"
-    parts = []
-    for word, coeff in sorted(P.terms.items(), key=lambda kv: op_word_key(kv[0])):
-        body = " ".join(_op_atom_text(a, latex) for a in word)
-        if not body:
-            body = r"\mathrm{Id}" if latex else "Id"
-        parts.append((coeff, body))
-    return _join_terms(parts, latex)
+    as bare fields.  Modes: ``x`` and ``latex``."""
+    identity = r"\mathrm{Id}" if mode == "latex" else "Id"
+    return _print_terms(P, mode, op_word_key, _op_atom_text, identity)
 
 
 def print_expr(e, mode: str = "x") -> str:

@@ -13,11 +13,15 @@ D / DerInv / LeftMul / RightMul alphabet, merges adjacent multiplications,
 and pushes D to the right past multiplication operators; equality of
 operators is decided by probing with a fresh test field (``op_probe_equal``),
 which is the ground truth everywhere in this package.
+
+Operator atoms are kind-tagged tuples like the field atoms: each leads with its
+rank in the operator order (D 0, Der 1, DerInv 2, Left 3, Right 4, Comm 5),
+then its tag or word, so words hash in C and no two kinds are ever equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Tuple, Union
 
 from .fields import (
@@ -42,42 +46,61 @@ from .fields import (
 from .reduction import _standard_field, deep_reduce, derinv
 
 
-@dataclass(frozen=True)
-class OpD:
+class OpD(tuple):
     """Total x-derivative."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class OpDer:
+    def __new__(cls):
+        return tuple.__new__(cls, (0,))
+
+
+class OpDer(tuple):
     """Tagged derivation: D (plain), D - [r, .] (mirror), D + [s, .] (direct)."""
 
-    tag: DerivationTag
+    __slots__ = ()
+    tag = property(itemgetter(1))
+
+    def __new__(cls, tag: DerivationTag):
+        return tuple.__new__(cls, (1, tag))
 
 
-@dataclass(frozen=True)
-class OpDerInv:
+class OpDerInv(tuple):
     """Formal inverse of the tagged derivation."""
 
-    tag: DerivationTag
+    __slots__ = ()
+    tag = property(itemgetter(1))
+
+    def __new__(cls, tag: DerivationTag):
+        return tuple.__new__(cls, (2, tag))
 
 
-@dataclass(frozen=True)
-class OpLeft:
+class OpLeft(tuple):
     """Left multiplication by a single word (scalars live in coefficients)."""
 
-    word: Word
+    __slots__ = ()
+    word = property(itemgetter(1))
+
+    def __new__(cls, word: Word):
+        return tuple.__new__(cls, (3, word))
 
 
-@dataclass(frozen=True)
-class OpRight:
-    word: Word
+class OpRight(tuple):
+    __slots__ = ()
+    word = property(itemgetter(1))
+
+    def __new__(cls, word: Word):
+        return tuple.__new__(cls, (4, word))
 
 
-@dataclass(frozen=True)
-class OpComm:
+class OpComm(tuple):
     """Commutator with a word; expands to OpLeft - OpRight."""
 
-    word: Word
+    __slots__ = ()
+    word = property(itemgetter(1))
+
+    def __new__(cls, word: Word):
+        return tuple.__new__(cls, (5, word))
 
 
 OpAtom = Union[OpD, OpDer, OpDerInv, OpLeft, OpRight, OpComm]
@@ -85,17 +108,9 @@ OpWord = Tuple[OpAtom, ...]
 
 
 def _op_atom_key(a: OpAtom):
-    if isinstance(a, OpD):
-        return (0,)
-    if isinstance(a, OpDer):
-        return (1, a.tag.value)
-    if isinstance(a, OpDerInv):
-        return (2, a.tag.value)
-    if isinstance(a, OpLeft):
-        return (3, word_key(a.word))
-    if isinstance(a, OpRight):
-        return (4, word_key(a.word))
-    return (5, word_key(a.word))
+    """The rank, then the payload by value: a tag's value, a word's word_key."""
+    rank = a[0]
+    return (rank, *(p.value if rank < 3 else word_key(p) for p in a[1:]))
 
 
 def op_word_key(w: OpWord):
@@ -117,6 +132,8 @@ class OpExpr(LinearCombination):
         return OpExpr({tuple(atoms): 1})
 
     def __pow__(self, n: int) -> "OpExpr":
+        if n < 0:
+            raise ValueError("an operator power needs a nonnegative exponent, not %d" % n)
         out = OpExpr.identity()
         for _ in range(n):
             out = out * self
@@ -235,10 +252,9 @@ def _rewrite(word: OpWord, i: int, coeff: Rat, ctx: Context) -> Optional[list]:
     if isinstance(atom, OpDer):
         out = [(pre + (OpD(),) + post, coeff)]
         sign = _TAG_SIGN[atom.tag]
-        if sign:
-            for w, c in ctx.tag_field(atom.tag).terms.items():
-                out.append((pre + (OpLeft(w),) + post, -sign * coeff * c))
-                out.append((pre + (OpRight(w),) + post, sign * coeff * c))
+        for w, c in ctx.tag_field(atom.tag).terms.items() if sign else ():
+            out.append((pre + (OpLeft(w),) + post, -sign * coeff * c))
+            out.append((pre + (OpRight(w),) + post, sign * coeff * c))
         return out
     if isinstance(atom, (OpLeft, OpRight)) and atom.word == ():
         return [(pre + post, coeff)]
@@ -252,10 +268,9 @@ def _rewrite(word: OpWord, i: int, coeff: Rat, ctx: Context) -> Optional[list]:
     if isinstance(atom, OpRight) and isinstance(nxt, OpLeft):
         return [(pre + (nxt, atom) + rest, coeff)]
     if isinstance(atom, OpD) and isinstance(nxt, (OpLeft, OpRight)):
-        cls = type(nxt)
         out = [(pre + (nxt, atom) + rest, coeff)]
         for w, c in d_total(FieldExpr.from_word(nxt.word), ctx).terms.items():
-            out.append((pre + (cls(w),) + rest, coeff * c))
+            out.append((pre + (type(nxt)(w),) + rest, coeff * c))
         return out
     if isinstance(atom, OpDerInv) and isinstance(nxt, OpDer) and atom.tag == nxt.tag:
         return [(pre + rest, coeff)]

@@ -34,9 +34,9 @@ from .operators import (
     OpDer,
     OpDerInv,
     OpExpr,
-    OpLeft,
-    OpRight,
+    _mult_op,
     op_comm,
+    op_d,
     op_derinv,
     op_left,
     op_right,
@@ -85,26 +85,15 @@ def frechet_op(
     dirf = test(direction)
 
     def datom(atom) -> Optional[OpExpr]:
-        if isinstance(atom, OpD):
-            return None
-        if isinstance(atom, (OpDer, OpDerInv)) and TAG_BASE.get(atom.tag) != base:
-            return None
-        if isinstance(atom, OpDer):
+        if isinstance(atom, (OpD, OpDer, OpDerInv)):
+            if isinstance(atom, OpD) or TAG_BASE.get(atom.tag) != base:
+                return None  # independent of base: D, the plain tag, the other family's tag
             sign = _TAG_SIGN[atom.tag]
-            return op_comm(dirf).scale(-sign) if sign else None
-        if isinstance(atom, OpDerInv):
-            sign = _TAG_SIGN[atom.tag]
-            if not sign:
-                return None
+            if isinstance(atom, OpDer):
+                return op_comm(dirf).scale(-sign)
             return (op_derinv(atom.tag) * op_comm(dirf) * op_derinv(atom.tag)).scale(sign)
         dword = frechet_field(FieldExpr.from_word(atom.word), direction, base, ctx)
-        if dword.is_zero():
-            return None
-        if isinstance(atom, OpLeft):
-            return op_left(dword)
-        if isinstance(atom, OpRight):
-            return op_right(dword)
-        return op_comm(dword)
+        return _mult_op(type(atom), dword)
 
     return P.leibniz(datom)
 
@@ -131,9 +120,7 @@ def member_operator(K: FieldExpr, base: str) -> OpExpr:
                     piece = piece * op_left(FieldExpr.from_word(word[:i]))
                 if word[i + 1 :]:
                     piece = piece * op_right(FieldExpr.from_word(word[i + 1 :]))
-                for _ in range(atom.order):
-                    piece = piece * OpExpr.from_atoms(OpD())
-                yield piece, coeff
+                yield piece * op_d() ** atom.order, coeff
 
     return OpExpr.sum(pieces())
 

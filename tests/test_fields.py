@@ -15,7 +15,6 @@ from ncburgers.fields import (
     Jet,
     TestField as Probe,
     _cancel_uinv,
-    combine,
     commutator,
     d_total,
     der,
@@ -43,11 +42,11 @@ sigma = tfield("sigma")
 
 
 def test_combine_cancellation():
-    assert combine(rx, rx, 1, -1).is_zero()
+    assert FieldExpr.sum(((rx, 1), (rx, -1))).is_zero()
 
 
 def test_combine_second_member():
-    assert combine(rxx, rx * r, 1, 2) == rxx + (rx * r).scale(2)
+    assert FieldExpr.sum(((rxx, 1), (rx * r, 2))) == rxx + (rx * r).scale(2)
 
 
 def test_combine_scaling_property():
@@ -55,7 +54,7 @@ def test_combine_scaling_property():
     for _ in range(50):
         e = random_field(rng)
         q = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        scaled = combine(e, FieldExpr.zero(), q, 1)
+        scaled = FieldExpr.sum(((e, q), (FieldExpr.zero(), 1)))
         assert scaled == FieldExpr({w: q * c for w, c in e.terms.items()})
 
 

@@ -16,7 +16,16 @@ from ncburgers.lang import (
     print_field,
     print_op,
 )
-from ncburgers.operators import OpExpr, op_probe_equal
+from ncburgers.operators import (
+    OpExpr,
+    op_comm,
+    op_d,
+    op_der,
+    op_derinv,
+    op_left,
+    op_probe_equal,
+    op_right,
+)
 from ncburgers.reduction import derinv
 
 from conftest import random_field, random_nonlocal_field
@@ -173,6 +182,37 @@ def test_print_expr_dispatch():
     assert print_expr(parse_op("D")) == "D"
     with pytest.raises(TypeError):
         print_expr(42)
+
+
+def test_print_op_rejects_unknown_modes():
+    phi = recursion_operator(EquationFamily.MIRROR, "expanded")
+    for mode in ("eta", "bogus"):
+        with pytest.raises(ValueError, match="unknown print mode"):
+            print_op(phi, mode)
+        with pytest.raises(ValueError, match="unknown print mode"):
+            print_expr(phi, mode)
+    with pytest.raises(ValueError, match="unknown print mode"):
+        print_field(jet("r"), "bogus")
+
+
+def test_print_op_orders_all_six_atom_kinds():
+    # length first, then D, tagged derivations, inverses, L, R, C; tags by
+    # value (direct, mirror, plain) and multiplication words by word_key
+    DIR, PLAIN = DerivationTag.DIRECT, DerivationTag.PLAIN
+    r, s, V = jet("r"), jet("s"), tfield("V")
+    P = (
+        op_d() + op_der(DIR) + op_der(M) + op_derinv(DIR) + op_derinv(M) + op_derinv(PLAIN)
+        + op_left(r) + op_left(jet("r", 1) * r) + op_right(V) + op_comm(r)
+        + op_d() * op_comm(s) - (op_right(s) * op_d()).scale(Fraction(1, 2))
+    )
+    assert print_op(P) == (
+        "D + DD + ID + DDinv + IDinv + Dinv + r + (r_x r) + R[V] + C[r] + D C[s] - 1/2 R[s] D"
+    )
+    assert print_op(P, "latex") == (
+        r"D + \mathbb{D} + \mathrm{ID} + \mathbb{D}^{-1} + \mathrm{ID}^{-1} + D^{-1} + r"
+        r" + (r_{x} r) + R_{V} + C_{r} + D C_{s} - \tfrac{1}{2} R_{s} D"
+    )
+    assert op_probe_equal(parse_op(print_op(P)), P)
 
 
 def test_diagnostics_have_positions():

@@ -8,7 +8,11 @@ from ncburgers.fields import (
     DEFAULT_CONTEXT,
     DerivationTag,
     FieldExpr,
+    Integral,
+    InverseSymbol,
+    Jet,
     NestingLimitExceeded,
+    TestField as Probe,
     cole_hopf_context,
     commutator,
     d_total,
@@ -23,7 +27,13 @@ from ncburgers.hierarchy import (
     recursion_operator,
 )
 from ncburgers.operators import (
+    OpComm,
+    OpD,
+    OpDer,
+    OpDerInv,
     OpExpr,
+    OpLeft,
+    OpRight,
     _apply_atom,
     apply_op,
     normal_op,
@@ -179,6 +189,39 @@ def test_op_power_and_identity():
     phi = op_d() + op_right(r)
     assert op_probe_equal(phi ** 0, OpExpr.identity())
     assert op_probe_equal(phi ** 2, phi * phi)
+
+
+def test_op_power_rejects_negative_exponents():
+    phi = recursion_operator(EquationFamily.MIRROR, "expanded")
+    with pytest.raises(ValueError, match="nonnegative"):
+        phi ** -1
+
+
+WORD = (Jet("r", 1), Probe("V", 0))
+OP_ATOMS = [OpD(), OpDer(M), OpDerInv(M), OpLeft(WORD), OpRight(WORD), OpComm(WORD)]
+
+
+def test_op_atoms_are_rank_led_tuples_hashed_in_c():
+    for rank, atom in enumerate(OP_ATOMS):
+        assert type(atom).__hash__ is tuple.__hash__
+        assert atom[0] == rank and hash(atom) == hash(tuple(atom))
+    assert [OpDer(M).tag, OpDerInv(M).tag, OpLeft(WORD).word] == [M, M, WORD]
+
+
+def test_op_atom_kinds_with_one_payload_stay_apart():
+    assert len({OpLeft(WORD): 1, OpRight(WORD): 2, OpComm(WORD): 3}) == 3
+    assert len({OpDer(M): 1, OpDerInv(M): 2}) == 2
+    for a in OP_ATOMS:
+        for b in OP_ATOMS:
+            assert (a == b) == (a is b)
+
+
+def test_op_atoms_never_equal_field_atoms_or_words():
+    field_atoms = [Jet("r", 1), Probe("V", 0), InverseSymbol(), Integral(M, jet("r"))]
+    field_words = [(a,) for a in field_atoms] + [WORD, ()]
+    op_atoms = OP_ATOMS + [OpLeft((a,)) for a in field_atoms] + [OpDer(DerivationTag.PLAIN)]
+    for a in op_atoms:
+        assert all(a != f for f in field_atoms + field_words)
 
 
 def test_probe_equality_respects_scaling():
