@@ -40,8 +40,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from operator import itemgetter, mul
+from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -80,9 +80,16 @@ MIRROR_TAG = {
 }
 
 
+class _AtomTuple(tuple):
+    __slots__ = ()
+
+    def __getnewargs__(self):  # copy and pickle rebuild an atom from its payload
+        return self[1:]
+
+
 # each atom kind leads with its own letter, which keeps Jet("V") and
 # TestField("V") apart
-class Jet(tuple):
+class Jet(_AtomTuple):
     """A jet variable: ``symbol`` differentiated ``order`` times in x."""
 
     __slots__ = ()
@@ -93,7 +100,7 @@ class Jet(tuple):
         return tuple.__new__(cls, ("j", symbol, order))
 
 
-class TestField(tuple):
+class TestField(_AtomTuple):
     """An arbitrary direction/probe field (V, W or sigma) and its jets."""
 
     __slots__ = ()
@@ -104,7 +111,7 @@ class TestField(tuple):
         return tuple.__new__(cls, ("t", name, order))
 
 
-class InverseSymbol(tuple):
+class InverseSymbol(_AtomTuple):
     """Formal inverse ``u^-1``; only meaningful in a Cole-Hopf context."""
 
     __slots__ = ()
@@ -114,7 +121,7 @@ class InverseSymbol(tuple):
         return tuple.__new__(cls, ("u", base))
 
 
-class Integral(tuple):
+class Integral(_AtomTuple):
     """Formal antiderivative atom: ``DerInv(tag)`` applied to a body.
 
     The body is a full field expression, stored exactly as the canonical
@@ -220,8 +227,8 @@ class LinearCombination:
     (:func:`_rat`), held in ``terms``.
 
     A subclass may set ``_canon`` to a canonicalizer that every word passes
-    through on construction and in products.  Combinations of different
-    classes are never equal, even when their terms are.
+    through on construction and in products (see ``__mul__``).  Combinations
+    of different classes are never equal, even when their terms are.
     """
 
     __slots__ = ("terms", "_hash")
@@ -259,12 +266,22 @@ class LinearCombination:
         return cls._raw(acc)
 
     def map_atoms(self, atom_value: Callable):
-        """Substitute ``atom_value(atom)``, an expression of this class, for
-        every atom: each word becomes the product of its atoms' values."""
-        one = self._raw({(): 1})
-        return self.sum(
-            (reduce(mul, map(atom_value, word), one), c) for word, c in self.terms.items()
-        )
+        """Substitute ``atom_value(atom)`` for every atom: an expression of this
+        class, or None to keep the atom.  Each word becomes the product of its
+        atoms' values; each distinct atom is valued once per call, and ``_canon``
+        runs once per output word, but not on a word kept whole (canonical already)."""
+        canon, values, acc = self._canon, {}, {}
+        for word, c in self.terms.items():
+            part, start = [((), c)], 0  # the product of the atoms before ``start``
+            for i, atom in enumerate(word):
+                v = values[atom] if atom in values else values.setdefault(atom, atom_value(atom))
+                if v is not None:
+                    run, start = word[start:i], i + 1
+                    part = [(w + run + vw, k * vk) for w, k in part for vw, vk in v.terms.items()]
+            for w, k in part:
+                w += word[start:]
+                add_into(acc, canon(w) if canon is not None and start else w, k)
+        return self._raw(acc)
 
     def leibniz(self, atom_derivative: Callable):
         """The derivation that takes each atom to ``atom_derivative(atom)``,
@@ -306,19 +323,27 @@ class LinearCombination:
         return self._raw({w: _rat(c * k) for w, k in self.terms.items()})
 
     def __mul__(self, other):
-        """Words concatenate (and pass through ``_canon``), coefficients multiply."""
-        canon = self._canon
-        acc: dict = {}
-        get = acc.get
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
+        """Words concatenate and coefficients multiply.  Unless the subclass's
+        ``_junction_canon(left, right)`` says ``_canon`` may change a product,
+        one comprehension hashes each word once; when no two products met, only
+        a whole ``Fraction`` product needs converting, else they accumulate."""
+        a, b, canon = self.terms, other.terms, self._canon
+        if canon is None or not self._junction_canon(a, b):
+            acc = {w1 + w2: c1 * c2 for w1, c1 in a.items() for w2, c2 in b.items()}
+            if len(acc) == len(a) * len(b):
+                for w, c in acc.items():
+                    if type(c) is not int and c.denominator == 1:
+                        acc[w] = c.numerator
+                return self._raw(acc)
+        acc = {}
+        for w1, c1 in a.items():
+            for w2, c2 in b.items():
                 w = w1 + w2
-                if canon is not None:
-                    w = canon(w)
-                c = c1 * c2
-                cur = get(w)
-                acc[w] = c if cur is None else cur + c
-        return self._raw({w: c if type(c) is int else _rat(c) for w, c in acc.items() if c})
+                add_into(acc, w if canon is None else canon(w), c1 * c2)
+        return self._raw(acc)
+
+    def __reduce__(self):  # pickled without the per-process hash
+        return self._raw, (self.terms,)
 
     # -- inspection ---------------------------------------------------------
 
@@ -355,6 +380,18 @@ class FieldExpr(LinearCombination):
 
     __slots__ = ()
     _canon = staticmethod(_cancel_uinv)
+
+    @staticmethod
+    def _junction_canon(left: Mapping, right: Mapping) -> bool:
+        # both factors are free-reduced, so u u^-1 or u^-1 u can only form at the
+        # junction, where the u^-1 ends a word of ``left`` or starts one of ``right``
+        for w in left:
+            if w and type(w[-1]) is InverseSymbol:
+                return True
+        for w in right:
+            if w and type(w[0]) is InverseSymbol:
+                return True
+        return False
 
     @staticmethod
     def unit() -> "FieldExpr":
@@ -556,10 +593,10 @@ def normal_field(f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
     an exact derivative) and re-cancels u u^-1 pairs.  Idempotent.
     """
 
-    def atom_value(atom: Atom) -> FieldExpr:
+    def atom_value(atom: Atom) -> Optional[FieldExpr]:
         if isinstance(atom, Integral):
             return _derinv(atom.tag, normal_field(atom.body, ctx), ctx)
-        return FieldExpr.from_atom(atom)
+        return None
 
     return f.map_atoms(atom_value)
 
@@ -575,7 +612,7 @@ def _subst(f: FieldExpr, target: Atom, replacement: FieldExpr, ctx: Context) -> 
     key = target[:2]
     derivs = [replacement]
 
-    def atom_value(atom: Atom) -> FieldExpr:
+    def atom_value(atom: Atom) -> Optional[FieldExpr]:
         if atom[:2] == key:
             while len(derivs) <= atom.order:
                 derivs.append(d_total(derivs[-1], ctx))
@@ -584,7 +621,7 @@ def _subst(f: FieldExpr, target: Atom, replacement: FieldExpr, ctx: Context) -> 
             body = atom.body.map_atoms(atom_value)
             if body != atom.body:
                 return _derinv(atom.tag, body, ctx)
-        return FieldExpr.from_atom(atom)
+        return None
 
     return f.map_atoms(atom_value)
 
@@ -607,12 +644,12 @@ def rename_tests(f: FieldExpr, mapping: Mapping[str, str]) -> FieldExpr:
     """Simultaneously rename test fields, e.g. swap V and W.  Antiderivative
     bodies are renamed in place, not integrated again."""
 
-    def atom_value(atom: Atom) -> FieldExpr:
+    def atom_value(atom: Atom) -> Optional[FieldExpr]:
         if isinstance(atom, TestField) and atom.name in mapping:
-            atom = TestField(mapping[atom.name], atom.order)
-        elif isinstance(atom, Integral):
-            atom = Integral(atom.tag, atom.body.map_atoms(atom_value))
-        return FieldExpr.from_atom(atom)
+            return FieldExpr.from_atom(TestField(mapping[atom.name], atom.order))
+        if isinstance(atom, Integral):
+            return FieldExpr.from_atom(Integral(atom.tag, atom.body.map_atoms(atom_value)))
+        return None
 
     return f.map_atoms(atom_value)
 

@@ -256,12 +256,10 @@ def _term(lx: _Lexer, ctx: Context, factor):
 
 
 def _sum_of_terms(lx: _Lexer, ctx: Context, factor):
-    acc = _term(lx, ctx, factor)
-    while True:
-        tok = lx.peek()
-        if tok not in ("+", "-"):
-            return acc
-        acc = acc + _term(lx, ctx, factor)
+    terms = [(_term(lx, ctx, factor), 1)]
+    while lx.peek() in ("+", "-"):
+        terms.append((_term(lx, ctx, factor), 1))
+    return type(terms[0][0]).sum(terms)
 
 
 def _group(lx: _Lexer, ctx: Context, factor, close: str):

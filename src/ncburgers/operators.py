@@ -35,6 +35,7 @@ from .fields import (
     Rat,
     TestField,
     Word,
+    _AtomTuple,
     _TAG_SIGN,
     add_into,
     commutator,
@@ -46,7 +47,7 @@ from .fields import (
 from .reduction import _standard_field, deep_reduce, derinv
 
 
-class OpD(tuple):
+class OpD(_AtomTuple):
     """Total x-derivative."""
 
     __slots__ = ()
@@ -55,7 +56,7 @@ class OpD(tuple):
         return tuple.__new__(cls, (0,))
 
 
-class OpDer(tuple):
+class OpDer(_AtomTuple):
     """Tagged derivation: D (plain), D - [r, .] (mirror), D + [s, .] (direct)."""
 
     __slots__ = ()
@@ -65,7 +66,7 @@ class OpDer(tuple):
         return tuple.__new__(cls, (1, tag))
 
 
-class OpDerInv(tuple):
+class OpDerInv(_AtomTuple):
     """Formal inverse of the tagged derivation."""
 
     __slots__ = ()
@@ -75,7 +76,7 @@ class OpDerInv(tuple):
         return tuple.__new__(cls, (2, tag))
 
 
-class OpLeft(tuple):
+class OpLeft(_AtomTuple):
     """Left multiplication by a single word (scalars live in coefficients)."""
 
     __slots__ = ()
@@ -85,7 +86,7 @@ class OpLeft(tuple):
         return tuple.__new__(cls, (3, word))
 
 
-class OpRight(tuple):
+class OpRight(_AtomTuple):
     __slots__ = ()
     word = property(itemgetter(1))
 
@@ -93,7 +94,7 @@ class OpRight(tuple):
         return tuple.__new__(cls, (4, word))
 
 
-class OpComm(tuple):
+class OpComm(_AtomTuple):
     """Commutator with a word; expands to OpLeft - OpRight."""
 
     __slots__ = ()
