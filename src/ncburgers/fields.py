@@ -40,7 +40,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import itemgetter
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
@@ -48,9 +48,18 @@ Rat = Union[int, Fraction]
 
 
 class DerivationTag(enum.Enum):
-    PLAIN = "plain"
-    MIRROR = "mirror"
-    DIRECT = "direct"
+    """A tagged derivation and its rules: ``sign`` in der(tag, f) = D f - sign *
+    [field, f] (see :meth:`Context.bracket`), ``base`` the symbol conventionally
+    attached to the tag and ``mirror`` the tag of the mirror-image derivation."""
+
+    PLAIN = "plain", 0, None
+    MIRROR = "mirror", 1, "r"
+    DIRECT = "direct", -1, "s"
+
+    def __new__(cls, value: str, sign: int, base: Optional[str]):
+        tag = object.__new__(cls)
+        tag._value_, tag.sign, tag.base = value, sign, base
+        return tag
 
     # members are singletons; Enum's own hash rehashes the name at every lookup
     __hash__ = object.__hash__
@@ -59,25 +68,8 @@ class DerivationTag(enum.Enum):
         return self.name
 
 
-# der(tag, f) = d_total(f) - sign * [field, f]
-_TAG_SIGN = {
-    DerivationTag.PLAIN: 0,
-    DerivationTag.MIRROR: 1,
-    DerivationTag.DIRECT: -1,
-}
-
-# base symbol conventionally attached to each tag
-TAG_BASE = {
-    DerivationTag.MIRROR: "r",
-    DerivationTag.DIRECT: "s",
-}
-
-# the tag of the mirror-image derivation
-MIRROR_TAG = {
-    DerivationTag.PLAIN: DerivationTag.PLAIN,
-    DerivationTag.MIRROR: DerivationTag.DIRECT,
-    DerivationTag.DIRECT: DerivationTag.MIRROR,
-}
+DerivationTag.PLAIN.mirror = DerivationTag.PLAIN
+DerivationTag.MIRROR.mirror, DerivationTag.DIRECT.mirror = DerivationTag.DIRECT, DerivationTag.MIRROR
 
 
 class _AtomTuple(tuple):
@@ -286,12 +278,12 @@ class LinearCombination:
     def leibniz(self, atom_derivative: Callable):
         """The derivation that takes each atom to ``atom_derivative(atom)``,
         an expression of this class or None for zero, and each word to the
-        sum over its positions given by the Leibniz rule."""
-        canon = self._canon
-        acc: dict = {}
+        sum over its positions given by the Leibniz rule.  Each distinct atom is
+        differentiated once per call."""
+        canon, values, acc = self._canon, {}, {}
         for word, c in self.terms.items():
             for i, atom in enumerate(word):
-                d = atom_derivative(atom)
+                d = values[atom] if atom in values else values.setdefault(atom, atom_derivative(atom))
                 if d is None:
                     continue
                 pre, post = word[:i], word[i + 1 :]
@@ -489,6 +481,12 @@ class Context:
     def tag_field(self, tag: DerivationTag) -> FieldExpr:
         return self.tag_fields[tag]
 
+    def bracket(self, tag: DerivationTag, f: FieldExpr) -> FieldExpr:
+        """The commutator term of the tagged derivation, sign * [field, f]."""
+        if not tag.sign:
+            return ZERO
+        return commutator(self.tag_fields[tag], f).scale(tag.sign)
+
 
 def default_context(integral_depth: int = 4) -> Context:
     return Context(jet("r"), integral_depth)
@@ -515,7 +513,7 @@ def _mirror_atom(atom: Atom) -> Atom:
     if isinstance(atom, Jet) and atom.symbol in ("r", "s"):
         return Jet("s" if atom.symbol == "r" else "r", atom.order)
     if isinstance(atom, Integral):
-        return Integral(MIRROR_TAG[atom.tag], mirror_image(atom.body))
+        return Integral(atom.tag.mirror, mirror_image(atom.body))
     return atom
 
 
@@ -561,14 +559,8 @@ def _d_atom(atom: Atom, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
             (InverseSymbol(atom.base), Jet(atom.base, 1), InverseSymbol(atom.base)),
             -1,
         )
-    # antiderivative: der(tag, I) = body forces
-    # d(I) = body + sign * [field, I]
-    sign = _TAG_SIGN[atom.tag]
-    if sign == 0:
-        return atom.body
-    field = ctx.tag_field(atom.tag)
-    i_expr = FieldExpr.from_atom(atom)
-    return atom.body + commutator(field, i_expr).scale(sign)
+    # antiderivative: der(tag, I) = body forces d(I) = body + sign * [field, I]
+    return atom.body + ctx.bracket(atom.tag, FieldExpr.from_atom(atom))
 
 
 def d_total(f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
@@ -578,11 +570,7 @@ def d_total(f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
 
 def der(tag: DerivationTag, f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
     """The tagged derivation: D, D - [r, .] or D + [s, .]."""
-    sign = _TAG_SIGN[tag]
-    df = d_total(f, ctx)
-    if sign == 0:
-        return df
-    return df - commutator(ctx.tag_field(tag), f).scale(sign)
+    return d_total(f, ctx) - ctx.bracket(tag, f)
 
 
 def normal_field(f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
@@ -605,25 +593,25 @@ def normal_field(f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
 # substitution
 
 
+def _subst_atom(key: tuple, derivs: list, ctx: Context, atom: Atom) -> Optional[FieldExpr]:
+    """``_subst``'s value of one atom; ``derivs`` holds the replacement's
+    x-derivatives computed so far."""
+    if atom[:2] == key:
+        while len(derivs) <= atom.order:
+            derivs.append(d_total(derivs[-1], ctx))
+        return derivs[atom.order]
+    if isinstance(atom, Integral):
+        body = atom.body.map_atoms(partial(_subst_atom, key, derivs, ctx))
+        if body != atom.body:
+            return _derinv(atom.tag, body, ctx)
+    return None
+
+
 def _subst(f: FieldExpr, target: Atom, replacement: FieldExpr, ctx: Context) -> FieldExpr:
     """Replace every jet of the order-0 atom ``target`` (a jet or a test
     field) by the matching x-derivative of ``replacement``; antiderivatives
     whose body changes are integrated again canonically."""
-    key = target[:2]
-    derivs = [replacement]
-
-    def atom_value(atom: Atom) -> Optional[FieldExpr]:
-        if atom[:2] == key:
-            while len(derivs) <= atom.order:
-                derivs.append(d_total(derivs[-1], ctx))
-            return derivs[atom.order]
-        if isinstance(atom, Integral):
-            body = atom.body.map_atoms(atom_value)
-            if body != atom.body:
-                return _derinv(atom.tag, body, ctx)
-        return None
-
-    return f.map_atoms(atom_value)
+    return f.map_atoms(partial(_subst_atom, target[:2], [replacement], ctx))
 
 
 def subst_jets(
@@ -640,18 +628,18 @@ def subst_test(
     return _subst(f, TestField(name), replacement, ctx)
 
 
+def _rename_atom(mapping: Mapping[str, str], atom: Atom) -> Optional[FieldExpr]:
+    if isinstance(atom, TestField) and atom.name in mapping:
+        return FieldExpr.from_atom(TestField(mapping[atom.name], atom.order))
+    if isinstance(atom, Integral):
+        return FieldExpr.from_atom(Integral(atom.tag, atom.body.map_atoms(partial(_rename_atom, mapping))))
+    return None
+
+
 def rename_tests(f: FieldExpr, mapping: Mapping[str, str]) -> FieldExpr:
     """Simultaneously rename test fields, e.g. swap V and W.  Antiderivative
     bodies are renamed in place, not integrated again."""
-
-    def atom_value(atom: Atom) -> Optional[FieldExpr]:
-        if isinstance(atom, TestField) and atom.name in mapping:
-            return FieldExpr.from_atom(TestField(mapping[atom.name], atom.order))
-        if isinstance(atom, Integral):
-            return FieldExpr.from_atom(Integral(atom.tag, atom.body.map_atoms(atom_value)))
-        return None
-
-    return f.map_atoms(atom_value)
+    return f.map_atoms(partial(_rename_atom, mapping))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .fields import (
     FieldExpr,
     Integral,
     Jet,
-    TAG_BASE,
     TestField,
     Word,
     cole_hopf_context,
@@ -69,7 +68,7 @@ class EquationFamily(enum.Enum):
 
     @property
     def base(self) -> str:
-        return TAG_BASE.get(self.tag, "u")
+        return self.tag.base or "u"
 
     @property
     def tag(self) -> DerivationTag:

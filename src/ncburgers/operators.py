@@ -30,13 +30,11 @@ from .fields import (
     DerivationTag,
     FieldExpr,
     LinearCombination,
-    MIRROR_TAG,
     NestingLimitExceeded,
     Rat,
     TestField,
     Word,
     _AtomTuple,
-    _TAG_SIGN,
     add_into,
     commutator,
     d_total,
@@ -174,7 +172,7 @@ def op_comm(f: FieldExpr) -> OpExpr:
 
 def _mirror_op_atom(atom: OpAtom) -> OpExpr:
     if isinstance(atom, (OpDer, OpDerInv)):
-        return OpExpr.from_atoms(type(atom)(MIRROR_TAG[atom.tag]))
+        return OpExpr.from_atoms(type(atom)(atom.tag.mirror))
     if isinstance(atom, OpD):
         return OpExpr.from_atoms(atom)
     image = {OpLeft: OpRight, OpRight: OpLeft, OpComm: OpComm}[type(atom)](mirror_word(atom.word))
@@ -252,7 +250,7 @@ def _rewrite(word: OpWord, i: int, coeff: Rat, ctx: Context) -> Optional[list]:
         ]
     if isinstance(atom, OpDer):
         out = [(pre + (OpD(),) + post, coeff)]
-        sign = _TAG_SIGN[atom.tag]
+        sign = atom.tag.sign
         for w, c in ctx.tag_field(atom.tag).terms.items() if sign else ():
             out.append((pre + (OpLeft(w),) + post, -sign * coeff * c))
             out.append((pre + (OpRight(w),) + post, sign * coeff * c))
@@ -279,7 +277,7 @@ def _rewrite(word: OpWord, i: int, coeff: Rat, ctx: Context) -> Optional[list]:
         # D = Der(tag) + sign*C(field), so D DerInv = Id + sign*C(field) DerInv
         # and DerInv D = Id + sign*DerInv C(field)
         inv = nxt if isinstance(nxt, OpDerInv) else atom
-        sign = _TAG_SIGN[inv.tag]
+        sign = inv.tag.sign
         out = [(pre + rest, coeff)]
         for w, c in ctx.tag_field(inv.tag).terms.items() if sign else ():
             for mult, s in ((OpLeft(w), sign), (OpRight(w), -sign)):

@@ -13,7 +13,7 @@ plain D of the free algebra (``fields._d_atom`` under the Leibniz rule):
 
 with no commutator corrections.  So ``derinv(tag)`` is the plain inverse
 conjugated by the x <-> eta change of coordinates: one map for both
-directions, memoized per atom and per word prefix.  Applying it reduces to
+directions, memoized per word prefix.  Applying it reduces to
 integrating a free-algebra polynomial with respect to D.  The split
 f = E(g) + h is linear, so it is the sum of the splits of f's words, and
 each word's split is memoized.  A word's split is greedy: construct the one
@@ -80,10 +80,8 @@ from .fields import (
     Jet,
     LinearCombination,
     NestingLimitExceeded,
-    TAG_BASE,
     TestField,
     Word,
-    _TAG_SIGN,
     _d_atom,
     _rat,
     add_into,
@@ -228,48 +226,42 @@ def _greedy_split(f: EtaExpr) -> Tuple[dict, dict]:
 # ``PLAIN`` ones in eta map to each other through their bodies.
 
 
-# Bounded, like the word memo, because antiderivative atoms carry their
-# bodies: unbounded, it keeps every antiderivative the process converted.
-# One pass of the proofs benchmark converts 49 atoms and one of the
-# properties benchmark 88, so 256 entries hold them all there; the atoms a
-# longer run misses are rebuilt mostly from body words the word memo still
-# holds.
-@lru_cache(maxsize=256)
-def _atom_image(tag: DerivationTag, cls: type, atom: Atom) -> LinearCombination:
-    """One atom's image in ``cls`` coordinates: ``EtaExpr`` for eta and
-    ``FieldExpr`` for x.  Any other atom raises ``_ForeignAtom``."""
+# Bounded because an unbounded memo keeps every word of every field reduced
+# in the process, and one-atom words stand for the atoms: 10,207 words and
+# 6.1 MB more peak memory over the 1,000 small fields of the properties
+# benchmark.  1024 entries miss 5,634 times in 20,721 calls over one proofs
+# pass (2048 hold its 1,950 words) and 14,985 times in 55,927 over one
+# properties pass; in ten paired runs before operators.apply_op merged its
+# words' tails, 2048 gave no reliable wall-time gain (proofs 1.74 -> 1.70 s,
+# better in 7 of 10, properties 1.84 -> 1.79 s, 6 of 10) for 0.9 MB and
+# 0.5 MB more memory.
+@lru_cache(maxsize=1024)
+def _word_image(tag: DerivationTag, cls: type, w: Word) -> LinearCombination:
+    """A word's image in ``cls`` coordinates, ``EtaExpr`` for eta and
+    ``FieldExpr`` for x: the image of ``w[:-1]`` times that of its last atom,
+    so words share their prefixes.  An atom the change of coordinates cannot
+    express raises ``_ForeignAtom``."""
+    if not w:
+        return cls._raw({(): 1})
+    if len(w) > 1:
+        return _word_image(tag, cls, w[:-1]) * _word_image(tag, cls, w[-1:])
+    atom = w[0]
     to_eta = cls is EtaExpr
     kind = type(atom)
     if kind is Jet or kind is TestField:
         if atom[2] == 0:
-            return cls._raw({(atom,): 1})
-        f = _atom_image(tag, cls, kind(atom[1], atom[2] - 1))
-        df, sign = f.leibniz(_d_atom), _TAG_SIGN[tag]
-        if not sign:
+            return cls._raw({w: 1})
+        f = _word_image(tag, cls, (kind(atom[1], atom[2] - 1),))
+        df = f.leibniz(_d_atom)
+        if not to_eta:
+            return df - DEFAULT_CONTEXT.bracket(tag, f)  # E is der(tag, .) in x
+        if not tag.sign:
             return df
-        base = cls._raw({(Jet(TAG_BASE[tag]),): 1})
-        return df + commutator(base, f).scale(sign if to_eta else -sign)
+        return df + commutator(_eta_word((Jet(tag.base),)), f).scale(tag.sign)
     if kind is Integral and atom[1] is (tag if to_eta else _PLAIN):
         body = _image(tag, cls, atom[2])
         return cls._raw({(Integral(_PLAIN if to_eta else tag, body),): 1})
     raise _ForeignAtom(atom)
-
-
-# Bounded because an unbounded memo keeps every word of every field reduced
-# in the process: 10,167 words and 6.5 MB more peak memory over the 1,000
-# small fields of the properties benchmark.  1024 entries miss 5,621 times
-# in 15,206 calls over one proofs pass (2048 hold its 1,941 words) and
-# 14,771 times in 41,207 over one properties pass; in ten paired runs before
-# operators.apply_op merged its words' tails, 2048 gave no reliable
-# wall-time gain (proofs 1.74 -> 1.70 s, better in 7 of 10, properties
-# 1.84 -> 1.79 s, 6 of 10) for 0.9 MB and 0.5 MB more memory.
-@lru_cache(maxsize=1024)
-def _word_image(tag: DerivationTag, cls: type, w: Word) -> LinearCombination:
-    """A word's image: the image of ``w[:-1]`` times that of its last atom,
-    so words share their prefixes."""
-    if not w:
-        return cls._raw({(): 1})
-    return _word_image(tag, cls, w[:-1]) * _atom_image(tag, cls, w[-1])
 
 
 def _image(tag: DerivationTag, cls: type, f: LinearCombination) -> LinearCombination:

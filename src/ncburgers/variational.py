@@ -13,6 +13,7 @@ the last line being the usual derivative of an operator inverse.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Tuple
 
 from .fields import (
@@ -21,9 +22,7 @@ from .fields import (
     FieldExpr,
     Integral,
     Jet,
-    TAG_BASE,
     TestField,
-    _TAG_SIGN,
     commutator,
     normal_field,
     subst_test,
@@ -44,6 +43,21 @@ from .operators import (
 from .reduction import derinv
 
 
+def _frechet_atom(direction: str, base: str, ctx: Context, atom) -> Optional[FieldExpr]:
+    """``frechet_field``'s derivative of one atom."""
+    if isinstance(atom, Jet) and atom.symbol == base:
+        return FieldExpr.from_atom(TestField(direction, atom.order))
+    if isinstance(atom, Integral):
+        tag = atom.tag
+        out = derinv(tag, atom.body.leibniz(partial(_frechet_atom, direction, base, ctx)), ctx)
+        if tag.base == base:
+            # the tagged derivation itself depends on the base symbol
+            dirf = FieldExpr.from_atom(TestField(direction, 0))
+            out = out + derinv(tag, commutator(dirf, FieldExpr.from_atom(atom)), ctx).scale(tag.sign)
+        return out
+    return None
+
+
 def frechet_field(
     K: FieldExpr, direction: str, base: str, ctx: Context = DEFAULT_CONTEXT
 ) -> FieldExpr:
@@ -55,22 +69,7 @@ def frechet_field(
     """
     if direction in K.test_names():
         raise ValueError("direction %r already occurs in the expression" % direction)
-
-    def datom(atom) -> Optional[FieldExpr]:
-        if isinstance(atom, Jet) and atom.symbol == base:
-            return FieldExpr.from_atom(TestField(direction, atom.order))
-        if isinstance(atom, Integral):
-            sign = _TAG_SIGN[atom.tag]
-            i_val = FieldExpr.from_atom(atom)
-            out = derinv(atom.tag, atom.body.leibniz(datom), ctx)
-            if sign and TAG_BASE.get(atom.tag) == base:
-                # the tagged derivation itself depends on the base symbol
-                dirf = FieldExpr.from_atom(TestField(direction, 0))
-                out = out + derinv(atom.tag, commutator(dirf, i_val), ctx).scale(sign)
-            return out
-        return None
-
-    return K.leibniz(datom)
+    return K.leibniz(partial(_frechet_atom, direction, base, ctx))
 
 
 def frechet_op(
@@ -86,12 +85,11 @@ def frechet_op(
 
     def datom(atom) -> Optional[OpExpr]:
         if isinstance(atom, (OpD, OpDer, OpDerInv)):
-            if isinstance(atom, OpD) or TAG_BASE.get(atom.tag) != base:
+            if isinstance(atom, OpD) or atom.tag.base != base:
                 return None  # independent of base: D, the plain tag, the other family's tag
-            sign = _TAG_SIGN[atom.tag]
             if isinstance(atom, OpDer):
-                return op_comm(dirf).scale(-sign)
-            return (op_derinv(atom.tag) * op_comm(dirf) * op_derinv(atom.tag)).scale(sign)
+                return op_comm(dirf).scale(-atom.tag.sign)
+            return (op_derinv(atom.tag) * op_comm(dirf) * op_derinv(atom.tag)).scale(atom.tag.sign)
         dword = frechet_field(FieldExpr.from_word(atom.word), direction, base, ctx)
         return _mult_op(type(atom), dword)
 

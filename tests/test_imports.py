@@ -71,3 +71,30 @@ def test_function_local_imports_are_pinned():
         for site in _function_local_imports(ast.parse(path.read_text()))
     ]
     assert found == FUNCTION_LOCAL_IMPORTS
+
+
+# Private names imported from a sibling module, by importing file.  A new
+# private coupling has to be added here; making a name public or dropping
+# its use means shortening this list.
+PRIVATE_IMPORTS = [
+    ("lang.py", ".reduction", "_ForeignAtom"),
+    ("lang.py", ".reduction", "_image"),
+    ("operators.py", ".fields", "_AtomTuple"),
+    ("operators.py", ".reduction", "_standard_field"),
+    ("reduction.py", ".fields", "_d_atom"),
+    ("reduction.py", ".fields", "_rat"),
+    ("variational.py", ".operators", "_mult_op"),
+]
+
+
+def test_private_imports_are_pinned():
+    package = Path(ncburgers.__file__).resolve().parent
+    found = [
+        (path.name, "." * node.level + (node.module or ""), alias.name)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == PRIVATE_IMPORTS

@@ -13,6 +13,7 @@ from ncburgers.fields import (
     Integral,
     InverseSymbol,
     Jet,
+    ZERO,
     _mirror_atom,
     cole_hopf_context,
     commutator,
@@ -92,6 +93,26 @@ def test_mirror_image_is_an_involution():
     for _ in range(30):
         f = random_nonlocal_field(rng, symbols=("r", "s"), tests=("V",))
         assert mirror_image(mirror_image(f)) == f
+
+
+def test_tag_rules_mirror():
+    swap = {None: None, "r": "s", "s": "r"}
+    for tag in DerivationTag:
+        assert tag.mirror.mirror is tag
+        assert tag.mirror.sign == -tag.sign
+        assert tag.mirror.base == swap[tag.base]
+        assert DerivationTag(tag.value) is tag
+    assert [t.sign for t in DerivationTag] == [0, 1, -1]
+    assert repr(M) == "MIRROR" and M.base == "r"
+
+
+def test_bracket_mirrors_between_the_tagged_derivations():
+    rng = random.Random(24)
+    for ctx in (default_context(), cole_hopf_context()):
+        for _ in range(30):
+            f = random_nonlocal_field(rng, symbols=("r", "s"), tests=("V",))
+            assert ctx.bracket(DerivationTag.PLAIN, f) is ZERO
+            assert mirror_image(ctx.bracket(M, f)) == ctx.bracket(DIR, mirror_image(f))
 
 
 def test_context_is_its_own_mirror_image():

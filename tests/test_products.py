@@ -10,6 +10,7 @@ where two words meet.  Atoms and expressions must also survive ``copy``,
 """
 
 import copy
+import gc
 import os
 import pickle
 import random
@@ -32,7 +33,9 @@ from ncburgers.fields import (
     LinearCombination,
     NestingLimitExceeded,
     TestField as Probe,
+    _d_atom,
     _rat,
+    d_total,
     jet,
     normal_field,
     rename_tests,
@@ -57,6 +60,7 @@ from ncburgers.operators import (
     op_right,
 )
 from ncburgers.reduction import EtaExpr
+from ncburgers.variational import frechet_field
 
 from conftest import random_field, random_nonlocal_field
 
@@ -241,6 +245,41 @@ def test_map_atoms_values_each_distinct_atom_once():
     want = map_atoms_by_products(f, lambda a: r + s if a == Jet("r") else None)
     assert f.map_atoms(value) == want
     assert seen == Counter({Jet("r"): 1, Probe("V"): 1, InverseSymbol(): 1})
+
+
+def test_leibniz_differentiates_each_distinct_atom_once():
+    f = r * probe("V") * r * ui + probe("V") * r + r * r * r
+    seen = Counter()
+
+    def derivative(atom):
+        seen[atom] += 1
+        return _d_atom(atom)
+
+    assert f.leibniz(derivative) == d_total(f)
+    assert seen == Counter({Jet("r"): 1, Probe("V"): 1, InverseSymbol(): 1})
+
+
+def test_substitution_callbacks_leave_no_reference_cycles():
+    # each call's state, for subst_test the replacement and its derivatives,
+    # is freed by reference counting, not left to the cyclic collector
+    rng = random.Random(2207)
+    cases = [random_nonlocal_field(rng, symbols=("r", "s"), tests=("V",)) for _ in range(40)]
+    cases = [f for f in cases if f.contains_integral()]
+    assert len(cases) > 5
+    flags, saved = gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for f in cases:
+            subst_test(f, "V", r * s + probe("V", 1))
+            rename_tests(f, {"V": "W"})
+            frechet_field(f, "W", "r")
+        gc.collect()
+        cyclic = len(gc.garbage) - saved
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[saved:]
+    assert cyclic == 0
 
 
 def test_map_atoms_keeps_atoms_valued_none():
