@@ -61,10 +61,6 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _family(name: str) -> EquationFamily:
-    return EquationFamily(name)
-
-
 def _default_depth() -> int:
     text = os.environ.get("NCBURGERS_IBP_DEPTH", "4")
     try:
@@ -81,12 +77,14 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hierarchy", help="print hierarchy members")
+    p.set_defaults(run=_cmd_hierarchy)
     p.add_argument("--family", choices=["mirror", "direct", "heat"], required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--coords", choices=["x", "eta"], default="x")
     p.add_argument("--format", choices=["text", "latex", "structured"], default="text")
 
     v = sub.add_parser("verify", help="machine-check an algebraic claim")
+    v.set_defaults(run=_cmd_verify)
     vsub = v.add_subparsers(dest="claim", required=True)
     claim = argparse.ArgumentParser(add_help=False)
     claim.add_argument("--family", choices=["mirror", "direct"], required=True)
@@ -107,16 +105,19 @@ def _make_parser() -> argparse.ArgumentParser:
     vsub.add_parser("cole-hopf", parents=[claim])
 
     r = sub.add_parser("reduce", help="commutative reduction of an expression")
+    r.set_defaults(run=_cmd_reduce)
     r.add_argument("--commutative", action="store_true", required=True)
     r.add_argument("--expr", required=True)
     r.add_argument("--format", choices=["text", "latex"], default="text")
 
     e = sub.add_parser("eval", help="evaluate an expression in a matrix scene")
+    e.set_defaults(run=_cmd_eval)
     e.add_argument("--scene", required=True)
     e.add_argument("--expr", required=True)
     e.add_argument("--at", required=True)
 
     o = sub.add_parser("oracle", help="numeric oracles")
+    o.set_defaults(run=_cmd_oracle)
     osub = o.add_subparsers(dest="oracle_kind", required=True)
     och = osub.add_parser("cole-hopf")
     och.add_argument("--dim", type=int, default=2)
@@ -124,6 +125,7 @@ def _make_parser() -> argparse.ArgumentParser:
     och.add_argument("--tol", type=float, default=1e-8)
 
     s = sub.add_parser("scene", help="generate a matrix scene document")
+    s.set_defaults(run=_cmd_scene)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--dim", type=int, default=3)
     s.add_argument("--degree", type=int, default=2)
@@ -149,7 +151,7 @@ def _report_exit(reports: List[VerificationReport], fmt: str) -> int:
 
 
 def _cmd_hierarchy(args) -> int:
-    fam = _family(args.family)
+    fam = EquationFamily(args.family)
     member = hierarchy_member(fam, args.order)
     if args.format == "structured":
         print(
@@ -174,7 +176,7 @@ def _cmd_hierarchy(args) -> int:
 def _cmd_verify(args) -> int:
     depth = args.ibp_depth if getattr(args, "ibp_depth", None) is not None else _default_depth()
     ctx = default_context(integral_depth=depth)
-    fam = _family(args.family)
+    fam = EquationFamily(args.family)
     if args.claim == "strong-symmetry":
         reports = [strong_symmetry_member(fam, args.member, ctx)]
     elif args.claim == "hereditary":
@@ -182,7 +184,7 @@ def _cmd_verify(args) -> int:
     elif args.claim == "commute":
         report = flow_commutation(fam, args.m, args.n, ctx)
         if report.ok:
-            km, kn = flow_members(fam, args.m, args.n, ctx)
+            km, kn = flow_members(fam, args.m, args.n)
             oracle = check_commute(km, kn, fam.base, default_scenes(args.scenes))
             report.log.append(
                 "oracle K'[G] vs G'[K] scenes: %d, points: %d, passed: %s"
@@ -285,21 +287,9 @@ def _cmd_scene(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     try:
-        if args.command == "hierarchy":
-            return _cmd_hierarchy(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "scene":
-            return _cmd_scene(args)
+        return args.run(args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -309,8 +299,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NestingLimitExceeded as exc:
         print("inconclusive: %s" % exc, file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    parser.error("unknown command")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -348,9 +348,6 @@ class LinearCombination:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __iter__(self) -> Iterator[Tuple[tuple, Rat]]:
-        return iter(self.terms.items())
-
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self.terms == other.terms
 
@@ -478,9 +475,6 @@ class Context:
             DerivationTag.DIRECT: mirror_image(self.field),
         }
 
-    def tag_field(self, tag: DerivationTag) -> FieldExpr:
-        return self.tag_fields[tag]
-
     def bracket(self, tag: DerivationTag, f: FieldExpr) -> FieldExpr:
         """The commutator term of the tagged derivation, sign * [field, f]."""
         if not tag.sign:
@@ -573,8 +567,8 @@ def der(tag: DerivationTag, f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> Fie
     return d_total(f, ctx) - ctx.bracket(tag, f)
 
 
-def normal_field(f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
-    """Canonical form of a field expression.
+def normal_field(f: FieldExpr) -> FieldExpr:
+    """Canonical form of a field expression in the default context.
 
     Construction already keeps expressions flattened and collected, so this
     re-normalizes antiderivative bodies (unwrapping any body that has become
@@ -583,7 +577,7 @@ def normal_field(f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
 
     def atom_value(atom: Atom) -> Optional[FieldExpr]:
         if isinstance(atom, Integral):
-            return _derinv(atom.tag, normal_field(atom.body, ctx), ctx)
+            return _derinv(atom.tag, normal_field(atom.body), DEFAULT_CONTEXT)
         return None
 
     return f.map_atoms(atom_value)
@@ -614,11 +608,9 @@ def _subst(f: FieldExpr, target: Atom, replacement: FieldExpr, ctx: Context) -> 
     return f.map_atoms(partial(_subst_atom, target[:2], [replacement], ctx))
 
 
-def subst_jets(
-    f: FieldExpr, symbol: str, replacement: FieldExpr, ctx: Context = DEFAULT_CONTEXT
-) -> FieldExpr:
+def subst_jets(f: FieldExpr, symbol: str, replacement: FieldExpr) -> FieldExpr:
     """Replace every jet of ``symbol`` by the matching derivative of ``replacement``."""
-    return _subst(f, Jet(symbol), replacement, ctx)
+    return _subst(f, Jet(symbol), replacement, DEFAULT_CONTEXT)
 
 
 def subst_test(
@@ -660,8 +652,10 @@ def word_weight(word: Word) -> int:
 
 
 def expr_nesting(f: FieldExpr) -> int:
-    """Maximum nesting depth of antiderivative atoms."""
-    return max(
-        (1 + expr_nesting(a.body) for w in f.terms for a in w if isinstance(a, Integral)),
-        default=0,
-    )
+    """Maximum nesting depth of antiderivative atoms: the number of levels of
+    bodies, each level's distinct atoms read once."""
+    depth, atoms = 0, {a for w in f.terms for a in w if type(a) is Integral}
+    while atoms:
+        depth += 1
+        atoms = {a for i in atoms for w in i.body.terms for a in w if type(a) is Integral}
+    return depth

@@ -26,7 +26,6 @@ from typing import List, Tuple, Union
 
 from .fields import (
     Context,
-    DEFAULT_CONTEXT,
     DerivationTag,
     FieldExpr,
     Integral,
@@ -96,43 +95,39 @@ def recursion_operator(family: EquationFamily, form: str = "expanded") -> OpExpr
     return op_d() + op_right(r) + op_left(rx) * op_derinv(_MIRROR)
 
 
-def _mirror_member(n: int, ctx: Context) -> FieldExpr:
+def _mirror_member(n: int) -> FieldExpr:
     """K_n = ID (ID + L_r)^{n-1} r."""
     g = r = jet("r")
     for _ in range(n - 1):
-        g = der(_MIRROR, g, ctx) + r * g
-    return der(_MIRROR, g, ctx)
+        g = der(_MIRROR, g) + r * g
+    return der(_MIRROR, g)
 
 
-def hierarchy_member(
-    family: EquationFamily, n: int, ctx: Context = DEFAULT_CONTEXT
-) -> HierarchyMember:
+def hierarchy_member(family: EquationFamily, n: int) -> HierarchyMember:
     """n-th hierarchy member via the compact derivation form."""
     if n < 1:
         raise ValueError("hierarchy index starts at 1")
     if family == EquationFamily.HEAT:
         rhs = FieldExpr.from_atom(Jet("u", n))
     elif family == EquationFamily.MIRROR:
-        rhs = _mirror_member(n, ctx)
+        rhs = _mirror_member(n)
     else:
-        rhs = mirror_image(_mirror_member(n, ctx))
+        rhs = mirror_image(_mirror_member(n))
     if rhs.contains_integral():
         raise AssertionError("hierarchy member %d is not antiderivative-free" % n)
     return HierarchyMember(family, n, rhs)
 
 
-def hierarchy_cross_check(
-    family: EquationFamily, n: int, ctx: Context = DEFAULT_CONTEXT
-) -> bool:
+def hierarchy_cross_check(family: EquationFamily, n: int) -> bool:
     """Compare the compact form against n-1 applications of the recursion
     operator to the first jet, eliminating every antiderivative."""
     phi = recursion_operator(family, "expanded")
     cur = FieldExpr.from_atom(Jet(family.base, 1))
     for _ in range(n - 1):
-        cur = apply_op(phi, cur, ctx)
+        cur = apply_op(phi, cur)
         if cur.contains_integral():
             return False
-    return cur == hierarchy_member(family, n, ctx).rhs
+    return cur == hierarchy_member(family, n).rhs
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,6 @@ from typing import List, Optional, Tuple
 
 from .fields import (
     Atom,
-    Context,
-    DEFAULT_CONTEXT,
     DerivationTag,
     FieldExpr,
     Integral,
@@ -182,14 +180,14 @@ class _Lexer:
         return ParseError(self._diag(pos, message, expected))
 
 
-def _field_atom(lx: _Lexer, ctx: Context):
+def _field_atom(lx: _Lexer):
     """The next field factor: a plain atom as itself, a group as a
     ``FieldExpr``, or None when the next token starts no factor."""
     text = lx.peek()
     if text is None:
         return None
     if text == "(":
-        return _group(lx, ctx, _field_atom, ")")
+        return _group(lx, _field_atom, ")")
     atom = lx.atoms[text]
     if atom is not None:
         lx.next()
@@ -197,10 +195,10 @@ def _field_atom(lx: _Lexer, ctx: Context):
     after = lx.peek(1)
     if text in DERINV_IDENTS and after == "[":
         lx.next()
-        return derinv(DERINV_IDENTS[text], _group(lx, ctx, _field_atom, "]"), ctx)
+        return derinv(DERINV_IDENTS[text], _group(lx, _field_atom, "]"))
     if text == "D" and after == "(":
         lx.next()
-        return d_total(_group(lx, ctx, _field_atom, ")"), ctx)
+        return d_total(_group(lx, _field_atom, ")"))
     return None
 
 
@@ -222,14 +220,14 @@ def _coefficient(lx: _Lexer) -> Tuple[Rat, bool]:
     return sign * (Fraction(int(num), int(den)) if den else int(num)), True
 
 
-def _term(lx: _Lexer, ctx: Context, factor):
+def _term(lx: _Lexer, factor):
     """A coefficient times the product of the factors ``factor`` parses:
     field factors or operator factors.  A run of plain atoms is one word,
     multiplied in at the next group and at the end of the term."""
     coeff, explicit = _coefficient(lx)
     is_field = factor is _field_atom
     out, run = None, []  # the product of the factors before ``run``
-    while (f := factor(lx, ctx)) is not None:
+    while (f := factor(lx)) is not None:
         if isinstance(f, tuple):
             run.append(f)
             continue
@@ -255,40 +253,40 @@ def _term(lx: _Lexer, ctx: Context, factor):
     raise lx.error("expected a field factor", ("identifier", "(", "IDinv["))
 
 
-def _sum_of_terms(lx: _Lexer, ctx: Context, factor):
-    terms = [(_term(lx, ctx, factor), 1)]
+def _sum_of_terms(lx: _Lexer, factor):
+    terms = [(_term(lx, factor), 1)]
     while lx.peek() in ("+", "-"):
-        terms.append((_term(lx, ctx, factor), 1))
+        terms.append((_term(lx, factor), 1))
     return type(terms[0][0]).sum(terms)
 
 
-def _group(lx: _Lexer, ctx: Context, factor, close: str):
+def _group(lx: _Lexer, factor, close: str):
     """The sum after the opening bracket at the cursor, up to ``close``."""
     lx.next()
-    inner = _sum_of_terms(lx, ctx, factor)
+    inner = _sum_of_terms(lx, factor)
     lx.expect(close)
     return inner
 
 
-def _parse(src: str, ctx: Context, factor, zero):
+def _parse(src: str, factor, zero):
     if src.strip() == "0":
         return zero
     lx = _Lexer(src)
-    out = _sum_of_terms(lx, ctx, factor)
+    out = _sum_of_terms(lx, factor)
     if lx.peek() is not None:
         raise lx.error("trailing input")
     return out
 
 
-def parse_field(src: str, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
-    """Parse a field expression; unknown identifiers are an error."""
-    return _parse(src, ctx, _field_atom, FieldExpr.zero())
+def parse_field(src: str) -> FieldExpr:
+    """Parse a field expression in the default context; unknown identifiers are an error."""
+    return _parse(src, _field_atom, FieldExpr.zero())
 
 
-def _op_factor(lx: _Lexer, ctx: Context) -> Optional[OpExpr]:
+def _op_factor(lx: _Lexer) -> Optional[OpExpr]:
     text, after = lx.peek(), lx.peek(1)
     if text == "(":
-        return _group(lx, ctx, _op_factor, ")")
+        return _group(lx, _op_factor, ")")
     if text == "D" and after != "(":
         lx.next()
         return op_d()
@@ -304,16 +302,16 @@ def _op_factor(lx: _Lexer, ctx: Context) -> Optional[OpExpr]:
     if text in ("L", "R", "C") and after == "[":
         lx.next()
         mult = {"L": op_left, "R": op_right, "C": op_comm}[text]
-        return mult(_group(lx, ctx, _field_atom, "]"))
-    field = _field_atom(lx, ctx)
+        return mult(_group(lx, _field_atom, "]"))
+    field = _field_atom(lx)
     if field is None:
         return None
     return op_left(FieldExpr.from_atom(field) if isinstance(field, tuple) else field)
 
 
-def parse_op(src: str, ctx: Context = DEFAULT_CONTEXT) -> OpExpr:
+def parse_op(src: str) -> OpExpr:
     """Parse an operator expression; bare field factors mean left multiplication."""
-    return _parse(src, ctx, _op_factor, OpExpr.zero())
+    return _parse(src, _op_factor, OpExpr.zero())
 
 
 # ---------------------------------------------------------------------------

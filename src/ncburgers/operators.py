@@ -238,7 +238,7 @@ def _apply_terms(terms, f: FieldExpr, ctx: Context) -> FieldExpr:
 # -- canonical form ----------------------------------------------------------
 
 
-def _rewrite(word: OpWord, i: int, coeff: Rat, ctx: Context) -> Optional[list]:
+def _rewrite(word: OpWord, i: int, coeff: Rat) -> Optional[list]:
     """One rewrite step at position ``i`` of ``word``: the (word, coeff)
     pairs that replace it, or None when no rule applies there."""
     atom = word[i]
@@ -251,7 +251,7 @@ def _rewrite(word: OpWord, i: int, coeff: Rat, ctx: Context) -> Optional[list]:
     if isinstance(atom, OpDer):
         out = [(pre + (OpD(),) + post, coeff)]
         sign = atom.tag.sign
-        for w, c in ctx.tag_field(atom.tag).terms.items() if sign else ():
+        for w, c in DEFAULT_CONTEXT.tag_fields[atom.tag].terms.items() if sign else ():
             out.append((pre + (OpLeft(w),) + post, -sign * coeff * c))
             out.append((pre + (OpRight(w),) + post, sign * coeff * c))
         return out
@@ -268,7 +268,7 @@ def _rewrite(word: OpWord, i: int, coeff: Rat, ctx: Context) -> Optional[list]:
         return [(pre + (nxt, atom) + rest, coeff)]
     if isinstance(atom, OpD) and isinstance(nxt, (OpLeft, OpRight)):
         out = [(pre + (nxt, atom) + rest, coeff)]
-        for w, c in d_total(FieldExpr.from_word(nxt.word), ctx).terms.items():
+        for w, c in d_total(FieldExpr.from_word(nxt.word)).terms.items():
             out.append((pre + (type(nxt)(w),) + rest, coeff * c))
         return out
     if isinstance(atom, OpDerInv) and isinstance(nxt, OpDer) and atom.tag == nxt.tag:
@@ -279,7 +279,7 @@ def _rewrite(word: OpWord, i: int, coeff: Rat, ctx: Context) -> Optional[list]:
         inv = nxt if isinstance(nxt, OpDerInv) else atom
         sign = inv.tag.sign
         out = [(pre + rest, coeff)]
-        for w, c in ctx.tag_field(inv.tag).terms.items() if sign else ():
+        for w, c in DEFAULT_CONTEXT.tag_fields[inv.tag].terms.items() if sign else ():
             for mult, s in ((OpLeft(w), sign), (OpRight(w), -sign)):
                 pair = (mult, inv) if inv is nxt else (inv, mult)
                 out.append((pre + pair + rest, s * coeff * c))
@@ -287,28 +287,26 @@ def _rewrite(word: OpWord, i: int, coeff: Rat, ctx: Context) -> Optional[list]:
     return None
 
 
-def normal_op(P: OpExpr, ctx: Context = DEFAULT_CONTEXT) -> OpExpr:
+def normal_op(P: OpExpr) -> OpExpr:
     """Canonical operator form over the D/DerInv/Left/Right alphabet.
 
     Commutators and tagged derivations are expanded, adjacent multiplications
     merged (with left factors sorted before right ones, which commute with
     them), D pushed rightward past multiplications, and D cancelled against
-    an adjacent matching inverse using the context's commutator field.
+    an adjacent matching inverse using the default context's field r.
     """
     pending = [(tuple(w), c) for w, c in P.terms.items()]
     done: dict = {}
-    budget = ctx.reduce_rounds
+    budget = Context.reduce_rounds
     while pending:
         budget -= 1
         if budget < 0:
             raise NestingLimitExceeded(
-                "operator normalization exceeded reduce_rounds = %d rewrites" % ctx.reduce_rounds
+                "operator normalization exceeded reduce_rounds = %d rewrites" % Context.reduce_rounds
             )
         word, coeff = pending.pop()
-        if coeff == 0:
-            continue
         for i in range(len(word)):
-            out = _rewrite(word, i, coeff, ctx)
+            out = _rewrite(word, i, coeff)
             if out is not None:
                 pending.extend(out)
                 break

@@ -29,7 +29,7 @@ from math import gcd, lcm, perm
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .fields import DEFAULT_CONTEXT, Atom, FieldExpr, Jet, Rat, TestField
+from .fields import Atom, FieldExpr, Jet, Rat, TestField
 from .variational import lie_bracket_halves
 
 if TYPE_CHECKING:  # numpy is imported only by the floating-point check below
@@ -275,7 +275,7 @@ def check_commute(
     """Exact test that the flows K and G commute: the halves K'[G] and G'[K]
     of their Lie bracket are evaluated separately and compared, so the
     verdict does not depend on the symbolic reducer."""
-    return check_equal(*lie_bracket_halves(K, G, base, DEFAULT_CONTEXT), scenes)
+    return check_equal(*lie_bracket_halves(K, G, base), scenes)
 
 
 def default_scenes(count: int = 10, dim: int = 3, degree: int = 2) -> List[MatrixScene]:

@@ -37,9 +37,7 @@ seconds; so does a split that recurses past Python's recursion limit.  The
 splitter reads words from the left, in the mirror convention, for the mirror
 and plain tags; the direct inverse is the mirror image
 (``fields.mirror_image``) of the mirror inverse of the mirror image.
-The change of coordinates keeps the nesting of every antiderivative, so the
-nesting bound is checked once per call, on the eta words: an integrated word
-nests as deep as its image, a rejected one a level deeper.
+The nesting bound is checked once per call, on the field it returns.
 
 ``deep_reduce`` extends this to products mixing antiderivative atoms with
 further factors: every such word is replaced by the antiderivative of its
@@ -294,7 +292,7 @@ def _derinv(tag: DerivationTag, f: FieldExpr, ctx: Context) -> FieldExpr:
     if f.is_zero():
         return f
     if not _standard_field(tag, ctx):
-        nesting, terms = 1 + expr_nesting(f), [(FieldExpr.from_atom(Integral(tag, f)), 1)]
+        out = FieldExpr.from_atom(Integral(tag, f))
     else:
         eta_terms, foreign = [], {}
         for w, c in f.terms.items():
@@ -303,21 +301,14 @@ def _derinv(tag: DerivationTag, f: FieldExpr, ctx: Context) -> FieldExpr:
             except _ForeignAtom:
                 foreign[w] = c
         g, h = _greedy_split(EtaExpr.sum(eta_terms))
-        # the change of coordinates keeps the nesting of every antiderivative,
-        # so the eta words give that of each one this call creates
-        nesting = max(
-            expr_nesting(EtaExpr._raw(g)),
-            1 + expr_nesting(EtaExpr._raw(h)) if h else 0,
-            1 + expr_nesting(FieldExpr._raw(foreign)) if foreign else 0,
-        )
-        terms = chain(
+        out = FieldExpr.sum(chain(
             ((_word_image(tag, FieldExpr, w), c) for w, c in g.items()),
             ((FieldExpr.from_atom(Integral(tag, FieldExpr.from_word(w))), c) for w, c in foreign.items()),
             ((FieldExpr.from_atom(Integral(tag, _word_image(tag, FieldExpr, w))), c) for w, c in h.items()),
-        )
-    if nesting > ctx.integral_depth:
+        ))
+    if expr_nesting(out) > ctx.integral_depth:
         raise NestingLimitExceeded("antiderivative nesting exceeded depth %d" % ctx.integral_depth)
-    return FieldExpr.sum(terms)
+    return out
 
 
 def _word_tag(word: Word) -> Optional[DerivationTag]:

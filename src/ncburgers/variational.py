@@ -24,7 +24,6 @@ from .fields import (
     Jet,
     TestField,
     commutator,
-    normal_field,
     subst_test,
     test,
 )
@@ -72,9 +71,7 @@ def frechet_field(
     return K.leibniz(partial(_frechet_atom, direction, base, ctx))
 
 
-def frechet_op(
-    P: OpExpr, direction: str, base: str, ctx: Context = DEFAULT_CONTEXT
-) -> OpExpr:
+def frechet_op(P: OpExpr, direction: str, base: str) -> OpExpr:
     """Directional derivative of an operator expression along ``direction``.
 
     This operator form is what the tests compare against and what the
@@ -90,7 +87,7 @@ def frechet_op(
             if isinstance(atom, OpDer):
                 return op_comm(dirf).scale(-atom.tag.sign)
             return (op_derinv(atom.tag) * op_comm(dirf) * op_derinv(atom.tag)).scale(atom.tag.sign)
-        dword = frechet_field(FieldExpr.from_word(atom.word), direction, base, ctx)
+        dword = frechet_field(FieldExpr.from_word(atom.word), direction, base)
         return _mult_op(type(atom), dword)
 
     return P.leibniz(datom)
@@ -123,21 +120,18 @@ def member_operator(K: FieldExpr, base: str) -> OpExpr:
     return OpExpr.sum(pieces())
 
 
-def lie_bracket_halves(
-    K: FieldExpr, G: FieldExpr, base: str, ctx: Context
-) -> Tuple[FieldExpr, FieldExpr]:
+def lie_bracket_halves(K: FieldExpr, G: FieldExpr, base: str) -> Tuple[FieldExpr, FieldExpr]:
     """The two halves K'[G] and G'[K] of the Lie bracket, unreduced.  Both
     are antiderivative-free, so each can be evaluated in a matrix scene."""
     if K.contains_integral() or G.contains_integral():
         raise ValueError("lie_bracket needs antiderivative-free expressions")
-    kd = subst_test(frechet_field(K, "V", base, ctx), "V", G, ctx)
-    gd = subst_test(frechet_field(G, "V", base, ctx), "V", K, ctx)
+    kd = subst_test(frechet_field(K, "V", base), "V", G)
+    gd = subst_test(frechet_field(G, "V", base), "V", K)
     return kd, gd
 
 
-def lie_bracket(
-    K: FieldExpr, G: FieldExpr, base: str, ctx: Context = DEFAULT_CONTEXT
-) -> FieldExpr:
-    """Commutator of evolution vector fields: K'[G] - G'[K]."""
-    kd, gd = lie_bracket_halves(K, G, base, ctx)
-    return normal_field(kd - gd, ctx)
+def lie_bracket(K: FieldExpr, G: FieldExpr, base: str) -> FieldExpr:
+    """Commutator of evolution vector fields: K'[G] - G'[K], unreduced (both
+    halves are antiderivative-free, so already in normal form)."""
+    kd, gd = lie_bracket_halves(K, G, base)
+    return kd - gd

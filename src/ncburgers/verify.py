@@ -158,7 +158,7 @@ def _strong_symmetry_field(
 def strong_symmetry_member(
     family: EquationFamily, n: int, ctx: Context = DEFAULT_CONTEXT
 ) -> VerificationReport:
-    member = hierarchy_member(family, n, ctx).rhs
+    member = hierarchy_member(family, n).rhs
     report = strong_symmetry_defect(family, member, ctx)
     report.claim = "strong-symmetry[%s, n=%d]" % (family.value, n)
     return report
@@ -168,9 +168,7 @@ def strong_symmetry_member(
 _SWAP_LR = str.maketrans("LR", "RL")
 
 
-def s_split(
-    family: EquationFamily, ctx: Context = DEFAULT_CONTEXT
-) -> List[Tuple[str, OpExpr]]:
+def s_split(family: EquationFamily) -> List[Tuple[str, OpExpr]]:
     """Split S_j = Phi Phi'_j[V] - Phi'_j[Phi V] along the four natural
     pieces of the Frechet derivative of the recursion operator.
 
@@ -180,16 +178,16 @@ def s_split(
     if family == EquationFamily.HEAT:
         raise ValueError("the heat recursion operator has a vanishing derivative")
     if family == EquationFamily.DIRECT:
-        mirrored = s_split(EquationFamily.MIRROR, ctx)
+        mirrored = s_split(EquationFamily.MIRROR)
         return [(name.translate(_SWAP_LR), mirror_op(s_j)) for name, s_j in mirrored]
     tag = family.tag
     phi = recursion_operator(family, "expanded")
     V = test("V")
-    phi_v = apply_op(phi, V, ctx)
+    phi_v = apply_op(phi, V)
     r = jet("r")
     pieces = [
         ("R", op_right),
-        ("L_der", lambda f: op_left(der(tag, f, ctx)) * op_derinv(tag)),
+        ("L_der", lambda f: op_left(der(tag, f)) * op_derinv(tag)),
         ("L_comm", lambda f: op_left(r * f - f * r) * op_derinv(tag)),
         ("nonlocal", lambda f: op_left(jet("r", 1)) * op_derinv(tag) * op_comm(f) * op_derinv(tag)),
     ]
@@ -224,18 +222,14 @@ def _bilinear(family: EquationFamily, ctx: Context) -> FieldExpr:
     return apply_op(phi, dphi_w, ctx) - subst_test(dphi_w, "V", phi_v, ctx)
 
 
-def hereditary_bilinear(
-    family: EquationFamily, ctx: Context = DEFAULT_CONTEXT
-) -> FieldExpr:
+def hereditary_bilinear(family: EquationFamily) -> FieldExpr:
     """The canonicalized bilinear form B(V,W) itself, for fixture comparison."""
-    return deep_reduce(_bilinear(family, ctx), ctx)
+    return deep_reduce(_bilinear(family, DEFAULT_CONTEXT))
 
 
-def flow_members(
-    family: EquationFamily, m: int, n: int, ctx: Context = DEFAULT_CONTEXT
-) -> Tuple[FieldExpr, FieldExpr]:
+def flow_members(family: EquationFamily, m: int, n: int) -> Tuple[FieldExpr, FieldExpr]:
     """The m-th and n-th hierarchy members, the flows a commutation claim is about."""
-    return hierarchy_member(family, m, ctx).rhs, hierarchy_member(family, n, ctx).rhs
+    return hierarchy_member(family, m).rhs, hierarchy_member(family, n).rhs
 
 
 def flow_commutation(
@@ -243,12 +237,7 @@ def flow_commutation(
 ) -> VerificationReport:
     """Lie bracket of the m-th and n-th hierarchy members."""
     claim = "flow-commutation[%s, m=%d, n=%d]" % (family.value, m, n)
-
-    def assemble(log: List[str]) -> FieldExpr:
-        km, kn = flow_members(family, m, n, ctx)
-        return lie_bracket(km, kn, family.base, ctx)
-
-    return _check(claim, ctx, assemble)
+    return _check(claim, ctx, lambda log: lie_bracket(*flow_members(family, m, n), family.base))
 
 
 def verify_cole_hopf(family: EquationFamily, integral_depth: int = 4) -> List[VerificationReport]:

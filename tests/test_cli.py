@@ -88,8 +88,8 @@ def test_verify_commute_oracle_is_independent_of_reducer(capsys, monkeypatch):
     # the symbolic claim is K_2 against K_3; the oracle is handed r r for K_3
     real_members = cli.flow_members
 
-    def members(family, m, n, ctx):
-        km, _ = real_members(family, m, n, ctx)
+    def members(family, m, n):
+        km, _ = real_members(family, m, n)
         return km, jet("r") * jet("r")
 
     monkeypatch.setattr(cli, "flow_members", members)
@@ -330,6 +330,13 @@ def test_inconclusive_exit_three(capsys):
     )
     assert code == 3
     assert "inconclusive" in out
+
+
+def test_reduce_past_the_nesting_bound_exits_three(capsys):
+    nested = "IDinv[IDinv[IDinv[IDinv[IDinv[r V] V] V] V] V]"
+    code, out, err = run_cli(capsys, "reduce", "--commutative", "--expr", nested)
+    assert (code, out) == (3, "")
+    assert err.startswith("inconclusive: ")
 
 
 def test_failed_oracle_exit_one(capsys):

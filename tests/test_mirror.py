@@ -122,7 +122,7 @@ def test_context_is_its_own_mirror_image():
         (default_context(1), Context(jet("r"), integral_depth=1)),
         (chopf, cole_hopf_context()),
     ):
-        assert ctx.tag_field(DIR) == mirror_image(ctx.tag_field(M))
+        assert ctx.tag_fields[DIR] == mirror_image(ctx.tag_fields[M])
         assert ctx == twin and hash(ctx) == hash(twin)
     assert default_context(1) != default_context() and chopf != default_context()
 
@@ -228,7 +228,7 @@ DIRECT_S_SPLIT = [
 def test_direct_cole_hopf_identities_text():
     identities = cole_hopf_identities(EquationFamily.DIRECT)
     assert [(name, print_op(lhs), print_op(rhs)) for name, lhs, rhs, _ in identities] == DIRECT_COLE_HOPF
-    assert {print_field(ctx.tag_field(DIR)) for _, _, _, ctx in identities} == {"uinv u_x"}
+    assert {print_field(ctx.tag_fields[DIR]) for _, _, _, ctx in identities} == {"uinv u_x"}
 
 
 def test_direct_cole_hopf_context_keeps_the_mirror_field():

@@ -26,6 +26,7 @@ from ncburgers.hierarchy import (
     hierarchy_member,
     recursion_operator,
 )
+from ncburgers.lang import parse_op
 from ncburgers.operators import (
     OpComm,
     OpD,
@@ -173,8 +174,11 @@ def test_normal_op_expands_and_merges():
 
 
 def test_normal_op_cancels_derivation_against_inverse():
-    assert normal_op(op_der(M) * op_derinv(M)) == OpExpr.identity()
-    assert normal_op(op_derinv(M) * op_der(M)) == OpExpr.identity()
+    # multiplication by the unit word drops out like the identity
+    for unit in ("Id", "L[1]", "R[1]"):
+        one = parse_op(unit)
+        assert normal_op(op_der(M) * one * op_derinv(M)) == OpExpr.identity(), unit
+        assert normal_op(op_derinv(M) * one * op_der(M)) == OpExpr.identity(), unit
 
 
 def test_normal_op_stops_at_the_round_budget(monkeypatch):

@@ -370,6 +370,15 @@ def test_an_endless_split_is_inconclusive(monkeypatch):
         reduction._split_word.cache_clear()
 
 
+def test_deep_reduce_stops_at_the_pass_budget(monkeypatch):
+    # the word needs a second pass, so one pass cannot reach the fixed point
+    f = parse_field("r IDinv[r V] V_x")
+    assert deep_reduce(f).terms
+    monkeypatch.setattr(Context, "reduce_passes", 1)
+    with pytest.raises(NestingLimitExceeded, match="did not reach a fixed point"):
+        deep_reduce(f)
+
+
 def test_negative_nesting_depth_is_rejected():
     with pytest.raises(ValueError, match="negative"):
         Context(r, integral_depth=-1)
