@@ -399,17 +399,13 @@ def _print_field_eta(e: FieldExpr) -> str:
             % (_atom_text(exc.args[0], False), _DER_NAMES[tag])
         ) from None
 
-    def atom_text(a) -> str:
+    def atom_text(a, latex: bool) -> str:
         if not isinstance(a, Integral):
-            return _atom_text(a, False, "eta")
-        terms = sorted(a.body.terms.items(), key=lambda kv: word_key(kv[0]))
-        inner = _join_terms([(c, " ".join(map(atom_text, w))) for w, c in terms], False)
-        return "%s[%s]" % (_DERINV_NAMES[tag], inner)
+            return _atom_text(a, latex, "eta")
+        return "%s[%s]" % (_DERINV_NAMES[tag], _print_terms(a.body, "x", word_key, atom_text))
 
-    parts = []
-    for word, coeff in sorted(eta.terms.items(), key=lambda kv: str(kv[0])):
-        parts.append((coeff, " ".join(atom_text(a) for a in word)))
-    return _join_terms(parts, False)
+    # top-level words in the order of their repr text, bodies in word_key order
+    return _print_terms(eta, "x", str, atom_text)
 
 
 def _op_atom_text(atom, latex: bool) -> str:

@@ -4,9 +4,7 @@ inverses, and multiplication operators, with rational coefficients.
 An operator word acts on field expressions from the right end inward, so
 ``(D, L(r))`` means "multiply by r on the left, then differentiate".
 ``apply_op`` applies each leftmost atom once, to the sum of the tails of the
-words that share it.  That is exact because every atom is linear, except
-``derinv`` under the Cole-Hopf substitution: it keeps its whole input as one
-antiderivative body, so there it is applied to each word's tail on its own.
+words that share it.  That is exact because every atom is linear.
 
 The canonical form expands commutator and tagged-derivation atoms over the
 D / DerInv / LeftMul / RightMul alphabet, merges adjacent multiplications,
@@ -42,7 +40,7 @@ from .fields import (
     mirror_word,
     word_key,
 )
-from .reduction import _standard_field, deep_reduce, derinv
+from .reduction import deep_reduce, derinv
 
 
 class OpD(_AtomTuple):
@@ -210,10 +208,7 @@ def apply_op(P: OpExpr, f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldEx
     The words are walked as a prefix trie: those sharing a leftmost atom,
     which acts last, are grouped, and the atom is applied once to the sum
     of the group's tails applied to f.  This is exact because D, the tagged
-    derivations, the multiplications and ``derinv`` in a standard context
-    are linear.  Where the context's commutator field is not the base jet
-    (the Cole-Hopf substitution) ``derinv`` keeps its whole input as one
-    antiderivative body, so there each inverse is applied per word.
+    derivations, their inverses and the multiplications are linear.
     """
     return _apply_terms(P.terms.items(), f, ctx)
 
@@ -228,10 +223,7 @@ def _apply_terms(terms, f: FieldExpr, ctx: Context) -> FieldExpr:
         else:
             parts.append((f, c))
     for atom, tails in groups.items():
-        if isinstance(atom, OpDerInv) and not _standard_field(atom.tag, ctx):
-            parts.extend((_apply_atom(atom, _apply_terms(((t, 1),), f, ctx), ctx), c) for t, c in tails)
-        else:
-            parts.append((_apply_atom(atom, _apply_terms(tails, f, ctx), ctx), 1))
+        parts.append((_apply_atom(atom, _apply_terms(tails, f, ctx), ctx), 1))
     return FieldExpr.sum(parts)
 
 

@@ -277,9 +277,10 @@ def derinv(
     """Apply the formal inverse derivation canonically.
 
     Exact derivatives unwrap completely; anything else splits into an
-    integrated part plus antiderivative atoms with irreducible bodies.  In a
-    context whose commutator field is not the plain base jet (the Cole-Hopf
-    substitution), no splitting is attempted and bodies are kept verbatim.
+    integrated part plus antiderivative atoms with irreducible bodies.  A
+    word without an eta image, and every word in a context whose commutator
+    field is not the plain base jet (the Cole-Hopf substitution), becomes
+    its own antiderivative atom, so ``derinv`` is linear in every context.
     The direct inverse is the mirror image of the mirror one.
     """
     if tag == DerivationTag.DIRECT:
@@ -291,21 +292,22 @@ def _derinv(tag: DerivationTag, f: FieldExpr, ctx: Context) -> FieldExpr:
     """``derinv`` for the mirror and plain tags."""
     if f.is_zero():
         return f
-    if not _standard_field(tag, ctx):
-        out = FieldExpr.from_atom(Integral(tag, f))
-    else:
-        eta_terms, foreign = [], {}
-        for w, c in f.terms.items():
-            try:
+    standard = _standard_field(tag, ctx)
+    eta_terms, foreign = [], {}
+    for w, c in f.terms.items():
+        try:
+            if standard:  # else no word has an eta image
                 eta_terms.append((_word_image(tag, EtaExpr, w), c))
-            except _ForeignAtom:
-                foreign[w] = c
-        g, h = _greedy_split(EtaExpr.sum(eta_terms))
-        out = FieldExpr.sum(chain(
-            ((_word_image(tag, FieldExpr, w), c) for w, c in g.items()),
-            ((FieldExpr.from_atom(Integral(tag, FieldExpr.from_word(w))), c) for w, c in foreign.items()),
-            ((FieldExpr.from_atom(Integral(tag, _word_image(tag, FieldExpr, w))), c) for w, c in h.items()),
-        ))
+                continue
+        except _ForeignAtom:
+            pass
+        foreign[w] = c
+    g, h = _greedy_split(EtaExpr.sum(eta_terms))
+    out = FieldExpr.sum(chain(
+        ((_word_image(tag, FieldExpr, w), c) for w, c in g.items()),
+        ((FieldExpr.from_atom(Integral(tag, FieldExpr.from_word(w))), c) for w, c in foreign.items()),
+        ((FieldExpr.from_atom(Integral(tag, _word_image(tag, FieldExpr, w))), c) for w, c in h.items()),
+    ))
     if expr_nesting(out) > ctx.integral_depth:
         raise NestingLimitExceeded("antiderivative nesting exceeded depth %d" % ctx.integral_depth)
     return out

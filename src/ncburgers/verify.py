@@ -15,9 +15,8 @@ Phi'[X] Y is the derivative of Phi Y along V with X put in for V, and
 K'[X] the derivative of K along sigma with X put in for sigma.  This is
 exact: ``frechet_field`` takes (ID^-1 b)' = ID^-1 b' + sign ID^-1 [V, ID^-1 b],
 the operator rule (ID^-1)' = ID^-1 C_V ID^-1 applied to b, and ``subst_test``
-integrates a changed body again with ``derinv``, which is linear in a
-standard context.  So each field equals its composed operator applied to
-the probe, term for term.
+integrates a changed body again with ``derinv``, which is linear.  So each
+field equals its composed operator applied to the probe, term for term.
 
 Probe discipline: ``sigma`` for operator probes (and as the direction of
 K'), ``V`` then ``W`` for the bilinear hereditary form; a probe is rejected

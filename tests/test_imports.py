@@ -80,7 +80,6 @@ PRIVATE_IMPORTS = [
     ("lang.py", ".reduction", "_ForeignAtom"),
     ("lang.py", ".reduction", "_image"),
     ("operators.py", ".fields", "_AtomTuple"),
-    ("operators.py", ".reduction", "_standard_field"),
     ("reduction.py", ".fields", "_d_atom"),
     ("reduction.py", ".fields", "_rat"),
     ("variational.py", ".operators", "_mult_op"),

@@ -165,6 +165,30 @@ def test_derinv_linearity():
         assert derinv(M, a + b) == derinv(M, a) + derinv(M, b)
 
 
+LINEARITY_SHAPES = (
+    {"symbols": ("r",), "tests": ("V",)},
+    {"symbols": ("r", "s"), "tests": ("V", "W")},
+    {"symbols": ("r",), "tests": ("V",), "cole_hopf": True},
+)
+
+
+@pytest.mark.parametrize(
+    "make_context", [fields.default_context, fields.cole_hopf_context], ids=["default", "cole-hopf"]
+)
+def test_derinv_is_linear_in_every_context(make_context):
+    # under the Cole-Hopf substitution too, each word is integrated on its own
+    ctx = make_context(6)
+    rng = random.Random(26)
+    evaluated = sharing = 0
+    for shape in LINEARITY_SHAPES * 10:
+        a, b = random_nonlocal_field(rng, **shape), random_nonlocal_field(rng, **shape)
+        sharing += bool(a.terms.keys() & b.terms.keys())
+        for tag in (M, DIR, P):
+            assert derinv(tag, a + b, ctx) == derinv(tag, a, ctx) + derinv(tag, b, ctx)
+            evaluated += 1
+    assert (evaluated, sharing) == (90, 12)
+
+
 def test_plain_tag_is_classic_integration():
     # D^-1 of u_xx recovers u_x with no corrections
     assert derinv(P, jet("u", 2)) == jet("u", 1)
