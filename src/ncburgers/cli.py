@@ -36,7 +36,6 @@ from .hierarchy import EquationFamily, hierarchy_member, recursion_operator, red
 from .lang import ParseError, parse_field, parse_op, print_expr, print_field
 from .oracle import (
     CHSolution,
-    check_commute,
     cole_hopf_numeric,
     default_scenes,
     eval_field,
@@ -49,7 +48,6 @@ from .verify import (
     Status,
     VerificationReport,
     flow_commutation,
-    flow_members,
     hereditary_defect,
     strong_symmetry_member,
     verify_cole_hopf,
@@ -182,18 +180,7 @@ def _cmd_verify(args) -> int:
     elif args.claim == "hereditary":
         reports = [hereditary_defect(fam, ctx)]
     elif args.claim == "commute":
-        report = flow_commutation(fam, args.m, args.n, ctx)
-        if report.ok:
-            km, kn = flow_members(fam, args.m, args.n)
-            oracle = check_commute(km, kn, fam.base, default_scenes(args.scenes))
-            report.log.append(
-                "oracle K'[G] vs G'[K] scenes: %d, points: %d, passed: %s"
-                % (oracle.scenes, oracle.points, oracle.passed)
-            )
-            if not oracle.passed:
-                report.log.append("oracle failed at %s" % oracle.first_failure)
-                report.status = Status.NONZERO
-        reports = [report]
+        reports = [flow_commutation(fam, args.m, args.n, ctx, default_scenes(args.scenes))]
     else:
         reports = verify_cole_hopf(fam, depth)
     return _report_exit(reports, args.format)

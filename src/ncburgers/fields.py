@@ -387,10 +387,6 @@ class FieldExpr(LinearCombination):
         return FieldExpr({(): 1})
 
     @staticmethod
-    def scalar(c: Rat) -> "FieldExpr":
-        return FieldExpr({(): c})
-
-    @staticmethod
     def from_word(word: Iterable[Atom], coeff: Rat = 1) -> "FieldExpr":
         return FieldExpr({tuple(word): coeff})
 
@@ -632,23 +628,6 @@ def rename_tests(f: FieldExpr, mapping: Mapping[str, str]) -> FieldExpr:
     """Simultaneously rename test fields, e.g. swap V and W.  Antiderivative
     bodies are renamed in place, not integrated again."""
     return f.map_atoms(partial(_rename_atom, mapping))
-
-
-# ---------------------------------------------------------------------------
-# grading
-
-
-def atom_weight(atom: Atom) -> int:
-    """Scaling weight: a bare symbol weighs 1, each x-derivative adds 1."""
-    if isinstance(atom, (Jet, TestField)):
-        return atom.order + 1
-    if isinstance(atom, InverseSymbol):
-        return -1
-    return max((word_weight(w) for w in atom.body.terms), default=1) - 1
-
-
-def word_weight(word: Word) -> int:
-    return sum(atom_weight(a) for a in word)
 
 
 def expr_nesting(f: FieldExpr) -> int:

@@ -10,8 +10,8 @@ Three equation families are supported:
 * heat    -- u_t = u_xx with the trivial recursion operator D.
 
 Hierarchy members come from the compact form K_n = ID (ID + L_r)^{n-1} r,
-which stays free of antiderivatives; the operator route Phi^{n-1} r_x is
-kept as a cross-check.
+which stays free of antiderivatives; the tests check it against the
+operator route Phi^{n-1} r_x.
 
 Every direct construction (recursion operator, members, Cole-Hopf
 identities) is the mirror image of the mirror one: words reversed, r and s
@@ -47,7 +47,6 @@ from .operators import (
     OpExpr,
     OpLeft,
     OpRight,
-    apply_op,
     mirror_op,
     op_comm,
     op_d,
@@ -116,18 +115,6 @@ def hierarchy_member(family: EquationFamily, n: int) -> HierarchyMember:
     if rhs.contains_integral():
         raise AssertionError("hierarchy member %d is not antiderivative-free" % n)
     return HierarchyMember(family, n, rhs)
-
-
-def hierarchy_cross_check(family: EquationFamily, n: int) -> bool:
-    """Compare the compact form against n-1 applications of the recursion
-    operator to the first jet, eliminating every antiderivative."""
-    phi = recursion_operator(family, "expanded")
-    cur = FieldExpr.from_atom(Jet(family.base, 1))
-    for _ in range(n - 1):
-        cur = apply_op(phi, cur)
-        if cur.contains_integral():
-            return False
-    return cur == hierarchy_member(family, n).rhs
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from operator import mul
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .fields import Atom, FieldExpr, Jet, Rat, TestField
-from .variational import lie_bracket_halves
 
 if TYPE_CHECKING:  # numpy is imported only by the floating-point check below
     import numpy as np
@@ -79,11 +78,6 @@ def int_mul_kernel(d: int) -> Callable[[IntMatrix, IntMatrix], IntMatrix]:
         exec(source, namespace)
         kernel = _INT_MUL[d] = namespace["int_mul"]
     return kernel
-
-
-def int_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """The product of two square integer matrices of one dimension."""
-    return int_mul_kernel(len(a))(a, b)
 
 
 def _int_scale(m: IntMatrix, k: int) -> IntMatrix:
@@ -267,15 +261,6 @@ def check_equal(a: FieldExpr, b: FieldExpr, scenes: Sequence[MatrixScene]) -> Ze
 def check_zero(e: FieldExpr, scenes: Sequence[MatrixScene]) -> ZeroCheckReport:
     """Exact zero test over every scene and evaluation point."""
     return check_equal(e, FieldExpr.zero(), scenes)
-
-
-def check_commute(
-    K: FieldExpr, G: FieldExpr, base: str, scenes: Sequence[MatrixScene]
-) -> ZeroCheckReport:
-    """Exact test that the flows K and G commute: the halves K'[G] and G'[K]
-    of their Lie bracket are evaluated separately and compared, so the
-    verdict does not depend on the symbolic reducer."""
-    return check_equal(*lie_bracket_halves(K, G, base), scenes)
 
 
 def default_scenes(count: int = 10, dim: int = 3, degree: int = 2) -> List[MatrixScene]:

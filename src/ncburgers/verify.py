@@ -26,9 +26,8 @@ if it already occurs in the inputs.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .fields import (
     Context,
@@ -49,8 +48,9 @@ from .hierarchy import (
 )
 from .lang import print_field
 from .operators import OpExpr, apply_op, mirror_op, op_comm, op_derinv, op_left, op_right
+from .oracle import MatrixScene, check_equal
 from .reduction import deep_reduce
-from .variational import frechet_field, lie_bracket
+from .variational import frechet_field, lie_bracket_halves
 
 
 class Status(enum.Enum):
@@ -82,9 +82,6 @@ class VerificationReport:
             "terms_after": self.terms_after,
             "log": list(self.log),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _check(
@@ -226,17 +223,38 @@ def hereditary_bilinear(family: EquationFamily) -> FieldExpr:
     return deep_reduce(_bilinear(family, DEFAULT_CONTEXT))
 
 
-def flow_members(family: EquationFamily, m: int, n: int) -> Tuple[FieldExpr, FieldExpr]:
-    """The m-th and n-th hierarchy members, the flows a commutation claim is about."""
-    return hierarchy_member(family, m).rhs, hierarchy_member(family, n).rhs
-
-
 def flow_commutation(
-    family: EquationFamily, m: int, n: int, ctx: Context = DEFAULT_CONTEXT
+    family: EquationFamily,
+    m: int,
+    n: int,
+    ctx: Context = DEFAULT_CONTEXT,
+    scenes: Optional[Sequence[MatrixScene]] = None,
 ) -> VerificationReport:
-    """Lie bracket of the m-th and n-th hierarchy members."""
+    """Lie bracket K'[G] - G'[K] of the m-th and n-th hierarchy members.
+
+    With ``scenes``, a proved claim is also put to the exact matrix oracle:
+    the halves K'[G] and G'[K] are evaluated separately and compared, so
+    that verdict does not rest on the reducer, and a disagreement makes the
+    claim nonzero.  A scene list with no point raises ``ValueError``."""
     claim = "flow-commutation[%s, m=%d, n=%d]" % (family.value, m, n)
-    return _check(claim, ctx, lambda log: lie_bracket(*flow_members(family, m, n), family.base))
+    halves: List[FieldExpr] = []
+
+    def assemble(log: List[str]) -> FieldExpr:
+        km, kn = hierarchy_member(family, m).rhs, hierarchy_member(family, n).rhs
+        halves.extend(lie_bracket_halves(km, kn, family.base))
+        return halves[0] - halves[1]
+
+    report = _check(claim, ctx, assemble)
+    if report.ok and scenes is not None:
+        oracle = check_equal(*halves, scenes)
+        report.log.append(
+            "oracle K'[G] vs G'[K] scenes: %d, points: %d, passed: %s"
+            % (oracle.scenes, oracle.points, oracle.passed)
+        )
+        if not oracle.passed:
+            report.log.append("oracle failed at %s" % oracle.first_failure)
+            report.status = Status.NONZERO
+    return report
 
 
 def verify_cole_hopf(family: EquationFamily, integral_depth: int = 4) -> List[VerificationReport]:

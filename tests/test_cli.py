@@ -1,11 +1,12 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
-from ncburgers import cli
+from ncburgers import verify
 from ncburgers.cli import main
-from ncburgers.fields import jet
+from ncburgers.fields import FieldExpr, jet
 
 
 def run_cli(capsys, *argv):
@@ -85,14 +86,16 @@ def test_verify_commute_with_oracle(capsys):
 
 
 def test_verify_commute_oracle_is_independent_of_reducer(capsys, monkeypatch):
-    # the symbolic claim is K_2 against K_3; the oracle is handed r r for K_3
-    real_members = cli.flow_members
+    # a reducer that proves every defect, and r r in place of K_3: only the
+    # oracle is left to reject the claim
+    real_member = verify.hierarchy_member
 
-    def members(family, m, n):
-        km, _ = real_members(family, m, n)
-        return km, jet("r") * jet("r")
+    def member(family, n):
+        found = real_member(family, n)
+        return replace(found, rhs=jet("r") * jet("r")) if n == 3 else found
 
-    monkeypatch.setattr(cli, "flow_members", members)
+    monkeypatch.setattr(verify, "deep_reduce", lambda defect, ctx: FieldExpr.zero())
+    monkeypatch.setattr(verify, "hierarchy_member", member)
     code, out, _ = run_cli(
         capsys,
         "verify", "commute", "--family", "mirror", "--m", "2", "--n", "3",

@@ -24,7 +24,6 @@ from ncburgers.fields import (
     subst_jets,
     subst_test,
         uinv,
-    word_weight,
 )
 from ncburgers.operators import OpD, OpDerInv, OpExpr, OpLeft
 from ncburgers.reduction import derinv
@@ -204,10 +203,6 @@ def test_rename_tests_swap():
     assert rename_tests(e, {"V": "W", "W": "V"}) == tfield("W") * tfield("V", 1)
     # words that a rename makes equal are added, not overwritten
     assert rename_tests(tfield("V") + tfield("W"), {"V": "W"}) == tfield("W").scale(2)
-
-
-def test_word_weight_grading():
-    assert word_weight((Jet("r", 2), Jet("r", 0))) == 4
 
 
 def test_zero_handling():

@@ -97,3 +97,15 @@ def test_private_imports_are_pinned():
         if alias.name.startswith("_")
     ]
     assert found == PRIVATE_IMPORTS
+
+
+def test_oracle_imports_only_fields():
+    # the oracle is the second opinion on the reducer's verdicts, so it must
+    # not import the layers that build or reduce them
+    package = Path(ncburgers.__file__).resolve().parent
+    found = {
+        node.module
+        for node in ast.walk(ast.parse((package / "oracle.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level
+    }
+    assert found == {"fields"}

@@ -235,7 +235,7 @@ def test_missing_factor_messages():
         parse_field("r + )")
     with pytest.raises(ParseError, match="expected an operator factor"):
         parse_op("D + ]")
-    assert parse_field("2") == FieldExpr.scalar(2)
+    assert parse_field("2") == FieldExpr.unit().scale(2)
     assert parse_op("-1/2") == OpExpr.identity().scale(Fraction(-1, 2))
 
 
@@ -291,8 +291,8 @@ def test_atom_runs_and_groups_build_the_same_words():
     assert e == u * (uinv() * r + s) * uinv() * u
     assert e == FieldExpr.from_word((Jet("r"),)) + FieldExpr.from_word((Jet("u"), Jet("s")))
     assert parse_field("u uinv r uinv u") == r
-    assert parse_field("2") == FieldExpr.scalar(2)
-    assert parse_field("-1/2") == FieldExpr.scalar(Fraction(-1, 2))
+    assert parse_field("2") == FieldExpr.unit().scale(2)
+    assert parse_field("-1/2") == FieldExpr.unit().scale(Fraction(-1, 2))
     assert parse_field("- - r") == r
     assert parse_field("+ - + r - - s") == s - r
     assert parse_field("r D(r s) V") == r * d_total(r * s) * V

@@ -136,7 +136,7 @@ def test_junction_cancellation_cascades():
     assert assert_same_product(r * u * u, ui * ui * s) == r * s
     assert assert_same_product(r * ui, u * s) == r * s
     assert assert_same_product(ux * ui, u * r) == ux * r
-    assert assert_same_product(u + ui, ui + u) == FieldExpr.scalar(2) + u * u + ui * ui
+    assert assert_same_product(u + ui, ui + u) == FieldExpr.unit().scale(2) + u * u + ui * ui
     # u^-1 inside a factor, away from the junction, leaves the fast path open
     assert not FieldExpr._junction_canon((ui * r * u).terms, s.terms)
     got = assert_same_product(ui * r * u, s)

@@ -272,6 +272,16 @@ def test_flow_commutation(family, m, n):
     assert report.status == Status.PROVED_ZERO
 
 
+def test_flow_commutation_oracle_extends_the_log():
+    bare = flow_commutation(MIR, 2, 3)
+    assert bare.ok and not any("oracle" in line for line in bare.log)
+    checked = flow_commutation(MIR, 2, 3, scenes=default_scenes(2))
+    assert checked.ok
+    assert checked.log == bare.log + ["oracle K'[G] vs G'[K] scenes: 2, points: 6, passed: True"]
+    with pytest.raises(ValueError, match="scene point"):
+        flow_commutation(MIR, 2, 3, scenes=[])
+
+
 def test_flow_commutation_diagonal_trivial():
     report = flow_commutation(MIR, 2, 2)
     assert report.status == Status.PROVED_ZERO
@@ -313,7 +323,7 @@ def test_reports_match_the_golden_fixture():
 
 def test_report_serialization_round_trip():
     report = strong_symmetry_member(MIR, 1)
-    doc = json.loads(report.to_json())
+    doc = json.loads(json.dumps(report.to_dict()))
     assert doc["status"] == "proved-zero"
     assert doc["schema"] == 1
     assert "terms_before" in doc and "log" in doc
