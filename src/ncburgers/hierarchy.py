@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from .fields import (
-    Context,
     DerivationTag,
     FieldExpr,
     Integral,
@@ -112,8 +111,6 @@ def hierarchy_member(family: EquationFamily, n: int) -> HierarchyMember:
         rhs = _mirror_member(n)
     else:
         rhs = mirror_image(_mirror_member(n))
-    if rhs.contains_integral():
-        raise AssertionError("hierarchy member %d is not antiderivative-free" % n)
     return HierarchyMember(family, n, rhs)
 
 
@@ -179,25 +176,22 @@ _COLE_HOPF_NAMES = {
 }
 
 
-def cole_hopf_identities(
-    family: EquationFamily, integral_depth: int = 4
-) -> List[Tuple[str, OpExpr, OpExpr, Context]]:
+def cole_hopf_identities(family: EquationFamily) -> List[Tuple[str, OpExpr, OpExpr]]:
     """The five transformation-operator identities plus the conjugation
-    identity T D T^-1 = recursion operator, under the Cole-Hopf substitution,
-    each with its context (nesting bound ``integral_depth``)."""
+    identity T D T^-1 = recursion operator, under the Cole-Hopf substitution
+    r = u_x u^-1; they hold in ``cole_hopf_context()``."""
     if family == EquationFamily.HEAT:
         raise ValueError("the heat family has no Cole-Hopf identities")
     if family == EquationFamily.DIRECT:
         return [
-            (_COLE_HOPF_NAMES[name], mirror_op(lhs), mirror_op(rhs), ctx)
-            for name, lhs, rhs, ctx in cole_hopf_identities(EquationFamily.MIRROR, integral_depth)
+            (_COLE_HOPF_NAMES[name], mirror_op(lhs), mirror_op(rhs))
+            for name, lhs, rhs in cole_hopf_identities(EquationFamily.MIRROR)
         ]
-    ctx = cole_hopf_context(integral_depth)
     u, ui = jet("u"), uinv()
-    sub = ctx.field  # r = u_x u^-1
+    sub = cole_hopf_context().field  # r = u_x u^-1
     T = (op_d() - op_comm(sub)) * op_right(ui)
     T_inv = op_right(u) * op_derinv(_MIRROR)
-    target = op_d() + op_right(sub) + op_left(d_total(sub, ctx)) * op_derinv(_MIRROR)
+    target = op_d() + op_right(sub) + op_left(d_total(sub)) * op_derinv(_MIRROR)
     sides = [
         (op_d() * op_right(u), op_right(u) * (op_d() + op_right(sub))),
         (op_left(u) * op_d() * op_left(ui), op_d() - op_left(sub)),
@@ -206,4 +200,4 @@ def cole_hopf_identities(
         (op_right(ui) * op_d() * op_right(u), op_d() + op_right(sub)),
         (T * op_d() * T_inv, target),
     ]
-    return [(name, lhs, rhs, ctx) for name, (lhs, rhs) in zip(_COLE_HOPF_NAMES, sides)]
+    return [(name, lhs, rhs) for name, (lhs, rhs) in zip(_COLE_HOPF_NAMES, sides)]

@@ -65,16 +65,6 @@ from .operators import (
 )
 from .reduction import EtaExpr, _ForeignAtom, _image, derinv
 
-_DERINV_NAMES = {
-    DerivationTag.MIRROR: "IDinv",
-    DerivationTag.DIRECT: "DDinv",
-    DerivationTag.PLAIN: "Dinv",
-}
-_DERINV_LATEX = {
-    DerivationTag.MIRROR: r"\mathrm{ID}^{-1}",
-    DerivationTag.DIRECT: r"\mathbb{D}^{-1}",
-    DerivationTag.PLAIN: r"D^{-1}",
-}
 _DER_NAMES = {
     DerivationTag.MIRROR: "ID",
     DerivationTag.DIRECT: "DD",
@@ -85,6 +75,8 @@ _DER_LATEX = {
     DerivationTag.DIRECT: r"\mathbb{D}",
     DerivationTag.PLAIN: "D",
 }
+_DERINV_NAMES = {tag: name + "inv" for tag, name in _DER_NAMES.items()}
+_DERINV_LATEX = {tag: name + "^{-1}" for tag, name in _DER_LATEX.items()}
 
 JET_IDENTS = ("r", "s", "u", "v")
 TEST_IDENTS = ("V", "W", "sigma")
@@ -268,9 +260,7 @@ def _group(lx: _Lexer, factor, close: str):
     return inner
 
 
-def _parse(src: str, factor, zero):
-    if src.strip() == "0":
-        return zero
+def _parse(src: str, factor):
     lx = _Lexer(src)
     out = _sum_of_terms(lx, factor)
     if lx.peek() is not None:
@@ -280,7 +270,7 @@ def _parse(src: str, factor, zero):
 
 def parse_field(src: str) -> FieldExpr:
     """Parse a field expression in the default context; unknown identifiers are an error."""
-    return _parse(src, _field_atom, FieldExpr.zero())
+    return _parse(src, _field_atom)
 
 
 def _op_factor(lx: _Lexer) -> Optional[OpExpr]:
@@ -311,7 +301,7 @@ def _op_factor(lx: _Lexer) -> Optional[OpExpr]:
 
 def parse_op(src: str) -> OpExpr:
     """Parse an operator expression; bare field factors mean left multiplication."""
-    return _parse(src, _op_factor, OpExpr.zero())
+    return _parse(src, _op_factor)
 
 
 # ---------------------------------------------------------------------------

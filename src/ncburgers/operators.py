@@ -8,9 +8,10 @@ words that share it.  That is exact because every atom is linear.
 
 The canonical form expands commutator and tagged-derivation atoms over the
 D / DerInv / LeftMul / RightMul alphabet, merges adjacent multiplications,
-and pushes D to the right past multiplication operators; equality of
-operators is decided by probing with a fresh test field (``op_probe_equal``),
-which is the ground truth everywhere in this package.
+and pushes D to the right past multiplication operators.  Operators are
+compared by probing with a fresh test field (``op_probe_equal``): True is a
+proof, False only means that ``deep_reduce``, which keeps mixed words inside
+antiderivative bodies as they are, found no cancellation.
 
 Operator atoms are kind-tagged tuples like the field atoms: each leads with its
 rank in the operator order (D 0, Der 1, DerInv 2, Left 3, Right 4, Comm 5),
@@ -313,9 +314,10 @@ PROBE = "sigma"
 def op_probe_equal(
     P: OpExpr, Q: OpExpr, ctx: Context = DEFAULT_CONTEXT, deep: bool = True
 ) -> bool:
-    """Ground-truth operator equality: act on a fresh probe field and
-    normalize the difference to zero.  Raises ValueError when the probe
-    already occurs in a multiplication word of P or Q."""
+    """Operator equality by probing: act on a fresh probe field and
+    normalize the difference.  True is a proof; False means only that no
+    cancellation was found.  Raises ValueError when the probe already
+    occurs in a multiplication word of P or Q."""
     mult = [a.word for w in (*P.terms, *Q.terms) for a in w if isinstance(a, (OpLeft, OpRight, OpComm))]
     if any(PROBE in FieldExpr.from_word(word).test_names() for word in mult):
         raise ValueError("probe symbol %s already occurs in the operators" % PROBE)

@@ -86,13 +86,11 @@ from .fields import (
     commutator,
     der,
     expr_nesting,
-    jet,
     mirror_image,
     word_key,
 )
 
 _PLAIN = DerivationTag.PLAIN
-_R = jet("r")
 
 
 class EtaExpr(LinearCombination):
@@ -268,7 +266,7 @@ def _image(tag: DerivationTag, cls: type, f: LinearCombination) -> LinearCombina
 
 
 def _standard_field(tag: DerivationTag, ctx: Context) -> bool:
-    return tag is DerivationTag.PLAIN or ctx.field == _R
+    return tag is DerivationTag.PLAIN or ctx.field == DEFAULT_CONTEXT.field
 
 
 def derinv(
@@ -290,8 +288,6 @@ def derinv(
 
 def _derinv(tag: DerivationTag, f: FieldExpr, ctx: Context) -> FieldExpr:
     """``derinv`` for the mirror and plain tags."""
-    if f.is_zero():
-        return f
     standard = _standard_field(tag, ctx)
     eta_terms, foreign = [], {}
     for w, c in f.terms.items():

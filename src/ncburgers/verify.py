@@ -34,6 +34,7 @@ from .fields import (
     DEFAULT_CONTEXT,
     FieldExpr,
     NestingLimitExceeded,
+    cole_hopf_context,
     der,
     jet,
     rename_tests,
@@ -261,8 +262,9 @@ def verify_cole_hopf(family: EquationFamily, integral_depth: int = 4) -> List[Ve
     """Check the five transformation-operator identities and the conjugation
     identity under the Cole-Hopf substitution, nesting antiderivatives at
     most ``integral_depth`` deep."""
+    ctx = cole_hopf_context(integral_depth)
     reports = []
-    for name, lhs, rhs, ctx in cole_hopf_identities(family, integral_depth):
+    for name, lhs, rhs in cole_hopf_identities(family):
         claim = "cole-hopf[%s] %s" % (family.value, name)
         reports.append(_check(claim, ctx, lambda log: apply_op(lhs - rhs, test("sigma"), ctx)))
     return reports

@@ -7,6 +7,9 @@ import pytest
 from ncburgers import verify
 from ncburgers.cli import main
 from ncburgers.fields import FieldExpr, jet
+from ncburgers.hierarchy import EquationFamily
+from ncburgers.lang import print_field
+from ncburgers.oracle import make_scene, scene_to_text
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +107,25 @@ def test_verify_commute_oracle_is_independent_of_reducer(capsys, monkeypatch):
     assert code == 1
     log = json.loads(out)["reports"][0]["log"]
     assert any("passed: False" in line for line in log)
+
+
+def test_verify_text_prints_the_defect(capsys, monkeypatch):
+    # r r is not a flow of the mirror hierarchy, so its strong-symmetry
+    # defect survives reduction and the text report prints it
+    real_member = verify.hierarchy_member
+    monkeypatch.setattr(
+        verify, "hierarchy_member", lambda family, n: replace(real_member(family, n), rhs=jet("r") * jet("r"))
+    )
+    code, out, _ = run_cli(capsys, "verify", "strong-symmetry", "--family", "mirror", "--member", "2")
+    report = verify.strong_symmetry_defect(EquationFamily.MIRROR, jet("r") * jet("r"))
+    assert code == 1
+    assert out == "strong-symmetry[mirror, n=2]: nonzero\n  defect: %s\n" % print_field(report.defect)
+
+
+def test_scene_to_stdout(capsys):
+    code, out, _ = run_cli(capsys, "scene", "--seed", "1")
+    assert code == 0
+    assert out == scene_to_text(make_scene(1))
 
 
 @pytest.mark.parametrize("scenes", ["0", "-3"])

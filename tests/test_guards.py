@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from ncburgers.fields import DerivationTag, jet
+from ncburgers.fields import DerivationTag, jet, uinv
 from ncburgers.fields import test as tfield
-from ncburgers.hierarchy import EquationFamily, cole_hopf_identities, recursion_operator
+from ncburgers.hierarchy import EquationFamily, cole_hopf_identities, recursion_operator, reduce_commutative
 from ncburgers.oracle import CHSolution, cole_hopf_numeric, make_scene, scene_from_text, scene_to_text
 from ncburgers.reduction import derinv
-from ncburgers.variational import frechet_field, lie_bracket_halves
+from ncburgers.variational import frechet_field, lie_bracket_halves, member_operator
 from ncburgers.verify import s_split, strong_symmetry_defect
 
 MIR, HEAT = EquationFamily.MIRROR, EquationFamily.HEAT
@@ -29,6 +29,8 @@ GUARDS = {
     "nonlocal member": (lambda: strong_symmetry_defect(MIR, NONLOCAL), "antiderivative-free member"),
     "direction already present": (lambda: frechet_field(r * tfield("V"), "V", "r"), "already occurs"),
     "nonlocal bracket input": (lambda: lie_bracket_halves(NONLOCAL, r, "r"), "antiderivative-free"),
+    "nonlocal member operator": (lambda: member_operator(NONLOCAL, "r"), "member operator needs"),
+    "commutative inverse": (lambda: reduce_commutative(uinv()), "formal inverses"),
     "heat s_split": (lambda: s_split(HEAT), "vanishing derivative"),
     "heat Cole-Hopf": (lambda: cole_hopf_identities(HEAT), "no Cole-Hopf"),
     "recursion operator form": (lambda: recursion_operator(MIR, "compact"), "form must be"),

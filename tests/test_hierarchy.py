@@ -1,6 +1,6 @@
 import pytest
 
-from ncburgers.fields import FieldExpr, Jet, jet
+from ncburgers.fields import FieldExpr, Jet, cole_hopf_context, jet
 from ncburgers.hierarchy import (
     EquationFamily,
     cole_hopf_identities,
@@ -127,6 +127,11 @@ def test_commutative_second_member_is_scalar_burgers():
     assert collapsed == parse_field("v_xx + 2 v v_x")
 
 
+def test_commutative_reduction_of_an_antiderivative():
+    # the body reduces too, and the tag becomes plain
+    assert reduce_commutative(parse_field("IDinv[r V]")) == parse_field("Dinv[v V]")
+
+
 def test_reduce_commutative_merges_adjacent_multiplications():
     # L_a L_b = L_ab for commuting a, b; R becomes L first, and D splits a run
     assert reduce_commutative(parse_op("L[s_x] L[s] - L[s] L[s_x]")).is_zero()
@@ -166,8 +171,8 @@ def test_commutative_scene_value_matches_scalar_burgers():
 def test_cole_hopf_identity_list(family):
     ids = cole_hopf_identities(family)
     assert len(ids) == 6
-    for name, lhs, rhs, ctx in ids:
-        assert op_probe_equal(lhs, rhs, ctx), name
+    for name, lhs, rhs in ids:
+        assert op_probe_equal(lhs, rhs, cole_hopf_context()), name
 
 
 def test_cole_hopf_trivial_context():

@@ -184,6 +184,13 @@ def test_print_expr_dispatch():
         print_expr(42)
 
 
+def test_repr_is_the_printed_text():
+    f = parse_field("r_x IDinv[r V] - 1/2 uinv")
+    P = recursion_operator(EquationFamily.DIRECT, "factored")
+    assert repr(f) == print_field(f) == "-1/2 uinv + r_x IDinv[r V]"
+    assert repr(P) == print_op(P)
+
+
 def test_print_op_rejects_unknown_modes():
     phi = recursion_operator(EquationFamily.MIRROR, "expanded")
     for mode in ("eta", "bogus"):

@@ -96,7 +96,7 @@ def _reference_operators():
             phi * dphi - dphi * phi,
             k_op * phi ** 2 - recursion_operator(family, "factored") * dphi,
         ]
-        out += [lhs - rhs for _, lhs, rhs, _ in cole_hopf_identities(family)]
+        out += [lhs - rhs for _, lhs, rhs in cole_hopf_identities(family)]
     return out
 
 
@@ -231,6 +231,12 @@ def test_op_atoms_never_equal_field_atoms_or_words():
 def test_probe_equality_respects_scaling():
     phi = op_d() + op_right(r)
     assert not op_probe_equal(phi, phi.scale(2))
+
+
+def test_shallow_probe_tells_left_products_apart():
+    # L_r L_V multiplies by r V, not by V r: the probe difference is nonzero
+    # before any reduction, so the shallow test returns False at once
+    assert not op_probe_equal(op_left(r) * op_left(tfield("V")), op_left(tfield("V") * r), deep=False)
 
 
 def test_probe_must_be_fresh():
