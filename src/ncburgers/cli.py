@@ -132,10 +132,13 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(doc: dict) -> None:
+    print(json.dumps(doc, indent=2, sort_keys=True))
+
+
 def _report_exit(reports: List[VerificationReport], fmt: str) -> int:
     if fmt == "structured":
-        doc = {"schema": 1, "reports": [r.to_dict() for r in reports]}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _print_json({"schema": 1, "reports": [r.to_dict() for r in reports]})
     else:
         for r in reports:
             print("%s: %s" % (r.claim, r.status.value))
@@ -152,18 +155,14 @@ def _cmd_hierarchy(args) -> int:
     fam = EquationFamily(args.family)
     member = hierarchy_member(fam, args.order)
     if args.format == "structured":
-        print(
-            json.dumps(
-                {
-                    "schema": 1,
-                    "family": fam.value,
-                    "order": args.order,
-                    "rhs": print_field(member.rhs, args.coords),
-                    "terms": len(member.rhs.terms),
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "schema": 1,
+                "family": fam.value,
+                "order": args.order,
+                "rhs": print_field(member.rhs, args.coords),
+                "terms": len(member.rhs.terms),
+            }
         )
     else:
         mode = "latex" if args.format == "latex" else args.coords
@@ -245,21 +244,18 @@ def _cmd_oracle(args) -> int:
     xs = np.linspace(-1.0, 1.0, args.grid)
     ts = np.linspace(0.0, 0.5, args.grid)
     report = cole_hopf_numeric(sol, xs, ts)
-    print(
-        json.dumps(
-            {
-                "schema": 1,
-                "max_residual": report.max_residual,
-                "heat_exact": report.heat_exact,
-                "grid": list(report.grid),
-                "tolerance": args.tol,
-                "passed": report.max_residual < args.tol and report.heat_exact,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    passed = report.max_residual < args.tol and report.heat_exact
+    _print_json(
+        {
+            "schema": 1,
+            "max_residual": report.max_residual,
+            "heat_exact": report.heat_exact,
+            "grid": list(report.grid),
+            "tolerance": args.tol,
+            "passed": passed,
+        }
     )
-    return EXIT_OK if report.max_residual < args.tol and report.heat_exact else EXIT_FAILED
+    return EXIT_OK if passed else EXIT_FAILED
 
 
 def _cmd_scene(args) -> int:

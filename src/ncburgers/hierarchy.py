@@ -106,7 +106,7 @@ def hierarchy_member(family: EquationFamily, n: int) -> HierarchyMember:
     if n < 1:
         raise ValueError("hierarchy index starts at 1")
     if family == EquationFamily.HEAT:
-        rhs = FieldExpr.from_atom(Jet("u", n))
+        rhs = jet("u", n)
     elif family == EquationFamily.MIRROR:
         rhs = _mirror_member(n)
     else:

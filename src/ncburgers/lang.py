@@ -320,12 +320,10 @@ def _atom_text(atom, latex: bool, suffix: str = "x") -> str:
         return "%s_%s" % (name, suffix * atom.order)
     if isinstance(atom, InverseSymbol):
         return "%s^{-1}" % atom.base if latex else "%sinv" % atom.base
-    if isinstance(atom, Integral):
-        inner = print_field(atom.body, "latex" if latex else "x")
-        if latex:
-            return r"%s\!\left(%s\right)" % (_DERINV_LATEX[atom.tag], inner)
-        return "%s[%s]" % (_DERINV_NAMES[atom.tag], inner)
-    raise ValueError("unknown atom %r" % (atom,))
+    inner = print_field(atom.body, "latex" if latex else "x")  # an Integral
+    if latex:
+        return r"%s\!\left(%s\right)" % (_DERINV_LATEX[atom.tag], inner)
+    return "%s[%s]" % (_DERINV_NAMES[atom.tag], inner)
 
 
 def _coeff_text(c: Rat, latex: bool) -> str:
@@ -342,7 +340,7 @@ def _join_terms(parts: List[Tuple[Rat, str]], latex: bool) -> str:
         sign = "-" if coeff < 0 else "+"
         mag = abs(coeff)
         coeff_txt = "" if (mag == 1 and body) else _coeff_text(mag, latex)
-        piece = (coeff_txt + " " + body).strip() if body else (coeff_txt or "1")
+        piece = (coeff_txt + " " + body).strip() if body else coeff_txt
         if i == 0:
             chunks.append(("-" + piece) if sign == "-" else piece)
         else:

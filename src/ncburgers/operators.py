@@ -31,7 +31,6 @@ from .fields import (
     LinearCombination,
     NestingLimitExceeded,
     Rat,
-    TestField,
     Word,
     _AtomTuple,
     add_into,
@@ -39,6 +38,7 @@ from .fields import (
     d_total,
     der,
     mirror_word,
+    test,
     word_key,
 )
 from .reduction import deep_reduce, derinv
@@ -321,8 +321,7 @@ def op_probe_equal(
     mult = [a.word for w in (*P.terms, *Q.terms) for a in w if isinstance(a, (OpLeft, OpRight, OpComm))]
     if any(PROBE in FieldExpr.from_word(word).test_names() for word in mult):
         raise ValueError("probe symbol %s already occurs in the operators" % PROBE)
-    probe = FieldExpr.from_atom(TestField(PROBE, 0))
-    diff = apply_op(P - Q, probe, ctx)
+    diff = apply_op(P - Q, test(PROBE), ctx)
     if diff.is_zero():
         return True
     if not deep:

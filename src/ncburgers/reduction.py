@@ -37,7 +37,8 @@ seconds; so does a split that recurses past Python's recursion limit.  The
 splitter reads words from the left, in the mirror convention, for the mirror
 and plain tags; the direct inverse is the mirror image
 (``fields.mirror_image``) of the mirror inverse of the mirror image.
-The nesting bound is checked once per call, on the field it returns.
+The nesting bound is checked once per call, on the split, before any x
+image is built: the change of coordinates keeps nesting.
 
 ``deep_reduce`` extends this to products mixing antiderivative atoms with
 further factors: every such word is replaced by the antiderivative of its
@@ -299,14 +300,16 @@ def _derinv(tag: DerivationTag, f: FieldExpr, ctx: Context) -> FieldExpr:
             pass
         foreign[w] = c
     g, h = _greedy_split(EtaExpr.sum(eta_terms))
-    out = FieldExpr.sum(chain(
+    # the change of coordinates keeps nesting; a rejected or foreign word is wrapped once more
+    wrapped = EtaExpr._raw({**h, **foreign})
+    depth = max(expr_nesting(EtaExpr._raw(g)), 1 + expr_nesting(wrapped) if wrapped.terms else 0)
+    if depth > ctx.integral_depth:
+        raise NestingLimitExceeded("antiderivative nesting exceeded depth %d" % ctx.integral_depth)
+    return FieldExpr.sum(chain(
         ((_word_image(tag, FieldExpr, w), c) for w, c in g.items()),
         ((FieldExpr.from_atom(Integral(tag, FieldExpr.from_word(w))), c) for w, c in foreign.items()),
         ((FieldExpr.from_atom(Integral(tag, _word_image(tag, FieldExpr, w))), c) for w, c in h.items()),
     ))
-    if expr_nesting(out) > ctx.integral_depth:
-        raise NestingLimitExceeded("antiderivative nesting exceeded depth %d" % ctx.integral_depth)
-    return out
 
 
 def _word_tag(word: Word) -> Optional[DerivationTag]:

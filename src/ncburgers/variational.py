@@ -22,7 +22,6 @@ from .fields import (
     FieldExpr,
     Integral,
     Jet,
-    TestField,
     commutator,
     subst_test,
     test,
@@ -45,15 +44,14 @@ from .reduction import derinv
 def _frechet_atom(direction: str, base: str, ctx: Context, atom) -> Optional[FieldExpr]:
     """``frechet_field``'s derivative of one atom."""
     if isinstance(atom, Jet) and atom.symbol == base:
-        return FieldExpr.from_atom(TestField(direction, atom.order))
+        return test(direction, atom.order)
     if isinstance(atom, Integral):
         tag = atom.tag
-        out = derinv(tag, atom.body.leibniz(partial(_frechet_atom, direction, base, ctx)), ctx)
+        body = atom.body.leibniz(partial(_frechet_atom, direction, base, ctx))
         if tag.base == base:
             # the tagged derivation itself depends on the base symbol
-            dirf = FieldExpr.from_atom(TestField(direction, 0))
-            out = out + derinv(tag, commutator(dirf, FieldExpr.from_atom(atom)), ctx).scale(tag.sign)
-        return out
+            body = body + commutator(test(direction), FieldExpr.from_atom(atom)).scale(tag.sign)
+        return derinv(tag, body, ctx)
     return None
 
 

@@ -13,7 +13,7 @@ Both structural claims are fields built from ``apply_op(Phi, .)``,
 ``frechet_field`` and ``subst_test``; no operator is differentiated.
 Phi'[X] Y is the derivative of Phi Y along V with X put in for V, and
 K'[X] the derivative of K along sigma with X put in for sigma.  This is
-exact: ``frechet_field`` takes (ID^-1 b)' = ID^-1 b' + sign ID^-1 [V, ID^-1 b],
+exact: ``frechet_field`` takes (ID^-1 b)' = ID^-1 (b' + sign [V, ID^-1 b]),
 the operator rule (ID^-1)' = ID^-1 C_V ID^-1 applied to b, and ``subst_test``
 integrates a changed body again with ``derinv``, which is linear.  So each
 field equals its composed operator applied to the probe, term for term.
@@ -124,11 +124,8 @@ def strong_symmetry_defect(
         raise ValueError("strong symmetry check needs an antiderivative-free member")
     if "sigma" in member.test_names():
         raise ValueError("probe symbol sigma already occurs in the member")
-
-    def assemble(log: List[str]) -> FieldExpr:
-        return _strong_symmetry_field(family, member, ctx, log)
-
-    return _check("strong-symmetry[%s]" % family.value, ctx, assemble)
+    claim = "strong-symmetry[%s]" % family.value
+    return _check(claim, ctx, lambda log: _strong_symmetry_field(family, member, ctx, log))
 
 
 def _strong_symmetry_field(

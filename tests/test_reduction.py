@@ -394,6 +394,18 @@ def test_an_endless_split_is_inconclusive(monkeypatch):
         reduction._split_word.cache_clear()
 
 
+def test_the_nesting_bound_is_read_from_the_split(monkeypatch):
+    # the change of coordinates keeps nesting, so a result nested too deep is
+    # refused before any of its x images is built
+    f = parse_field("IDinv[V] r V + r_x IDinv[V r] V")
+    images, word_image = [], reduction._word_image
+    monkeypatch.setattr(reduction, "_word_image", lambda tag, cls, w: images.append(cls) or word_image(tag, cls, w))
+    with pytest.raises(NestingLimitExceeded, match="nesting exceeded depth 1"):
+        derinv(M, f, Context(r, integral_depth=1))
+    assert reduction.EtaExpr in images and FieldExpr not in images
+    assert fields.expr_nesting(derinv(M, f, Context(r, integral_depth=2))) == 2
+
+
 def test_deep_reduce_stops_at_the_pass_budget(monkeypatch):
     # the word needs a second pass, so one pass cannot reach the fixed point
     f = parse_field("r IDinv[r V] V_x")

@@ -18,6 +18,9 @@ from ncburgers.operators import (
     op_right,
 )
 from ncburgers.oracle import eval_field, eval_frechet_dual, make_scene
+from ncburgers import variational
+from ncburgers.lang import parse_field, print_field
+from ncburgers.reduction import derinv
 from ncburgers.variational import frechet_field, frechet_op, lie_bracket, member_operator
 
 from conftest import random_field
@@ -142,6 +145,15 @@ def test_frechet_field_of_an_applied_operator_is_its_frechet_op_applied(name):
     P, base = _applied_frechet_cases()[name]
     sigma = tfield("sigma")
     assert frechet_field(apply_op(P, sigma), "V", base) == apply_op(frechet_op(P, "V", base), sigma)
+
+
+def test_frechet_field_integrates_each_antiderivative_once(monkeypatch):
+    # (ID^-1 b)' = ID^-1 (b' + sign [V, ID^-1 b]): one derinv call on the sum
+    calls = []
+    monkeypatch.setattr(variational, "derinv", lambda *args: calls.append(args) or derinv(*args))
+    out = frechet_field(parse_field("r IDinv[W r]"), "V", "r")
+    assert len(calls) == 1
+    assert print_field(out) == "r IDinv[V IDinv[W r]] + r IDinv[W V] - r IDinv[IDinv[W r] V] + V IDinv[W r]"
 
 
 def test_member_operator_matches_field_frechet():
