@@ -2,17 +2,19 @@
 
 Symbols are assigned square-matrix-valued polynomials in x with exact
 rational entries.  One pass evaluates a field expression in a scene: each
-distinct atom goes once per call through one closed form for polynomial
-derivatives, and words become matrix products.  The pass carries dual
-numbers a + eps b as pairs (a, b), with (a, b)(c, d) = (ac, ad + bc), where
-b is nonzero only for the jets of the symbol a directional derivative is
-taken along; it returns the value and the eps part side by side.  The
-products run on integer matrices that share one positive denominator: a
-word's value is the product of its atoms' integer matrices over the product
-of their denominators, and a sum is kept over the lcm of its terms'
-denominators, so ``Fraction`` entries are built only for a returned value.
-The d x d product is written out entry by entry, compiled once per
-dimension from its source text, and stays exact integer arithmetic.
+distinct jet goes once per scene and point through one closed form for
+polynomial derivatives, and words become matrix products.  The pass
+carries dual numbers a + eps b as pairs (a, b), with (a, b)(c, d) =
+(ac, ad + bc), where b is nonzero only for the jets of the symbol a
+directional derivative is taken along; it returns the value and the eps
+part side by side.  The products run on integer matrices: at a point x0
+every jet of a scene is an integer matrix over one denominator D, which
+the scene keeps with a table of the jets read there, so a word of n atoms
+is an integer matrix over D^n and a sum is one numerator over C D^N, C
+being the lcm of its coefficients' denominators and N its longest word.
+``Fraction`` entries are built only for a returned value.  The d x d
+product and the sum a + k b are written out entry by entry, compiled once
+per dimension from their source text, and stay exact integer arithmetic.
 A symbolic zero must then evaluate to the zero matrix in every scene, with
 no tolerance.  A separate floating-point check feeds an explicit matrix
 heat-equation solution through the Cole-Hopf map and measures the residual
@@ -29,7 +31,7 @@ from math import gcd, lcm, perm
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .fields import Atom, FieldExpr, Jet, Rat, TestField
+from .fields import Atom, FieldExpr, Jet, TestField
 
 if TYPE_CHECKING:  # numpy is imported only by the floating-point check below
     import numpy as np
@@ -45,6 +47,8 @@ SCENE_SYMBOLS = ("r", "s", "u", "v", "V", "W", "sigma")
 # positive denominator, and Fractions are built only at the public boundary
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
+# (D, jets by (symbol, order)) of one scene at one point: see MatrixScene.jets_at
+JetTable = Tuple[int, Dict[Tuple[str, int], IntMatrix]]
 
 
 def int_clear(m: Matrix) -> Tuple[IntMatrix, int]:
@@ -55,48 +59,53 @@ def int_clear(m: Matrix) -> Tuple[IntMatrix, int]:
 
 
 _INT_MUL: Dict[int, Callable[[IntMatrix, IntMatrix], IntMatrix]] = {}
+_INT_ADD: Dict[int, Callable[[IntMatrix, int, IntMatrix], IntMatrix]] = {}
+
+
+def _compile_kernel(name: str, params: str, d: int, entry: Callable[[int, int], str]):
+    """The function ``name(params)`` that unpacks its d x d matrices ``a``
+    and ``b`` into the names ``a0_0, a0_1, ...`` and returns the matrix
+    whose (i, j) entry is the expression ``entry(i, j)``, compiled from its
+    source text.  Every row and matrix tuple ends in a comma, so at d = 1
+    the names unpack the entry, not the row."""
+    def matrix(entry: Callable[[int, int], str]) -> str:
+        return "(%s)" % "".join(
+            "(%s,), " % ", ".join(entry(i, j) for j in range(d)) for i in range(d)
+        )
+
+    source = "def %s(%s):\n    %s = a\n    %s = b\n    return %s\n" % (
+        name, params, matrix("a{}_{}".format), matrix("b{}_{}".format), matrix(entry)
+    )
+    namespace: Dict[str, Callable] = {}
+    exec(source, namespace)
+    return namespace[name]
 
 
 def int_mul_kernel(d: int) -> Callable[[IntMatrix, IntMatrix], IntMatrix]:
     """The product of two d x d integer matrices with every entry written
-    out, ``a0_0 * b0_1 + a0_1 * b1_1 + ...``, compiled from its source text
-    the first time dimension d is asked for.  Every row and matrix tuple
-    ends in a comma, so at d = 1 the names unpack the entry, not the row."""
+    out, ``a0_0 * b0_1 + a0_1 * b1_1 + ...``, compiled the first time
+    dimension d is asked for."""
     kernel = _INT_MUL.get(d)
     if kernel is None:
-        def matrix(entry: Callable[[int, int], str]) -> str:
-            return "(%s)" % "".join(
-                "(%s,), " % ", ".join(entry(i, j) for j in range(d)) for i in range(d)
-            )
+        kernel = _INT_MUL[d] = _compile_kernel("int_mul", "a, b", d, lambda i, j: " + ".join(
+            "a%d_%d * b%d_%d" % (i, k, k, j) for k in range(d)
+        ))
+    return kernel
 
-        source = "def int_mul(a, b):\n    %s = a\n    %s = b\n    return %s\n" % (
-            matrix("a{}_{}".format),
-            matrix("b{}_{}".format),
-            matrix(lambda i, j: " + ".join("a%d_%d * b%d_%d" % (i, k, k, j) for k in range(d))),
-        )
-        namespace: Dict[str, Callable] = {}
-        exec(source, namespace)
-        kernel = _INT_MUL[d] = namespace["int_mul"]
+
+def int_add_kernel(d: int) -> Callable[[IntMatrix, int, IntMatrix], IntMatrix]:
+    """``a + k * b`` for d x d integer matrices a, b and an integer k, with
+    every entry written out, compiled the first time dimension d is asked
+    for."""
+    kernel = _INT_ADD.get(d)
+    if kernel is None:
+        kernel = _INT_ADD[d] = _compile_kernel(
+            "int_add", "a, k, b", d, lambda i, j: "a%d_%d + k * b%d_%d" % (i, j, i, j))
     return kernel
 
 
 def _int_scale(m: IntMatrix, k: int) -> IntMatrix:
     return m if k == 1 else tuple([tuple([k * x for x in row]) for row in m])
-
-
-def int_add_into(acc: List[List[int]], den: int, m: IntMatrix, m_den: int, coeff: Rat) -> int:
-    """Add ``coeff * m / m_den`` to the matrix ``acc / den`` in place and
-    return the new denominator, the lcm of ``den`` and the term's."""
-    m_den *= coeff.denominator
-    new_den = lcm(den, m_den)
-    if new_den != den:
-        grow = new_den // den
-        for row in acc:
-            row[:] = [x * grow for x in row]
-    factor = coeff.numerator * (new_den // m_den)
-    for row, mrow in zip(acc, m):
-        row[:] = [x + factor * y for x, y in zip(row, mrow)]
-    return new_den
 
 
 def int_to_fractions(m: Sequence[Sequence[int]], den: int) -> Matrix:
@@ -127,11 +136,11 @@ class MatrixScene:
     def jet_value(self, symbol: str, order: int, x0: Fraction) -> Tuple[IntMatrix, int]:
         """The ``order``-th x-derivative at x0 as (integer matrix, least
         denominator): the sum over k >= order of k!/(k-order)! x0^(k-order)
-        C_k, zero when order exceeds the degree."""
+        C_k, the scene's one zero matrix above the symbol's top coefficient."""
         coeffs, den = self._cleared[symbol]
         top = len(coeffs) - 1
         if order > top:
-            return tuple((0,) * self.dim for _ in range(self.dim)), 1
+            return self._zero, 1
         # x0^(k-order) = p^(k-order) q^(top-k) / q^(top-order) for x0 = p/q
         p, q = x0.numerator, x0.denominator
         weights = [perm(k, order) * p ** (k - order) * q ** (top - k) for k in range(order, top + 1)]
@@ -139,6 +148,41 @@ class MatrixScene:
         m = [[sum(map(mul, weights, entry)) for entry in zip(*rows)] for rows in zip(*coeffs[order:])]
         g = gcd(den, *(x for row in m for x in row))
         return tuple([tuple([x // g for x in row]) for row in m]), den // g
+
+    @cached_property
+    def _zero(self) -> IntMatrix:
+        return ((0,) * self.dim,) * self.dim
+
+    @cached_property
+    def _points(self) -> Dict[Fraction, JetTable]:
+        return {}
+
+    def jets_at(self, x0: Fraction) -> JetTable:
+        """(D, table) at x0 = p/q: D = lcm of the symbols' cleared
+        denominators times q^top, top being the highest coefficient index of
+        any symbol, is a common denominator of every jet there, and the
+        table holds the jets read so far by ``point_jet`` as integer
+        matrices over D."""
+        point = self._points.get(x0)
+        if point is None:
+            cleared = self._cleared.values()
+            top = max(len(coeffs) for coeffs, _ in cleared) - 1
+            den = lcm(*(sym_den for _, sym_den in cleared)) * x0.denominator ** top
+            point = self._points[x0] = (den, {})
+        return point
+
+    def point_jet(self, symbol: str, order: int, x0: Fraction) -> IntMatrix:
+        """``jet_value(symbol, order, x0)`` as an integer matrix over the D
+        of ``jets_at(x0)``, computed once per scene and point; the jets above
+        a symbol's top coefficient share one zero matrix."""
+        den, table = self.jets_at(x0)
+        m = table.get((symbol, order))
+        if m is None:
+            m, m_den = self.jet_value(symbol, order, x0)
+            if m is not self._zero:
+                m = _int_scale(m, den // m_den)
+            table[symbol, order] = m
+        return m
 
 
 def make_scene(seed: int, dim: int = 3, degree: int = 2) -> MatrixScene:
@@ -168,56 +212,57 @@ def make_scene(seed: int, dim: int = 3, degree: int = 2) -> MatrixScene:
 
 def _eval_pass(
     e: FieldExpr, scene: MatrixScene, x0: Fraction, base: str = "", direction: str = ""
-) -> Tuple[List[List[int]], int, List[List[int]], int]:
+) -> Tuple[IntMatrix, IntMatrix, int]:
     """The value of ``e`` and the epsilon part of ``e(base + epsilon*direction)``
-    as (integer matrix, denominator) each.  Every distinct atom goes once
-    through ``scene.jet_value`` to (a, b, denominator), b being None unless
-    the atom is a jet of ``base``; a word multiplies these dual pairs as
+    as integer matrices over one denominator, returned third.  Every atom is
+    a jet over the point's D (``MatrixScene.jets_at``), so a word of n atoms
+    is an integer matrix over D^n, and with C the lcm of the coefficients'
+    denominators and N the longest word, the sum is over C D^N.  Every
+    distinct atom is read once per call, as (a, b), b being None unless the
+    atom is a jet of ``base``; a word multiplies these dual pairs as
     (a, b)(c, d) = (ac, ad + bc)."""
-    values: Dict[Atom, Tuple[IntMatrix, Optional[IntMatrix], int]] = {}
+    values: Dict[Atom, Tuple[IntMatrix, Optional[IntMatrix]]] = {}
     d = scene.dim
-    times = int_mul_kernel(d)
-    acc, eps = [[0] * d for _ in range(d)], [[0] * d for _ in range(d)]
-    den = eps_den = 1
+    times, add = int_mul_kernel(d), int_add_kernel(d)
+    jet_den = scene.jets_at(x0)[0]
+    longest = max(map(len, e.terms), default=0)
+    den = lcm(*(coeff.denominator for coeff in e.terms.values()))
+    powers = [jet_den ** k for k in range(longest + 1)]
+    acc = eps = scene._zero
     for word, coeff in e.terms.items():
         p = q = None
-        prod_den = 1
         for atom in word:
             value = values.get(atom)
             if value is None:
                 if not isinstance(atom, (Jet, TestField)):
                     raise ValueError("matrix evaluation is defined only for local expressions")
-                a, a_den = scene.jet_value(atom[1], atom.order, x0)
-                if isinstance(atom, Jet) and atom[1] == base:
-                    b, b_den = scene.jet_value(direction, atom.order, x0)
-                    ab_den = lcm(a_den, b_den)
-                    value = (_int_scale(a, ab_den // a_den), _int_scale(b, ab_den // b_den), ab_den)
-                else:
-                    value = (a, None, a_den)
-                values[atom] = value
-            a, b, a_den = value
+                value = values[atom] = (
+                    scene.point_jet(atom[1], atom.order, x0),
+                    scene.point_jet(direction, atom.order, x0)
+                    if isinstance(atom, Jet) and atom[1] == base else None,
+                )
+            a, b = value
             if p is None:
                 p, q = a, b
             else:
                 q = None if q is None else times(q, a)
                 if b is not None:
                     pb = times(p, b)
-                    q = pb if q is None else tuple(
-                        [tuple([x + y for x, y in zip(rq, rp)]) for rq, rp in zip(q, pb)]
-                    )
+                    q = pb if q is None else add(q, 1, pb)
                 p = times(p, a)
-            prod_den *= a_den
         if p is None:
             p = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        den = int_add_into(acc, den, p, prod_den, coeff)
+        factor = coeff.numerator * (den // coeff.denominator) * powers[longest - len(word)]
+        acc = add(acc, factor, p)
         if q is not None:
-            eps_den = int_add_into(eps, eps_den, q, prod_den, coeff)
-    return acc, den, eps, eps_den
+            eps = add(eps, factor, q)
+    return acc, eps, den * powers[longest]
 
 
 def eval_field(e: FieldExpr, scene: MatrixScene, x0: Fraction) -> Matrix:
     """Exact matrix value of an antiderivative-free field expression."""
-    return int_to_fractions(*_eval_pass(e, scene, x0)[:2])
+    value, _, den = _eval_pass(e, scene, x0)
+    return int_to_fractions(value, den)
 
 
 def eval_frechet_dual(
@@ -226,7 +271,8 @@ def eval_frechet_dual(
     """Exact directional derivative of K at the scene's base assignment
     along the scene's direction assignment: the epsilon coefficient of
     K(base + epsilon*dir), with epsilon^2 = 0."""
-    return int_to_fractions(*_eval_pass(K, scene, x0, base, direction)[2:])
+    _, eps, den = _eval_pass(K, scene, x0, base, direction)
+    return int_to_fractions(eps, den)
 
 
 @dataclass
@@ -245,7 +291,7 @@ def check_equal(a: FieldExpr, b: FieldExpr, scenes: Sequence[MatrixScene]) -> Ze
     for scene in scenes:
         for x0 in scene.points:
             points += 1
-            (va, da), (vb, db) = _eval_pass(a, scene, x0)[:2], _eval_pass(b, scene, x0)[:2]
+            (va, _, da), (vb, _, db) = _eval_pass(a, scene, x0), _eval_pass(b, scene, x0)
             if any(x * db != y * da for ra, rb in zip(va, vb) for x, y in zip(ra, rb)):
                 return ZeroCheckReport(
                     False,

@@ -18,6 +18,7 @@ from ncburgers.oracle import (
     default_scenes,
     eval_field,
     eval_frechet_dual,
+    int_add_kernel,
     int_mul_kernel,
     make_scene,
     scene_from_text,
@@ -209,6 +210,62 @@ def test_int_mul_matches_the_triple_loop():
                     for k in range(d):
                         product[i][j] += a[i][k] * b[k][j]
             assert int_mul_kernel(len(a))(a, b) == tuple(map(tuple, product))
+
+
+def test_int_add_matches_the_plain_loop():
+    import random
+
+    rng = random.Random(73)
+
+    def entry():
+        return rng.choice((0, rng.randint(-9, 9), rng.randint(-2 ** 100, 2 ** 100)))
+
+    for d in range(1, 7):
+        for _ in range(20):
+            a, b = (tuple(tuple(entry() for _ in range(d)) for _ in range(d)) for _ in range(2))
+            k = entry()
+            total = [[0] * d for _ in range(d)]
+            for i in range(d):
+                for j in range(d):
+                    total[i][j] = a[i][j] + k * b[i][j]
+            assert int_add_kernel(d)(a, k, b) == tuple(map(tuple, total))
+
+
+def test_jets_are_computed_once_per_scene_and_point(monkeypatch):
+    import random
+
+    calls = []
+    jet_value = MatrixScene.jet_value
+
+    def counting(self, symbol, order, x0):
+        calls.append((symbol, order))
+        return jet_value(self, symbol, order, x0)
+
+    monkeypatch.setattr(MatrixScene, "jet_value", counting)
+    rng = random.Random(79)
+
+    def poly(coefficients):
+        return tuple(tuple(tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(2))
+                           for _ in range(2)) for _ in range(coefficients))
+
+    # the symbols have different numbers of coefficients, and the second
+    # scene's degree is below r's top coefficient
+    sizes = dict(r=4, s=2, V=3)
+    first, second = (
+        MatrixScene(seed, 2, degree, {name: poly(sizes.get(name, 1)) for name in SCENE_SYMBOLS},
+                    (Fraction(1, 2), Fraction(-2, 3)))
+        for seed, degree in ((1, 3), (2, 1))
+    )
+    e = ((r * rx * tfield("V", 2)).scale(Fraction(3, 7)) - (jet("s", 1) * jet("r", 3)).scale(Fraction(5, 2))
+         + jet("s", 2) + FieldExpr({(): Fraction(2, 9)}))
+    distinct = sorted([("r", 0), ("r", 1), ("V", 2), ("s", 1), ("r", 3), ("s", 2)])
+    for scene, x0, made in ((first, Fraction(1, 2), distinct), (first, Fraction(1, 2), []),
+                            (first, Fraction(-2, 3), distinct), (second, Fraction(1, 2), distinct)):
+        calls.clear()
+        assert eval_field(e, scene, x0) == _reference_field(e, scene, x0)
+        assert sorted(calls) == made
+    assert eval_frechet_dual(e, second, "r", "V", Fraction(1, 2)) == \
+        _reference_frechet(e, second, "r", "V", Fraction(1, 2))
 
 
 def test_integer_kernel_against_fraction_reference():

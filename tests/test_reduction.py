@@ -24,7 +24,7 @@ from ncburgers.fields import (
 import ncburgers
 from ncburgers import fields, reduction, verify
 from ncburgers.hierarchy import EquationFamily, hierarchy_member, recursion_operator
-from ncburgers.lang import parse_field
+from ncburgers.lang import parse_field, print_field
 from ncburgers.operators import apply_op
 from ncburgers.reduction import deep_reduce, derinv
 
@@ -529,6 +529,18 @@ def test_words_with_an_unchanged_tail_keep_the_value_of_their_derivative(tag):
     assert min(checked.values()) >= 15, checked
     # so the test fails if the shape rule takes words led by an antiderivative
     assert rewritten >= 1
+
+
+@pytest.mark.xfail(raises=NestingLimitExceeded, strict=True,
+                   reason="three words rewrite into each other and no pass reaches a fixed point")
+def test_a_direct_word_whose_rewrites_cycle_reduces():
+    c = ("V_xx V + s_x V V + 2 s V_x V - 2 V_x s V - V s_x V + s s V V - 2 s V s V"
+         " + V s s V")
+    text = "V_x DDinv[V_x DDinv[C] + s V DDinv[C] - V s DDinv[C]]".replace("C", c)
+    word = parse_field(text)
+    assert [len(w) for w in word.terms] == [2] and print_field(word) == text
+    for f in (word, fields.mirror_image(word)):
+        deep_reduce(f)
 
 
 def test_the_shape_rule_keeps_the_nesting_bound(monkeypatch):
