@@ -450,7 +450,7 @@ class Context:
     ``split_rejects`` words in the running rejected part of one greedy split
     (each one an antiderivative atom of the result), ``reduce_rounds``
     rewrites in one ``operators.normal_op``, and ``reduce_passes`` passes of
-    ``deep_reduce``.
+    ``deep_reduce`` in search of one that returns its input.
     """
 
     field: FieldExpr

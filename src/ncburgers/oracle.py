@@ -7,11 +7,12 @@ polynomial derivatives, and words become matrix products.  The pass
 carries dual numbers a + eps b as pairs (a, b), with (a, b)(c, d) =
 (ac, ad + bc), where b is nonzero only for the jets of the symbol a
 directional derivative is taken along; it returns the value and the eps
-part side by side.  The products run on integer matrices: at a point x0
-every jet of a scene is an integer matrix over one denominator D, which
-the scene keeps with a table of the jets read there, so a word of n atoms
-is an integer matrix over D^n and a sum is one numerator over C D^N, C
-being the lcm of its coefficients' denominators and N its longest word.
+part side by side.  The products run on integer matrices: at a point
+x0 = p/q every jet of a scene is an integer matrix over D = L q^top, L
+being one denominator fixed for every coefficient of the scene and top its
+highest coefficient index, so a word of n atoms is an integer matrix over
+D^n and a sum is one numerator over C D^N, C being the lcm of its
+coefficients' denominators and N its longest word.
 ``Fraction`` entries are built only for a returned value.  The d x d
 product and the sum a + k b are written out entry by entry, compiled once
 per dimension from their source text, and stay exact integer arithmetic.
@@ -27,7 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, perm
+from math import lcm, perm
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -47,8 +48,6 @@ SCENE_SYMBOLS = ("r", "s", "u", "v", "V", "W", "sigma")
 # positive denominator, and Fractions are built only at the public boundary
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
-# (D, jets by (symbol, order)) of one scene at one point: see MatrixScene.jets_at
-JetTable = Tuple[int, Dict[Tuple[str, int], IntMatrix]]
 
 
 def int_clear(m: Matrix) -> Tuple[IntMatrix, int]:
@@ -58,54 +57,44 @@ def int_clear(m: Matrix) -> Tuple[IntMatrix, int]:
     return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in m), den
 
 
-_INT_MUL: Dict[int, Callable[[IntMatrix, IntMatrix], IntMatrix]] = {}
-_INT_ADD: Dict[int, Callable[[IntMatrix, int, IntMatrix], IntMatrix]] = {}
+_KERNELS: Dict[Tuple[str, int], Callable] = {}
 
 
 def _compile_kernel(name: str, params: str, d: int, entry: Callable[[int, int], str]):
     """The function ``name(params)`` that unpacks its d x d matrices ``a``
     and ``b`` into the names ``a0_0, a0_1, ...`` and returns the matrix
     whose (i, j) entry is the expression ``entry(i, j)``, compiled from its
-    source text.  Every row and matrix tuple ends in a comma, so at d = 1
-    the names unpack the entry, not the row."""
-    def matrix(entry: Callable[[int, int], str]) -> str:
-        return "(%s)" % "".join(
-            "(%s,), " % ", ".join(entry(i, j) for j in range(d)) for i in range(d)
-        )
+    source text the first time (name, d) is asked for.  Every row and
+    matrix tuple ends in a comma, so at d = 1 the names unpack the entry,
+    not the row."""
+    kernel = _KERNELS.get((name, d))
+    if kernel is None:
+        def matrix(entry: Callable[[int, int], str]) -> str:
+            return "(%s)" % "".join(
+                "(%s,), " % ", ".join(entry(i, j) for j in range(d)) for i in range(d)
+            )
 
-    source = "def %s(%s):\n    %s = a\n    %s = b\n    return %s\n" % (
-        name, params, matrix("a{}_{}".format), matrix("b{}_{}".format), matrix(entry)
-    )
-    namespace: Dict[str, Callable] = {}
-    exec(source, namespace)
-    return namespace[name]
+        source = "def %s(%s):\n    %s = a\n    %s = b\n    return %s\n" % (
+            name, params, matrix("a{}_{}".format), matrix("b{}_{}".format), matrix(entry)
+        )
+        namespace: Dict[str, Callable] = {}
+        exec(source, namespace)
+        kernel = _KERNELS[name, d] = namespace[name]
+    return kernel
 
 
 def int_mul_kernel(d: int) -> Callable[[IntMatrix, IntMatrix], IntMatrix]:
     """The product of two d x d integer matrices with every entry written
-    out, ``a0_0 * b0_1 + a0_1 * b1_1 + ...``, compiled the first time
-    dimension d is asked for."""
-    kernel = _INT_MUL.get(d)
-    if kernel is None:
-        kernel = _INT_MUL[d] = _compile_kernel("int_mul", "a, b", d, lambda i, j: " + ".join(
-            "a%d_%d * b%d_%d" % (i, k, k, j) for k in range(d)
-        ))
-    return kernel
+    out, ``a0_0 * b0_1 + a0_1 * b1_1 + ...``."""
+    return _compile_kernel("int_mul", "a, b", d, lambda i, j: " + ".join(
+        "a%d_%d * b%d_%d" % (i, k, k, j) for k in range(d)
+    ))
 
 
 def int_add_kernel(d: int) -> Callable[[IntMatrix, int, IntMatrix], IntMatrix]:
     """``a + k * b`` for d x d integer matrices a, b and an integer k, with
-    every entry written out, compiled the first time dimension d is asked
-    for."""
-    kernel = _INT_ADD.get(d)
-    if kernel is None:
-        kernel = _INT_ADD[d] = _compile_kernel(
-            "int_add", "a, k, b", d, lambda i, j: "a%d_%d + k * b%d_%d" % (i, j, i, j))
-    return kernel
-
-
-def _int_scale(m: IntMatrix, k: int) -> IntMatrix:
-    return m if k == 1 else tuple([tuple([k * x for x in row]) for row in m])
+    every entry written out."""
+    return _compile_kernel("int_add", "a, k, b", d, lambda i, j: "a%d_%d + k * b%d_%d" % (i, j, i, j))
 
 
 def int_to_fractions(m: Sequence[Sequence[int]], den: int) -> Matrix:
@@ -123,65 +112,53 @@ class MatrixScene:
     points: Tuple[Fraction, ...]
 
     @cached_property
-    def _cleared(self) -> Dict[str, Tuple[Tuple[IntMatrix, ...], int]]:
-        """Each symbol's coefficient matrices as integer matrices over one
-        denominator."""
-        out = {}
+    def _cleared(self) -> Tuple[Dict[str, Tuple[IntMatrix, ...]], int, int]:
+        """(each symbol's coefficient matrices as integer matrices, L, top):
+        L is one denominator for every coefficient of the scene, and top the
+        highest coefficient index of any symbol, which a hand-built scene
+        may set above its degree."""
         d = self.dim
+        rows = [row for poly in self.assignment.values() for coeff in poly for row in coeff]
+        ints, den = int_clear(tuple(rows))
+        out, start = {}, 0
         for name, poly in self.assignment.items():
-            ints, den = int_clear(tuple(row for coeff in poly for row in coeff))
-            out[name] = (tuple(ints[k * d:(k + 1) * d] for k in range(len(poly))), den)
-        return out
+            out[name] = tuple(ints[start + k * d:start + (k + 1) * d] for k in range(len(poly)))
+            start += len(poly) * d
+        return out, den, max(map(len, self.assignment.values())) - 1
 
-    def jet_value(self, symbol: str, order: int, x0: Fraction) -> Tuple[IntMatrix, int]:
-        """The ``order``-th x-derivative at x0 as (integer matrix, least
-        denominator): the sum over k >= order of k!/(k-order)! x0^(k-order)
-        C_k, the scene's one zero matrix above the symbol's top coefficient."""
-        coeffs, den = self._cleared[symbol]
-        top = len(coeffs) - 1
-        if order > top:
-            return self._zero, 1
-        # x0^(k-order) = p^(k-order) q^(top-k) / q^(top-order) for x0 = p/q
+    def jet_den(self, x0: Fraction) -> int:
+        """D = L q^top at x0 = p/q, the denominator of every jet there."""
+        _, den, top = self._cleared
+        return den * x0.denominator ** top
+
+    def jet_value(self, symbol: str, order: int, x0: Fraction) -> IntMatrix:
+        """The ``order``-th x-derivative at x0 = p/q as an integer matrix over
+        ``jet_den(x0)``: the sum over k >= order of k!/(k-order)! p^(k-order)
+        q^(top-k+order) N_k, N_k being coefficient k over L; the scene's one
+        zero matrix above the symbol's top coefficient."""
+        cleared, _, top = self._cleared
+        coeffs = cleared[symbol]
+        if order >= len(coeffs):
+            return self._zero
         p, q = x0.numerator, x0.denominator
-        weights = [perm(k, order) * p ** (k - order) * q ** (top - k) for k in range(order, top + 1)]
-        den *= q ** (top - order)
-        m = [[sum(map(mul, weights, entry)) for entry in zip(*rows)] for rows in zip(*coeffs[order:])]
-        g = gcd(den, *(x for row in m for x in row))
-        return tuple([tuple([x // g for x in row]) for row in m]), den // g
+        weights = [perm(k, order) * p ** (k - order) * q ** (top - k + order)
+                   for k in range(order, len(coeffs))]
+        return tuple([tuple([sum(map(mul, weights, entry)) for entry in zip(*rows)])
+                      for rows in zip(*coeffs[order:])])
 
     @cached_property
     def _zero(self) -> IntMatrix:
         return ((0,) * self.dim,) * self.dim
 
     @cached_property
-    def _points(self) -> Dict[Fraction, JetTable]:
+    def _jets(self) -> Dict[Tuple[str, int, Fraction], IntMatrix]:
         return {}
 
-    def jets_at(self, x0: Fraction) -> JetTable:
-        """(D, table) at x0 = p/q: D = lcm of the symbols' cleared
-        denominators times q^top, top being the highest coefficient index of
-        any symbol, is a common denominator of every jet there, and the
-        table holds the jets read so far by ``point_jet`` as integer
-        matrices over D."""
-        point = self._points.get(x0)
-        if point is None:
-            cleared = self._cleared.values()
-            top = max(len(coeffs) for coeffs, _ in cleared) - 1
-            den = lcm(*(sym_den for _, sym_den in cleared)) * x0.denominator ** top
-            point = self._points[x0] = (den, {})
-        return point
-
     def point_jet(self, symbol: str, order: int, x0: Fraction) -> IntMatrix:
-        """``jet_value(symbol, order, x0)`` as an integer matrix over the D
-        of ``jets_at(x0)``, computed once per scene and point; the jets above
-        a symbol's top coefficient share one zero matrix."""
-        den, table = self.jets_at(x0)
-        m = table.get((symbol, order))
+        """``jet_value(symbol, order, x0)``, computed once per scene and point."""
+        m = self._jets.get((symbol, order, x0))
         if m is None:
-            m, m_den = self.jet_value(symbol, order, x0)
-            if m is not self._zero:
-                m = _int_scale(m, den // m_den)
-            table[symbol, order] = m
+            m = self._jets[symbol, order, x0] = self.jet_value(symbol, order, x0)
         return m
 
 
@@ -215,7 +192,7 @@ def _eval_pass(
 ) -> Tuple[IntMatrix, IntMatrix, int]:
     """The value of ``e`` and the epsilon part of ``e(base + epsilon*direction)``
     as integer matrices over one denominator, returned third.  Every atom is
-    a jet over the point's D (``MatrixScene.jets_at``), so a word of n atoms
+    a jet over the point's D (``MatrixScene.jet_den``), so a word of n atoms
     is an integer matrix over D^n, and with C the lcm of the coefficients'
     denominators and N the longest word, the sum is over C D^N.  Every
     distinct atom is read once per call, as (a, b), b being None unless the
@@ -224,7 +201,7 @@ def _eval_pass(
     values: Dict[Atom, Tuple[IntMatrix, Optional[IntMatrix]]] = {}
     d = scene.dim
     times, add = int_mul_kernel(d), int_add_kernel(d)
-    jet_den = scene.jets_at(x0)[0]
+    jet_den = scene.jet_den(x0)
     longest = max(map(len, e.terms), default=0)
     den = lcm(*(coeff.denominator for coeff in e.terms.values()))
     powers = [jet_den ** k for k in range(longest + 1)]

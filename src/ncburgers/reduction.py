@@ -56,9 +56,11 @@ of another tag) and a nesting within ``Context.integral_depth``; any other
 word takes the full route, which wraps the atoms without an image or raises
 the nesting error.  The rule also skips the split's transient rejected part,
 which could trip ``split_rejects`` only with a body of more than 4,096
-words.  This is the engine's bounded integration-by-parts strategy; it
-raises :class:`NestingLimitExceeded` instead of looping when the nesting
-depth or pass budget is exhausted.
+words.  Passes stop when one returns its input, the fixed point of the
+sum rather than of each word: the x image of one fixed eta word can be
+several words that rewrite into one another.  This is the engine's bounded
+integration-by-parts strategy; it raises :class:`NestingLimitExceeded`
+instead of looping when the nesting depth or pass budget is exhausted.
 """
 
 from __future__ import annotations
@@ -364,9 +366,10 @@ def deep_reduce(f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
     rewritten as the antiderivative of its own tagged derivative, its tail
     (all atoms but the first, or but the last for a direct word) first.
     Each rewrite preserves the value of the word, so the result equals the
-    input as an abstract field; iterated to a fixed point within the
-    context's pass budget, whose terms come in :func:`word_key` order
-    whatever the input's order.  A word led by a jet or test field whose
+    input as an abstract field; passes repeat until one returns its input,
+    within the context's pass budget, and the terms of that fixed point
+    come in :func:`word_key` order whatever the input's order; its words
+    need not be fixed one by one.  A word led by a jet or test field whose
     tail is fixed is kept without a ``derinv`` call, where every atom has an
     eta image and the nesting is within bound: the split of E(eta_k v) =
     eta_(k+1) v + eta_k E(v) is eta_k v (see the module docstring).
@@ -374,8 +377,8 @@ def deep_reduce(f: FieldExpr, ctx: Context = DEFAULT_CONTEXT) -> FieldExpr:
     cache: dict = {}
     cur = f
     for _ in range(ctx.reduce_passes):
-        vals = [(_canon_word(word, ctx, cache), coeff) for word, coeff in cur.terms.items()]
-        if all(val == FieldExpr.from_word(word) for (val, _), word in zip(vals, cur.terms)):
+        nxt = FieldExpr.sum([(_canon_word(word, ctx, cache), coeff) for word, coeff in cur.terms.items()])
+        if nxt == cur:
             return FieldExpr._raw({w: cur.terms[w] for w in sorted(cur.terms, key=word_key)})
-        cur = FieldExpr.sum(vals)
+        cur = nxt
     raise NestingLimitExceeded("deep reduction did not reach a fixed point")

@@ -20,6 +20,7 @@ from ncburgers.oracle import (
     eval_frechet_dual,
     int_add_kernel,
     int_mul_kernel,
+    int_to_fractions,
     make_scene,
     scene_from_text,
     scene_to_text,
@@ -266,6 +267,32 @@ def test_jets_are_computed_once_per_scene_and_point(monkeypatch):
         assert sorted(calls) == made
     assert eval_frechet_dual(e, second, "r", "V", Fraction(1, 2)) == \
         _reference_frechet(e, second, "r", "V", Fraction(1, 2))
+
+
+def _uneven_scene(seed, dim):
+    """A hand-built scene whose symbols have 1 to 4 coefficients, with a
+    degree, 1, below r's top coefficient index, 3."""
+    import random
+
+    rng = random.Random(seed)
+    sizes = dict(r=4, s=2, V=3)
+
+    def poly(coefficients):
+        return tuple(tuple(tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(dim))
+                           for _ in range(dim)) for _ in range(coefficients))
+
+    points = (Fraction(-3, 2), Fraction(0), Fraction(5, 3), Fraction(2))
+    return MatrixScene(seed, dim, 1, {name: poly(sizes.get(name, 1)) for name in SCENE_SYMBOLS}, points)
+
+
+def test_every_jet_is_an_integer_matrix_over_the_points_denominator():
+    for scene in default_scenes(3) + [_uneven_scene(101, 1), _uneven_scene(103, 2)]:
+        top = max(map(len, scene.assignment.values())) - 1
+        for name in SCENE_SYMBOLS:
+            for x0 in scene.points:
+                for k in range(top + 2):
+                    assert int_to_fractions(scene.jet_value(name, k, x0), scene.jet_den(x0)) == \
+                        _reference_jet(scene, name, k, x0)
 
 
 def test_integer_kernel_against_fraction_reference():
