@@ -135,33 +135,21 @@ Atom = Union[Jet, TestField, InverseSymbol, Integral]
 Word = Tuple[Atom, ...]
 
 
-def _word_key(w: Word, jet_sign: int):
-    """Total order on words: length first, then atom by atom, antiderivatives
-    by tag and then by their sorted body terms.  ``jet_sign`` -1 puts higher
-    derivatives of a symbol first."""
+def word_key(w: Word):
+    """Canonical total order on words: length first, then atom by atom,
+    antiderivatives by tag and then by their sorted body terms."""
     keys = []
     for a in w:
         if isinstance(a, Jet):
-            keys.append((0, a.symbol, jet_sign * a.order))
+            keys.append((0, a.symbol, a.order))
         elif isinstance(a, TestField):
-            keys.append((1, a.name, jet_sign * a.order))
+            keys.append((1, a.name, a.order))
         elif isinstance(a, InverseSymbol):
             keys.append((2, a.base, 0))
         else:
-            body = sorted((_word_key(bw, jet_sign), c) for bw, c in a.body.terms.items())
+            body = sorted((word_key(bw), c) for bw, c in a.body.terms.items())
             keys.append((3, a.tag.value, tuple(body)))
     return (len(w), tuple(keys))
-
-
-def word_key(w: Word):
-    """Canonical total order on words."""
-    return _word_key(w, 1)
-
-
-def print_word_key(w: Word):
-    """Printing order: as :func:`word_key` but highest derivative first,
-    which matches the conventional way hierarchy members are written."""
-    return _word_key(w, -1)
 
 
 def _cancel_uinv(word: Word) -> Word:

@@ -10,13 +10,13 @@ Field grammar (juxtaposition binds tighter than + and -):
               | "Dinv" "[" expr "]" | "D" "(" expr ")"
     atom     := ident ("_" "x"+)?
 
-A term's run of atoms is one word; products are taken only at the other
-factors.  An antiderivative group is not trusted to be canonical: its body
-goes through ``reduction.derinv`` again, so parsing canonical text still pays
-for those calls: 0.2-0.3 s of one ``properties`` benchmark pass on a
-two-core Xeon virtual machine, about 40% of the time in ``parse_field``.
-That cost is kept on purpose, because any text, printed or typed, parses
-to the same canonical form.
+A term's plain atoms and its groups of one nonempty word make one word;
+products are taken only at groups of several terms.  An antiderivative group
+is not trusted to be canonical: its body goes through ``reduction.derinv``
+again, so parsing canonical text still pays for those calls: about 0.1 s of
+one ``properties`` benchmark pass (0.55-0.65 s in all, on a two-core Xeon
+virtual machine), half of the time in ``parse_field``.  That cost is kept on
+purpose, because any text, printed or typed, parses to the same canonical form.
 
 Reserved identifiers: r, s, u, uinv, v, V, W, sigma.  Operator expressions
 reuse the field grammar for multiplication factors; a bare field factor
@@ -33,6 +33,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from .fields import (
@@ -45,7 +46,6 @@ from .fields import (
     Rat,
     TestField,
     d_total,
-    print_word_key,
     word_key,
 )
 from .operators import (
@@ -172,25 +172,17 @@ class _Lexer:
         return ParseError(self._diag(pos, message, expected))
 
 
-def _field_atom(lx: _Lexer):
-    """The next field factor: a plain atom as itself, a group as a
-    ``FieldExpr``, or None when the next token starts no factor."""
-    text = lx.peek()
-    if text is None:
-        return None
+def _field_group(lx: _Lexer) -> Optional[FieldExpr]:
+    """The next field group; None when the next token starts none, or is a plain atom."""
+    text, after = lx.peek(), lx.peek(1)
     if text == "(":
-        return _group(lx, _field_atom, ")")
-    atom = lx.atoms[text]
-    if atom is not None:
-        lx.next()
-        return atom
-    after = lx.peek(1)
+        return _group(lx, _field_group, ")")
     if text in DERINV_IDENTS and after == "[":
         lx.next()
-        return derinv(DERINV_IDENTS[text], _group(lx, _field_atom, "]"))
+        return derinv(DERINV_IDENTS[text], _group(lx, _field_group, "]"))
     if text == "D" and after == "(":
         lx.next()
-        return d_total(_group(lx, _field_atom, ")"))
+        return d_total(_group(lx, _field_group, ")"))
     return None
 
 
@@ -214,15 +206,27 @@ def _coefficient(lx: _Lexer) -> Tuple[Rat, bool]:
 
 def _term(lx: _Lexer, factor):
     """A coefficient times the product of the factors ``factor`` parses:
-    field factors or operator factors.  A run of plain atoms is one word,
-    multiplied in at the next group and at the end of the term."""
+    field factors or operator factors.  Plain atoms and field groups of one
+    nonempty word join a run, one word multiplied in at other groups and the end."""
     coeff, explicit = _coefficient(lx)
-    is_field = factor is _field_atom
+    is_field = factor is _field_group
+    tokens, atoms = lx.tokens, lx.atoms
     out, run = None, []  # the product of the factors before ``run``
-    while (f := factor(lx)) is not None:
-        if isinstance(f, tuple):
-            run.append(f)
-            continue
+    while True:
+        if is_field:  # the plain atoms at the cursor; any other token names None
+            i = lx.index
+            while i < len(tokens) and (a := atoms[tokens[i]]) is not None:
+                run.append(a)
+                i += 1
+            lx.index = i
+        if (f := factor(lx)) is None:
+            break
+        if is_field and len(f.terms) == 1:
+            ((w, c),) = f.terms.items()
+            if w:
+                run += w
+                coeff *= c
+                continue
         if run:
             word, run = FieldExpr.from_word(run), []
             out = word if out is None else out * word
@@ -249,7 +253,7 @@ def _sum_of_terms(lx: _Lexer, factor):
     terms = [(_term(lx, factor), 1)]
     while lx.peek() in ("+", "-"):
         terms.append((_term(lx, factor), 1))
-    return type(terms[0][0]).sum(terms)
+    return terms[0][0] if len(terms) == 1 else type(terms[0][0]).sum(terms)
 
 
 def _group(lx: _Lexer, factor, close: str):
@@ -270,7 +274,7 @@ def _parse(src: str, factor):
 
 def parse_field(src: str) -> FieldExpr:
     """Parse a field expression in the default context; unknown identifiers are an error."""
-    return _parse(src, _field_atom)
+    return _parse(src, _field_group)
 
 
 def _op_factor(lx: _Lexer) -> Optional[OpExpr]:
@@ -292,11 +296,12 @@ def _op_factor(lx: _Lexer) -> Optional[OpExpr]:
     if text in ("L", "R", "C") and after == "[":
         lx.next()
         mult = {"L": op_left, "R": op_right, "C": op_comm}[text]
-        return mult(_group(lx, _field_atom, "]"))
-    field = _field_atom(lx)
-    if field is None:
-        return None
-    return op_left(FieldExpr.from_atom(field) if isinstance(field, tuple) else field)
+        return mult(_group(lx, _field_group, "]"))
+    if text is not None and lx.atoms[text] is not None:
+        lx.next()
+        return op_left(FieldExpr.from_atom(lx.atoms[text]))
+    field = _field_group(lx)
+    return None if field is None else op_left(field)
 
 
 def parse_op(src: str) -> OpExpr:
@@ -311,19 +316,14 @@ def parse_op(src: str) -> OpExpr:
 def _atom_text(atom, latex: bool, suffix: str = "x") -> str:
     """One atom's text; a jet's derivative suffix is ``x`` or, in eta
     coordinates, ``eta``."""
-    if isinstance(atom, (Jet, TestField)):
-        name = "\\sigma" if (latex and atom[1] == "sigma") else atom[1]
-        if atom.order == 0:
-            return name
-        if latex:
-            return "%s_{%s}" % (name, suffix * atom.order)
-        return "%s_%s" % (name, suffix * atom.order)
-    if isinstance(atom, InverseSymbol):
-        return "%s^{-1}" % atom.base if latex else "%sinv" % atom.base
-    inner = print_field(atom.body, "latex" if latex else "x")  # an Integral
-    if latex:
-        return r"%s\!\left(%s\right)" % (_DERINV_LATEX[atom.tag], inner)
-    return "%s[%s]" % (_DERINV_NAMES[atom.tag], inner)
+    if atom[0] == "i":  # an antiderivative and its body, as the field printer writes it
+        return _printer(latex)(FieldExpr.from_atom(atom))[0][2]
+    if atom[0] == "u":
+        return "%s^{-1}" % atom[1] if latex else "%sinv" % atom[1]
+    name = "\\sigma" if (latex and atom[1] == "sigma") else atom[1]
+    if atom[2] == 0:
+        return name
+    return ("%s_{%s}" if latex else "%s_%s") % (name, suffix * atom[2])
 
 
 def _coeff_text(c: Rat, latex: bool) -> str:
@@ -332,11 +332,12 @@ def _coeff_text(c: Rat, latex: bool) -> str:
     return str(c)
 
 
-def _join_terms(parts: List[Tuple[Rat, str]], latex: bool) -> str:
-    if not parts:
+def _join_terms(rows: List[Tuple[object, Rat, str]], latex: bool) -> str:
+    """The text of sorted (key, coefficient, word text) rows."""
+    if not rows:
         return "0"
     chunks: List[str] = []
-    for i, (coeff, body) in enumerate(parts):
+    for i, (_, coeff, body) in enumerate(rows):
         sign = "-" if coeff < 0 else "+"
         mag = abs(coeff)
         coeff_txt = "" if (mag == 1 and body) else _coeff_text(mag, latex)
@@ -348,6 +349,31 @@ def _join_terms(parts: List[Tuple[Rat, str]], latex: bool) -> str:
     return " ".join(chunks)
 
 
+def _printer(latex: bool):
+    """Sorted (print key, coefficient, text) rows of a field expression.  The
+    print key is ``word_key`` with jet orders negated at every depth (highest
+    derivative first, as hierarchy members are written).  Each distinct atom's
+    key and text are built once, an antiderivative's from its body's rows."""
+    memo = {}
+
+    def atom(a):  # an atom not yet in the memo
+        if a[0] != "i":
+            key = (2, a[1], 0) if a[0] == "u" else ("jt".index(a[0]), a[1], -a[2])
+            return memo.setdefault(a, (key, _atom_text(a, latex)))
+        rows, name = terms(a[2]), (_DERINV_LATEX if latex else _DERINV_NAMES)[a[1]]
+        text = (r"%s\!\left(%s\right)" if latex else "%s[%s]") % (name, _join_terms(rows, latex))
+        return memo.setdefault(a, ((3, a[1].value, tuple((k, c) for k, c, _ in rows)), text))
+
+    def terms(f):
+        rows = []
+        for w, c in f.terms.items():
+            keys, texts = zip(*[memo.get(a) or atom(a) for a in w]) if w else ((), ())
+            rows.append(((len(w), keys), c, " ".join(texts)))
+        return sorted(rows, key=itemgetter(0))
+
+    return terms
+
+
 def print_field(e: FieldExpr, mode: str = "x") -> str:
     """Canonical text for a field expression.
 
@@ -356,7 +382,9 @@ def print_field(e: FieldExpr, mode: str = "x") -> str:
     """
     if mode == "eta":
         return _print_field_eta(e)
-    return _print_terms(e, mode, print_word_key, _atom_text)
+    if mode not in ("x", "latex"):
+        raise ValueError("unknown print mode %r" % mode)
+    return _join_terms(_printer(mode == "latex")(e), mode == "latex")
 
 
 def _print_terms(e, mode: str, order, atom_text, one: str = "") -> str:
@@ -364,11 +392,9 @@ def _print_terms(e, mode: str, order, atom_text, one: str = "") -> str:
     if mode not in ("x", "latex"):
         raise ValueError("unknown print mode %r" % mode)
     latex = mode == "latex"
-    parts = []
-    for word, coeff in sorted(e.terms.items(), key=lambda kv: order(kv[0])):
-        body = " ".join(atom_text(a, latex) for a in word)
-        parts.append((coeff, body or one))
-    return _join_terms(parts, latex)
+    rows = [(order(w), c, " ".join(atom_text(a, latex) for a in w) or one) for w, c in e.terms.items()]
+    rows.sort(key=itemgetter(0))
+    return _join_terms(rows, latex)
 
 
 def _print_field_eta(e: FieldExpr) -> str:

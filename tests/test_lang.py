@@ -5,7 +5,7 @@ import pytest
 
 from ncburgers.fields import test as tfield
 
-from ncburgers import fields
+from ncburgers import fields, lang
 from ncburgers.fields import DerivationTag, FieldExpr, Integral, Jet, d_total, jet, uinv
 from ncburgers.hierarchy import EquationFamily, hierarchy_member, recursion_operator
 from ncburgers.lang import (
@@ -353,3 +353,124 @@ def test_round_trip_nested_antiderivatives():
 
     assert expr_nesting(e) >= 3
     assert parse_field(print_field(e)) == e
+
+
+def _reference_print_key(w):
+    """The printing order as a separate pass: ``word_key`` with every jet
+    order negated, at every depth (the order before keys and texts were built
+    together)."""
+    keys = []
+    for a in w:
+        if isinstance(a, (fields.Jet, fields.TestField)):
+            keys.append((0 if isinstance(a, fields.Jet) else 1, a[1], -a.order))
+        elif isinstance(a, fields.InverseSymbol):
+            keys.append((2, a.base, 0))
+        else:
+            body = sorted((_reference_print_key(bw), c) for bw, c in a.body.terms.items())
+            keys.append((3, a.tag.value, tuple(body)))
+    return (len(w), tuple(keys))
+
+
+def _reference_print(e, latex):
+    """Two-pass printer: sort the words by ``_reference_print_key``, then
+    print each antiderivative body again through this function."""
+
+    def atom_text(a):
+        if not isinstance(a, Integral):
+            return lang._atom_text(a, latex)
+        inner = _reference_print(a.body, latex)
+        if latex:
+            return r"%s\!\left(%s\right)" % (lang._DERINV_LATEX[a.tag], inner)
+        return "%s[%s]" % (lang._DERINV_NAMES[a.tag], inner)
+
+    words = sorted(e.terms.items(), key=lambda kv: _reference_print_key(kv[0]))
+    return lang._join_terms([(None, c, " ".join(map(atom_text, w))) for w, c in words], latex)
+
+
+def _printer_corpus():
+    """300 conftest draws: both antiderivative tags, Cole-Hopf u^-1 words in
+    a third of them, and a nested antiderivative added to every fourth."""
+    rng = random.Random(2032)
+    kws = (
+        dict(symbols=("r", "s"), tests=("V", "W")),
+        dict(symbols=("r",), tests=("V",), cole_hopf=True),
+        dict(symbols=("r", "u"), tests=("sigma",)),
+    )
+    corpus = []
+    for i in range(300):
+        kw = kws[i % 3]
+        e = random_nonlocal_field(rng, **kw)
+        if i % 4 == 0:
+            small = dict(kw, max_terms=2, max_len=2)
+            tag = rng.choice([M, DerivationTag.DIRECT, DerivationTag.PLAIN])
+            inner = derinv(tag, random_field(rng, **small))
+            e = e + derinv(tag, random_field(rng, **dict(small, max_terms=1)) * inner)
+        corpus.append(e)
+    return corpus
+
+
+def test_one_pass_printer_matches_the_two_pass_reference():
+    from ncburgers.fields import expr_nesting
+
+    corpus = _printer_corpus()
+    for e in corpus:
+        for mode in ("x", "latex"):
+            assert print_field(e, mode) == _reference_print(e, mode == "latex")
+    # the corpus reaches what the printer must order
+    assert sum(e.contains_integral() for e in corpus) == 155
+    assert sum(expr_nesting(e) >= 2 for e in corpus) == 53
+    assert sum(any(type(a) is fields.InverseSymbol for a in e.atoms()) for e in corpus) == 39
+    assert {a.tag for e in corpus for a in e.atoms() if isinstance(a, Integral)} == set(DerivationTag)
+
+
+def test_parse_edge_cases_match_field_arithmetic():
+    r, u, V = jet("r"), jet("u"), tfield("V")
+    assert parse_field("(2) r") == FieldExpr.unit().scale(2) * r
+    assert parse_field("r (3/2 V) r") == r * V.scale(Fraction(3, 2)) * r
+    assert parse_field("u (uinv) r") == u * uinv() * r == r  # the junction cancels
+    assert parse_field("-(r) (r)") == -(r * r)
+    assert parse_field("(0 r) V") == FieldExpr.zero() == r.scale(0) * V
+    assert parse_field("IDinv[V] IDinv[V]") == derinv(M, V) * derinv(M, V)
+    assert parse_field("r (V + r) IDinv[r_x]") == r * (V + r) * derinv(M, jet("r", 1))
+
+
+def test_parsing_printed_antiderivatives_makes_no_product(monkeypatch):
+    # every group of the printed text is one antiderivative atom, so each
+    # term is one word; products inside derinv are not the parser's
+    products, inside = [], []
+    mul = FieldExpr.__mul__
+
+    def counting_mul(a, b):
+        if not inside:
+            products.append((a, b))
+        return mul(a, b)
+
+    def quiet_derinv(tag, body):
+        inside.append(tag)
+        try:
+            return derinv(tag, body)
+        finally:
+            inside.pop()
+
+    corpus = [e for e in _printer_corpus()[:60] if e.contains_integral()]
+    texts = [print_field(e) for e in corpus]
+    monkeypatch.setattr(FieldExpr, "__mul__", counting_mul)
+    monkeypatch.setattr(lang, "derinv", quiet_derinv)
+    assert [parse_field(t) for t in texts] == corpus
+    assert len(corpus) == 31 and not products
+    parse_field("r (V + r) V")
+    assert len(products) == 2
+
+
+def test_each_antiderivative_is_printed_once(monkeypatch):
+    joins = []
+    join = lang._join_terms
+    monkeypatch.setattr(lang, "_join_terms", lambda rows, latex: joins.append(rows) or join(rows, latex))
+    r, V = jet("r"), tfield("V")
+    I = FieldExpr.from_atom(Integral(M, r * V * jet("r", 1) + jet("r", 2) * V))
+    e = I + r * I + I * V + jet("r", 1) * I * r + (V * I).scale(3)
+    assert len(e.terms) == 5 and len({a for a in e.atoms() if isinstance(a, Integral)}) == 1
+    for mode in ("x", "latex"):
+        joins.clear()
+        assert print_field(e, mode) == _reference_print(e, mode == "latex")
+        assert len(joins) == 1 + 1 + 6  # the body, the field, and the reference's 1 + 5 bodies
