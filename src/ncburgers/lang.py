@@ -25,6 +25,9 @@ means left multiplication, matching the convention of dropping the L symbol:
     opfactor := "D" | "ID" | "DD" | "Dinv" | "IDinv" | "DDinv" | "Id"
               | "L" "[" expr "]" | "R" "[" expr "]" | "C" "[" expr "]"
               | "(" opexpr ")" | <field factor>
+
+There ``D`` is the operator (``D(f)`` is field text, as in ``L[D(f)]``), and a
+group of one word of left multiplications is one: ``(r V)`` is L[r V].
 """
 
 from __future__ import annotations
@@ -280,8 +283,12 @@ def parse_field(src: str) -> FieldExpr:
 def _op_factor(lx: _Lexer) -> Optional[OpExpr]:
     text, after = lx.peek(), lx.peek(1)
     if text == "(":
-        return _group(lx, _op_factor, ")")
-    if text == "D" and after != "(":
+        group = _group(lx, _op_factor, ")")
+        w = next(iter(group.terms), ())
+        if len(w) > 1 and group.terms == {w: 1} and all(isinstance(a, OpLeft) for a in w):
+            return OpExpr.from_atoms(OpLeft(sum((a.word for a in w), ())))  # print_op's (r V)
+        return group
+    if text == "D":
         lx.next()
         return op_d()
     if text == "Id":

@@ -8,11 +8,12 @@ carries dual numbers a + eps b as pairs (a, b), with (a, b)(c, d) =
 (ac, ad + bc), where b is nonzero only for the jets of the symbol a
 directional derivative is taken along; it returns the value and the eps
 part side by side.  The products run on integer matrices: at a point
-x0 = p/q every jet of a scene is an integer matrix over D = L q^top, L
-being one denominator fixed for every coefficient of the scene and top its
-highest coefficient index, so a word of n atoms is an integer matrix over
-D^n and a sum is one numerator over C D^N, C being the lcm of its
-coefficients' denominators and N its longest word.
+x0 = p/q every jet of a scene is an integer matrix over D = L q^degree, L
+being one denominator fixed for every coefficient of the scene, so a word
+of n atoms is an integer matrix over D^n and a sum is one numerator over
+C D^N, C being the lcm of its coefficients' denominators and N its longest
+word.  A scene is only its matrices: its dimension and its degree, the
+highest coefficient index of any symbol, are read from them.
 ``Fraction`` entries are built only for a returned value.  The d x d
 product and the sum a + k b are written out entry by entry, compiled once
 per dimension from their source text, and stay exact integer arithmetic.
@@ -48,13 +49,6 @@ SCENE_SYMBOLS = ("r", "s", "u", "v", "V", "W", "sigma")
 # positive denominator, and Fractions are built only at the public boundary
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
-
-
-def int_clear(m: Matrix) -> Tuple[IntMatrix, int]:
-    """``m`` as (integer matrix, denominator), the denominator being the
-    lcm of the entries' denominators."""
-    den = lcm(*(x.denominator for row in m for x in row))
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in m), den
 
 
 _KERNELS: Dict[Tuple[str, int], Callable] = {}
@@ -106,42 +100,42 @@ class MatrixScene:
     """Exact assignment of every symbol to a matrix polynomial in x."""
 
     seed: int
-    dim: int
-    degree: int
     assignment: Dict[str, MatPoly]
     points: Tuple[Fraction, ...]
 
     @cached_property
-    def _cleared(self) -> Tuple[Dict[str, Tuple[IntMatrix, ...]], int, int]:
-        """(each symbol's coefficient matrices as integer matrices, L, top):
-        L is one denominator for every coefficient of the scene, and top the
-        highest coefficient index of any symbol, which a hand-built scene
-        may set above its degree."""
-        d = self.dim
-        rows = [row for poly in self.assignment.values() for coeff in poly for row in coeff]
-        ints, den = int_clear(tuple(rows))
-        out, start = {}, 0
-        for name, poly in self.assignment.items():
-            out[name] = tuple(ints[start + k * d:start + (k + 1) * d] for k in range(len(poly)))
-            start += len(poly) * d
-        return out, den, max(map(len, self.assignment.values())) - 1
+    def dim(self) -> int:
+        """The side of every coefficient matrix."""
+        return len(next(iter(self.assignment.values()))[0])
+
+    @cached_property
+    def degree(self) -> int:
+        """The highest coefficient index of any symbol."""
+        return max(map(len, self.assignment.values())) - 1
+
+    @cached_property
+    def _cleared(self) -> Tuple[Dict[str, Tuple[IntMatrix, ...]], int]:
+        """(each symbol's coefficient matrices as integer matrices over L, L),
+        L being the lcm of the denominators of every coefficient's entries."""
+        polys = self.assignment.values()
+        den = lcm(*(x.denominator for poly in polys for coeff in poly for row in coeff for x in row))
+        return {name: tuple(tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in coeff)
+                            for coeff in poly) for name, poly in self.assignment.items()}, den
 
     def jet_den(self, x0: Fraction) -> int:
-        """D = L q^top at x0 = p/q, the denominator of every jet there."""
-        _, den, top = self._cleared
-        return den * x0.denominator ** top
+        """D = L q^degree at x0 = p/q, the denominator of every jet there."""
+        return self._cleared[1] * x0.denominator ** self.degree
 
     def jet_value(self, symbol: str, order: int, x0: Fraction) -> IntMatrix:
         """The ``order``-th x-derivative at x0 = p/q as an integer matrix over
         ``jet_den(x0)``: the sum over k >= order of k!/(k-order)! p^(k-order)
-        q^(top-k+order) N_k, N_k being coefficient k over L; the scene's one
-        zero matrix above the symbol's top coefficient."""
-        cleared, _, top = self._cleared
-        coeffs = cleared[symbol]
+        q^(degree-k+order) N_k, N_k being coefficient k over L; the scene's
+        one zero matrix above the symbol's last coefficient."""
+        coeffs = self._cleared[0][symbol]
         if order >= len(coeffs):
             return self._zero
-        p, q = x0.numerator, x0.denominator
-        weights = [perm(k, order) * p ** (k - order) * q ** (top - k + order)
+        p, q, degree = x0.numerator, x0.denominator, self.degree
+        weights = [perm(k, order) * p ** (k - order) * q ** (degree - k + order)
                    for k in range(order, len(coeffs))]
         return tuple([tuple([sum(map(mul, weights, entry)) for entry in zip(*rows)])
                       for rows in zip(*coeffs[order:])])
@@ -184,7 +178,7 @@ def make_scene(seed: int, dim: int = 3, degree: int = 2) -> MatrixScene:
 
     assignment = {name: poly() for name in SCENE_SYMBOLS}
     points = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(3))
-    return MatrixScene(seed, dim, degree, assignment, points)
+    return MatrixScene(seed, assignment, points)
 
 
 def _eval_pass(
@@ -255,7 +249,6 @@ def eval_frechet_dual(
 @dataclass
 class ZeroCheckReport:
     passed: bool
-    scenes: int
     points: int
     first_failure: str = ""
 
@@ -270,15 +263,10 @@ def check_equal(a: FieldExpr, b: FieldExpr, scenes: Sequence[MatrixScene]) -> Ze
             points += 1
             (va, _, da), (vb, _, db) = _eval_pass(a, scene, x0), _eval_pass(b, scene, x0)
             if any(x * db != y * da for ra, rb in zip(va, vb) for x, y in zip(ra, rb)):
-                return ZeroCheckReport(
-                    False,
-                    len(scenes),
-                    points,
-                    "seed=%d x0=%s" % (scene.seed, x0),
-                )
+                return ZeroCheckReport(False, points, "seed=%d x0=%s" % (scene.seed, x0))
     if not points:
         raise ValueError("the oracle needs at least one scene point")
-    return ZeroCheckReport(True, len(scenes), points)
+    return ZeroCheckReport(True, points)
 
 
 def check_zero(e: FieldExpr, scenes: Sequence[MatrixScene]) -> ZeroCheckReport:
@@ -359,7 +347,7 @@ def scene_from_text(text: str) -> MatrixScene:
             if len(block) != dim or any(len(row) != dim for row in block):
                 raise ValueError("poly %s %d is not a %dx%d matrix" % (name, k, dim, dim))
         assignment[name] = tuple(tuple(by_power[k]) for k in range(degree + 1))
-    return MatrixScene(header["seed"], dim, degree, assignment, points)
+    return MatrixScene(header["seed"], assignment, points)
 
 
 # ---------------------------------------------------------------------------

@@ -315,14 +315,9 @@ def _derinv(tag: DerivationTag, f: FieldExpr, ctx: Context) -> FieldExpr:
 
 
 def _word_tag(word: Word) -> Optional[DerivationTag]:
+    """The one antiderivative tag of a word of two or more atoms, else None."""
     tags = {a.tag for a in word if isinstance(a, Integral)}
-    if len(tags) == 1:
-        return next(iter(tags))
-    return None
-
-
-def _is_mixed(word: Word) -> bool:
-    return len(word) >= 2 and any(isinstance(a, Integral) for a in word)
+    return next(iter(tags)) if len(tags) == 1 and len(word) >= 2 else None
 
 
 def _has_eta_image(tag: DerivationTag, word: Word) -> bool:
@@ -342,11 +337,11 @@ def _canon_word(word: Word, ctx: Context, cache: dict) -> FieldExpr:
         return cache[word]
     out = FieldExpr.from_word(word)
     tag = _word_tag(word)
-    if _is_mixed(word) and tag is not None and _standard_field(tag, ctx):
+    if tag is not None and _standard_field(tag, ctx):
         # a direct word is read from the right, the mirror image of a mirror word
         direct = tag is DerivationTag.DIRECT
         lead, tail = (word[-1], word[:-1]) if direct else (word[0], word[1:])
-        if _is_mixed(tail) and _canon_word(tail, ctx, cache) != FieldExpr.from_word(tail):
+        if _word_tag(tail) is not None and _canon_word(tail, ctx, cache) != FieldExpr.from_word(tail):
             head = FieldExpr.from_atom(lead)
             out = cache[tail] * head if direct else head * cache[tail]
         elif (

@@ -247,7 +247,7 @@ def flow_commutation(
         oracle = check_equal(*halves, scenes)
         report.log.append(
             "oracle K'[G] vs G'[K] scenes: %d, points: %d, passed: %s"
-            % (oracle.scenes, oracle.points, oracle.passed)
+            % (len(scenes), oracle.points, oracle.passed)
         )
         if not oracle.passed:
             report.log.append("oracle failed at %s" % oracle.first_failure)

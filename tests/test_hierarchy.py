@@ -157,7 +157,7 @@ def test_commutative_scene_value_matches_scalar_burgers():
     p = (Fraction(2), Fraction(1, 2), Fraction(3))  # 2 + x/2 + 3x^2
     d = 2
     poly = tuple(map(scalar_matrix, p))
-    scene = MatrixScene(0, d, 2, {"r": poly}, (Fraction(1), Fraction(-2)))
+    scene = MatrixScene(0, {"r": poly}, (Fraction(1), Fraction(-2)))
     k2 = hierarchy_member(MIR, 2).rhs
     for x0 in scene.points:
         val = eval_field(k2, scene, x0)

@@ -174,7 +174,33 @@ def test_op_print_round_trip():
     for family in (EquationFamily.MIRROR, EquationFamily.DIRECT):
         for form in ("expanded", "factored"):
             P = recursion_operator(family, form)
-            assert op_probe_equal(parse_op(print_op(P)), P)
+            assert parse_op(print_op(P)) == P
+
+
+def test_every_printed_operator_reads_back_as_itself():
+    # both recursion operators in both forms, the s_split pieces and both
+    # sides of the Cole-Hopf identities, in both families
+    from ncburgers.fields import InverseSymbol
+    from ncburgers.hierarchy import cole_hopf_identities
+    from ncburgers.operators import OpLeft
+    from ncburgers.verify import s_split
+
+    families = (EquationFamily.MIRROR, EquationFamily.DIRECT)
+    ops = [recursion_operator(family, form) for family in families for form in ("expanded", "factored")]
+    for family in families:
+        ops += [s_j for _, s_j in s_split(family)]
+        ops += [side for _, lhs, rhs in cole_hopf_identities(family) for side in (lhs, rhs)]
+    assert len(ops) == 36
+    for P in ops:
+        assert parse_op(print_op(P)) == P, print_op(P)
+    # in operator text D is the operator, not the field derivative D(r V)
+    P = op_d() * op_left(parse_field("r V"))
+    assert print_op(P) == "D (r V)"
+    assert parse_op("D (r V)") == P
+    assert parse_op("L[D(r V)]") == op_left(parse_field("r_x V + r V_x"))
+    # a printed word keeps its u u^-1 pair
+    P = OpExpr.from_atoms(OpLeft((Jet("u"), InverseSymbol("u"), Jet("r"))))
+    assert print_op(P) == "(u uinv r)" and parse_op("(u uinv r)") == P
 
 
 def test_print_expr_dispatch():
@@ -219,7 +245,7 @@ def test_print_op_orders_all_six_atom_kinds():
         r"D + \mathbb{D} + \mathrm{ID} + \mathbb{D}^{-1} + \mathrm{ID}^{-1} + D^{-1} + r"
         r" + (r_{x} r) + R_{V} + C_{r} + D C_{s} - \tfrac{1}{2} R_{s} D"
     )
-    assert op_probe_equal(parse_op(print_op(P)), P)
+    assert parse_op(print_op(P)) == P
 
 
 def test_diagnostics_have_positions():

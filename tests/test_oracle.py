@@ -191,7 +191,7 @@ def _dim1_scene():
         return tuple(((Fraction(rng.randint(-20, 20), rng.randint(1, 6)),),) for _ in range(3))
 
     points = (Fraction(-3, 2), Fraction(0), Fraction(5, 3))
-    return MatrixScene(97, 1, 2, {name: poly() for name in SCENE_SYMBOLS}, points)
+    return MatrixScene(97, {name: poly() for name in SCENE_SYMBOLS}, points)
 
 
 def test_int_mul_matches_the_triple_loop():
@@ -249,13 +249,12 @@ def test_jets_are_computed_once_per_scene_and_point(monkeypatch):
         return tuple(tuple(tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(2))
                            for _ in range(2)) for _ in range(coefficients))
 
-    # the symbols have different numbers of coefficients, and the second
-    # scene's degree is below r's top coefficient
+    # the symbols have different numbers of coefficients
     sizes = dict(r=4, s=2, V=3)
     first, second = (
-        MatrixScene(seed, 2, degree, {name: poly(sizes.get(name, 1)) for name in SCENE_SYMBOLS},
+        MatrixScene(seed, {name: poly(sizes.get(name, 1)) for name in SCENE_SYMBOLS},
                     (Fraction(1, 2), Fraction(-2, 3)))
-        for seed, degree in ((1, 3), (2, 1))
+        for seed in (1, 2)
     )
     e = ((r * rx * tfield("V", 2)).scale(Fraction(3, 7)) - (jet("s", 1) * jet("r", 3)).scale(Fraction(5, 2))
          + jet("s", 2) + FieldExpr({(): Fraction(2, 9)}))
@@ -270,8 +269,7 @@ def test_jets_are_computed_once_per_scene_and_point(monkeypatch):
 
 
 def _uneven_scene(seed, dim):
-    """A hand-built scene whose symbols have 1 to 4 coefficients, with a
-    degree, 1, below r's top coefficient index, 3."""
+    """A hand-built scene whose symbols have 1 to 4 coefficients."""
     import random
 
     rng = random.Random(seed)
@@ -282,15 +280,14 @@ def _uneven_scene(seed, dim):
                            for _ in range(dim)) for _ in range(coefficients))
 
     points = (Fraction(-3, 2), Fraction(0), Fraction(5, 3), Fraction(2))
-    return MatrixScene(seed, dim, 1, {name: poly(sizes.get(name, 1)) for name in SCENE_SYMBOLS}, points)
+    return MatrixScene(seed, {name: poly(sizes.get(name, 1)) for name in SCENE_SYMBOLS}, points)
 
 
 def test_every_jet_is_an_integer_matrix_over_the_points_denominator():
     for scene in default_scenes(3) + [_uneven_scene(101, 1), _uneven_scene(103, 2)]:
-        top = max(map(len, scene.assignment.values())) - 1
         for name in SCENE_SYMBOLS:
             for x0 in scene.points:
-                for k in range(top + 2):
+                for k in range(scene.degree + 2):
                     assert int_to_fractions(scene.jet_value(name, k, x0), scene.jet_den(x0)) == \
                         _reference_jet(scene, name, k, x0)
 
@@ -340,7 +337,7 @@ def test_check_equal_sees_a_tiny_difference():
     assert report.first_failure == "seed=40 x0=%s" % scene.points[0]
     # r is constant with one nonzero entry, so the sides differ in one entry only
     unit = tuple(tuple(Fraction(int(i == j == 3)) for j in range(4)) for i in range(4))
-    sparse = MatrixScene(7, 4, 3, dict(REFERENCE_SCENES[-1].assignment, r=(unit,)), (Fraction(2, 3),))
+    sparse = MatrixScene(7, dict(REFERENCE_SCENES[-1].assignment, r=(unit,)), (Fraction(2, 3),))
     assert not check_equal(e, nudged, [sparse]).passed
 
 
@@ -395,6 +392,19 @@ def test_scene_golden_file():
     golden = pathlib.Path(__file__).parent / "golden_scene_seed1_d2_g1.txt"
     assert scene_to_text(make_scene(1, 2, 1)) == golden.read_text()
     assert scene_from_text(golden.read_text()) == make_scene(1, 2, 1)
+
+
+def test_a_scene_reads_its_dimension_and_degree_from_its_matrices():
+    import pathlib
+
+    for dim in (2, 3, 4):
+        for degree in (1, 2, 3):
+            scene = make_scene(11, dim, degree)
+            assert (scene.dim, scene.degree) == (dim, degree)
+    golden = scene_from_text((pathlib.Path(__file__).parent / "golden_scene_seed1_d2_g1.txt").read_text())
+    assert (golden.dim, golden.degree) == (2, 1)
+    # r has 4 coefficients, s 2, V 3 and every other symbol 1
+    assert [(s.dim, s.degree) for s in (_uneven_scene(101, 1), _uneven_scene(103, 2))] == [(1, 3), (2, 3)]
 
 
 def test_cole_hopf_two_wave_noncommuting():
