@@ -152,6 +152,8 @@ def _report_exit(reports: List[VerificationReport], fmt: str) -> int:
 
 
 def _cmd_hierarchy(args) -> int:
+    if args.format == "latex" and args.coords == "eta":
+        raise ValueError("--format latex prints x coordinates only, not --coords eta")
     fam = EquationFamily(args.family)
     member = hierarchy_member(fam, args.order)
     if args.format == "structured":

@@ -234,6 +234,12 @@ def _term(lx: _Lexer, factor):
             word, run = FieldExpr.from_word(run), []
             out = word if out is None else out * word
         out = f if out is None else out * f
+    # an identifier that names no atom and starts no group, wherever it stands
+    if is_field and (tok := lx.peek()) is not None and tok[0].isalpha():
+        raise lx.error(
+            "unknown symbol %r" % tok,
+            tuple(sorted(JET_IDENTS) + sorted(TEST_IDENTS) + ["uinv"]),
+        )
     if run:  # the coefficient rides on the last word
         word = FieldExpr.from_word(run, coeff)
         return word if out is None else out * word
@@ -243,12 +249,6 @@ def _term(lx: _Lexer, factor):
         return (FieldExpr.unit() if is_field else OpExpr.identity()).scale(coeff)
     if not is_field:
         raise lx.error("expected an operator factor", ("D", "ID", "IDinv", "L[", "identifier"))
-    tok = lx.peek()
-    if tok is not None and tok[0].isalpha():
-        raise lx.error(
-            "unknown symbol %r" % tok,
-            tuple(sorted(JET_IDENTS) + sorted(TEST_IDENTS) + ["uinv"]),
-        )
     raise lx.error("expected a field factor", ("identifier", "(", "IDinv["))
 
 

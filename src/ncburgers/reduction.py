@@ -225,16 +225,16 @@ def _greedy_split(f: EtaExpr) -> Tuple[dict, dict]:
 # ``PLAIN`` ones in eta map to each other through their bodies.
 
 
-# Bounded because an unbounded memo keeps every word of every field reduced
-# in the process, and one-atom words stand for the atoms: 10,207 words and
-# 6.1 MB more peak memory over the 1,000 small fields of the properties
-# benchmark.  1024 entries miss 5,634 times in 20,721 calls over one proofs
-# pass (2048 hold its 1,950 words) and 14,985 times in 55,927 over one
-# properties pass; in ten paired runs before operators.apply_op merged its
-# words' tails, 2048 gave no reliable wall-time gain (proofs 1.74 -> 1.70 s,
-# better in 7 of 10, properties 1.84 -> 1.79 s, 6 of 10) for 0.9 MB and
-# 0.5 MB more memory.
-@lru_cache(maxsize=1024)
+# Sized to one proofs benchmark pass, whose 1,950 words fit in 2048 entries,
+# so the direct claims, which run derinv on the mirror images of the mirror
+# claims' fields, find every image already made.  An LRU a little smaller
+# than a working set that recurs in a cycle evicts each word just before its
+# next use, so it misses on nearly every call of the cycle: at 1024 entries
+# the pass missed 5,634 times, not 1,950.  Bounded because an unbounded memo
+# keeps every word of every field reduced in the process: one properties
+# pass uses 10,207 words, 3,559 of them once, for 7.4 MB more in-process
+# peak memory than 1024 entries (2048 cost 0.4 MB, 3072 cost 2.2 MB).
+@lru_cache(maxsize=2048)
 def _word_image(tag: DerivationTag, cls: type, w: Word) -> LinearCombination:
     """A word's image in ``cls`` coordinates, ``EtaExpr`` for eta and
     ``FieldExpr`` for x: the image of ``w[:-1]`` times that of its last atom,

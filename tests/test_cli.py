@@ -50,6 +50,15 @@ def test_hierarchy_heat_eta_coordinates(capsys):
     assert out == "u_etaeta\n"
 
 
+def test_hierarchy_latex_in_eta_coordinates_is_usage_error(capsys):
+    # there is no eta LaTeX printer, so x LaTeX would drop --coords unsaid
+    code, out, err = run_cli(
+        capsys, "hierarchy", "--family", "mirror", "--order", "2", "--format", "latex", "--coords", "eta"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--coords eta" in err
+
+
 def test_hierarchy_structured_deterministic(capsys):
     args = ["hierarchy", "--family", "direct", "--order", "3", "--format", "structured"]
     code1, out1, _ = run_cli(capsys, *args)

@@ -294,6 +294,14 @@ FACTOR_EXPECTED = ("identifier", "(", "IDinv[")
         (parse_field, "r _", (1, 3, "unexpected character '_'", ())),
         (parse_field, "uinv_x", (1, 1, "unknown symbol 'uinv_x'", FIELD_EXPECTED)),
         (parse_field, "IDinv[r] ]", (1, 10, "trailing input", ())),
+        (parse_field, "q", (1, 1, "unknown symbol 'q'", FIELD_EXPECTED)),
+        (parse_field, "r + q", (1, 5, "unknown symbol 'q'", FIELD_EXPECTED)),
+        (parse_field, "(q)", (1, 2, "unknown symbol 'q'", FIELD_EXPECTED)),
+        (parse_field, "r q", (1, 3, "unknown symbol 'q'", FIELD_EXPECTED)),
+        (parse_field, "2 r sigmaa", (1, 5, "unknown symbol 'sigmaa'", FIELD_EXPECTED)),
+        (parse_field, "r_xq", (1, 4, "unknown symbol 'q'", FIELD_EXPECTED)),
+        (parse_field, "D(r) q", (1, 6, "unknown symbol 'q'", FIELD_EXPECTED)),
+        (parse_field, "IDinv[r] q", (1, 10, "unknown symbol 'q'", FIELD_EXPECTED)),
     ],
 )
 def test_diagnostics_pinned(parse, src, diagnostic):

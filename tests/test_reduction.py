@@ -99,6 +99,20 @@ def test_package_caches_are_bounded():
     assert all(isinstance(cache.cache_info().maxsize, int) for cache in _package_caches())
 
 
+def test_the_papers_proofs_compute_each_memo_entry_once():
+    # the direct claims reduce the mirror images of the mirror claims'
+    # fields, so a memo too small for their shared words rebuilds them
+    for cache in _package_caches():
+        cache.cache_clear()
+    for family in (EquationFamily.MIRROR, EquationFamily.DIRECT):
+        for n in (5, 6, 7):
+            assert verify.strong_symmetry_member(family, n).ok
+        assert verify.hereditary_defect(family).ok
+    for cache in (reduction._word_image, reduction._split_word, fields._mirror_atom):
+        info = cache.cache_info()
+        assert 0 < info.misses == info.currsize, (cache.__name__, info)
+
+
 def _coefficients(f):
     """Every coefficient of ``f``, antiderivative bodies included."""
     for w, c in f.terms.items():
