@@ -33,7 +33,7 @@ from typing import List, Optional
 
 from .fields import NestingLimitExceeded, default_context
 from .hierarchy import EquationFamily, hierarchy_member, recursion_operator, reduce_commutative
-from .lang import ParseError, parse_field, parse_op, print_expr, print_field
+from .lang import ParseError, eta_coordinates, parse_field, parse_op, print_expr, print_field
 from .oracle import (
     CHSolution,
     cole_hopf_numeric,
@@ -157,13 +157,14 @@ def _cmd_hierarchy(args) -> int:
     fam = EquationFamily(args.family)
     member = hierarchy_member(fam, args.order)
     if args.format == "structured":
+        shown = eta_coordinates(member.rhs)[1] if args.coords == "eta" else member.rhs
         _print_json(
             {
                 "schema": 1,
                 "family": fam.value,
                 "order": args.order,
                 "rhs": print_field(member.rhs, args.coords),
-                "terms": len(member.rhs.terms),
+                "terms": len(shown.terms),
             }
         )
     else:

@@ -49,22 +49,17 @@ from .fields import (
     Rat,
     TestField,
     d_total,
-    word_key,
 )
 from .operators import (
-    OpD,
-    OpDer,
-    OpDerInv,
     OpExpr,
     OpLeft,
-    OpRight,
+    op_atom_key,
     op_comm,
     op_d,
     op_der,
     op_derinv,
     op_left,
     op_right,
-    op_word_key,
 )
 from .reduction import EtaExpr, _ForeignAtom, _image, derinv
 
@@ -234,12 +229,12 @@ def _term(lx: _Lexer, factor):
             word, run = FieldExpr.from_word(run), []
             out = word if out is None else out * word
         out = f if out is None else out * f
-    # an identifier that names no atom and starts no group, wherever it stands
-    if is_field and (tok := lx.peek()) is not None and tok[0].isalpha():
-        raise lx.error(
-            "unknown symbol %r" % tok,
-            tuple(sorted(JET_IDENTS) + sorted(TEST_IDENTS) + ["uinv"]),
-        )
+    # an identifier that names no atom and starts no factor: anywhere in field
+    # text, after a factor in operator text
+    if (is_field or out is not None) and (tok := lx.peek()) is not None and tok[0].isalpha():
+        atoms = sorted(JET_IDENTS) + sorted(TEST_IDENTS) + ["uinv"]
+        expected = atoms if is_field else ["D", "ID", "IDinv", "L["] + atoms
+        raise lx.error("unknown symbol %r" % tok, tuple(expected))
     if run:  # the coefficient rides on the last word
         word = FieldExpr.from_word(run, coeff)
         return word if out is None else out * word
@@ -321,10 +316,8 @@ def parse_op(src: str) -> OpExpr:
 
 
 def _atom_text(atom, latex: bool, suffix: str = "x") -> str:
-    """One atom's text; a jet's derivative suffix is ``x`` or, in eta
-    coordinates, ``eta``."""
-    if atom[0] == "i":  # an antiderivative and its body, as the field printer writes it
-        return _printer(latex)(FieldExpr.from_atom(atom))[0][2]
+    """The text of a jet, a test field or ``uinv``; a jet's derivative suffix
+    is ``x`` or, in eta coordinates, ``eta``."""
     if atom[0] == "u":
         return "%s^{-1}" % atom[1] if latex else "%sinv" % atom[1]
     name = "\\sigma" if (latex and atom[1] == "sigma") else atom[1]
@@ -356,27 +349,52 @@ def _join_terms(rows: List[Tuple[object, Rat, str]], latex: bool) -> str:
     return " ".join(chunks)
 
 
-def _printer(latex: bool):
-    """Sorted (print key, coefficient, text) rows of a field expression.  The
-    print key is ``word_key`` with jet orders negated at every depth (highest
-    derivative first, as hierarchy members are written).  Each distinct atom's
-    key and text are built once, an antiderivative's from its body's rows."""
-    memo = {}
+def _printer(mode: str, eta: Optional[DerivationTag] = None):
+    """Sorted (key, coefficient, text) rows of a field or operator expression
+    in mode ``x`` or ``latex``; a row's key is (word length, atom keys).
+
+    Each distinct atom's key and text are built once per printer, an
+    antiderivative's from its body's rows and a multiplication operator's
+    from its word's atoms, so a body is printed once however many words hold
+    it.  A field atom's key is ``word_key``'s with jet orders negated
+    (highest derivative first, as hierarchy members are written), and an
+    operator atom's is ``op_atom_key``.  Given a tag ``eta``, field words are
+    eta words: keys are ``word_key``'s own, jets take ``eta`` suffixes and
+    antiderivatives are named after the tag."""
+    if mode not in ("x", "latex"):
+        raise ValueError("unknown print mode %r" % mode)
+    latex, memo = mode == "latex", {}
+    suffix, sign = ("x", -1) if eta is None else ("eta", 1)
+    der_names, inv_names = (_DER_LATEX, _DERINV_LATEX) if latex else (_DER_NAMES, _DERINV_NAMES)
 
     def atom(a):  # an atom not yet in the memo
-        if a[0] != "i":
-            key = (2, a[1], 0) if a[0] == "u" else ("jt".index(a[0]), a[1], -a[2])
-            return memo.setdefault(a, (key, _atom_text(a, latex)))
-        rows, name = terms(a[2]), (_DERINV_LATEX if latex else _DERINV_NAMES)[a[1]]
-        text = (r"%s\!\left(%s\right)" if latex else "%s[%s]") % (name, _join_terms(rows, latex))
-        return memo.setdefault(a, ((3, a[1].value, tuple((k, c) for k, c, _ in rows)), text))
+        kind = a[0]
+        if kind == "i":
+            rows, name = terms(a[2]), inv_names[a[1] if eta is None else eta]
+            text = (r"%s\!\left(%s\right)" if latex else "%s[%s]") % (name, _join_terms(rows, latex))
+            return memo.setdefault(a, ((3, a[1].value, tuple((k, c) for k, c, _ in rows)), text))
+        if type(kind) is str:
+            key = (2, a[1], 0) if kind == "u" else ("jt".index(kind), a[1], sign * a[2])
+            return memo.setdefault(a, (key, _atom_text(a, latex, suffix)))
+        if kind < 3:  # D, a tagged derivation or its inverse
+            text = "D" if kind == 0 else (der_names if kind == 1 else inv_names)[a[1]]
+        else:  # L, R or C of a word
+            text = " ".join([(memo.get(b) or atom(b))[1] for b in a[1]]) or "1"
+            if kind == 3:
+                text = text if len(a[1]) <= 1 else "(%s)" % text
+            else:
+                text = ("%s_{%s}" if latex else "%s[%s]") % ("RC"[kind - 4], text)
+        return memo.setdefault(a, (op_atom_key(a), text))
 
-    def terms(f):
+    def terms(e, one="", order=None):
+        """The rows of ``e``, its empty word written ``one``; sorted by key,
+        or by ``order`` of their words when one is given."""
+        items = e.terms.items() if order is None else sorted(e.terms.items(), key=lambda t: order(t[0]))
         rows = []
-        for w, c in f.terms.items():
+        for w, c in items:
             keys, texts = zip(*[memo.get(a) or atom(a) for a in w]) if w else ((), ())
-            rows.append(((len(w), keys), c, " ".join(texts)))
-        return sorted(rows, key=itemgetter(0))
+            rows.append(((len(w), keys), c, " ".join(texts) or one))
+        return sorted(rows, key=itemgetter(0)) if order is None else rows
 
     return terms
 
@@ -388,68 +406,34 @@ def print_field(e: FieldExpr, mode: str = "x") -> str:
     ``eta`` which displays jets of the tagged derivation instead of x-jets.
     """
     if mode == "eta":
-        return _print_field_eta(e)
-    if mode not in ("x", "latex"):
-        raise ValueError("unknown print mode %r" % mode)
-    return _join_terms(_printer(mode == "latex")(e), mode == "latex")
+        tag, eta = eta_coordinates(e)
+        # top-level words in the order of their repr text, bodies in word_key order
+        return _join_terms(_printer("x", tag)(eta, order=str), False)
+    return _join_terms(_printer(mode)(e), mode == "latex")
 
 
-def _print_terms(e, mode: str, order, atom_text, one: str = "") -> str:
-    """The terms of ``e`` in ``order``, mode x or latex; the empty word is ``one``."""
-    if mode not in ("x", "latex"):
-        raise ValueError("unknown print mode %r" % mode)
-    latex = mode == "latex"
-    rows = [(order(w), c, " ".join(atom_text(a, latex) for a in w) or one) for w, c in e.terms.items()]
-    rows.sort(key=itemgetter(0))
-    return _join_terms(rows, latex)
-
-
-def _print_field_eta(e: FieldExpr) -> str:
+def eta_coordinates(e: FieldExpr) -> Tuple[DerivationTag, EtaExpr]:
+    """The tag whose eta jets ``e`` is written in (mirror if it holds r, else
+    direct if it holds s, else its antiderivatives' tag, else plain) and
+    ``e`` in them; a ValueError names an atom they cannot write."""
     symbols = e.jet_symbols()
     if "r" in symbols:
         tag = DerivationTag.MIRROR
     elif "s" in symbols:
         tag = DerivationTag.DIRECT
-    else:  # neither r nor s: the tag of its antiderivatives, else plain
+    else:
         tag = next((a.tag for a in e.atoms() if isinstance(a, Integral)), DerivationTag.PLAIN)
     try:
-        eta = _image(tag, EtaExpr, e)
+        return tag, _image(tag, EtaExpr, e)
     except _ForeignAtom as exc:
-        raise ValueError(
-            "%s cannot be written in %s eta coordinates"
-            % (_atom_text(exc.args[0], False), _DER_NAMES[tag])
-        ) from None
-
-    def atom_text(a, latex: bool) -> str:
-        if not isinstance(a, Integral):
-            return _atom_text(a, latex, "eta")
-        return "%s[%s]" % (_DERINV_NAMES[tag], _print_terms(a.body, "x", word_key, atom_text))
-
-    # top-level words in the order of their repr text, bodies in word_key order
-    return _print_terms(eta, "x", str, atom_text)
-
-
-def _op_atom_text(atom, latex: bool) -> str:
-    if isinstance(atom, OpD):
-        return "D"
-    if isinstance(atom, OpDer):
-        return _DER_LATEX[atom.tag] if latex else _DER_NAMES[atom.tag]
-    if isinstance(atom, OpDerInv):
-        return _DERINV_LATEX[atom.tag] if latex else _DERINV_NAMES[atom.tag]
-    word_txt = " ".join(_atom_text(a, latex) for a in atom.word) or "1"
-    if isinstance(atom, OpLeft):
-        return word_txt if len(atom.word) <= 1 else "(%s)" % word_txt
-    tagchar = "R" if isinstance(atom, OpRight) else "C"
-    if latex:
-        return r"%s_{%s}" % (tagchar, word_txt)
-    return "%s[%s]" % (tagchar, word_txt)
+        text = _printer("x")(FieldExpr.from_atom(exc.args[0]))[0][2]
+        raise ValueError("%s cannot be written in %s eta coordinates" % (text, _DER_NAMES[tag])) from None
 
 
 def print_op(P: OpExpr, mode: str = "x") -> str:
     """Canonical text for an operator expression; left multiplications print
     as bare fields.  Modes: ``x`` and ``latex``."""
-    identity = r"\mathrm{Id}" if mode == "latex" else "Id"
-    return _print_terms(P, mode, op_word_key, _op_atom_text, identity)
+    return _join_terms(_printer(mode)(P, r"\mathrm{Id}" if mode == "latex" else "Id"), mode == "latex")
 
 
 def print_expr(e, mode: str = "x") -> str:

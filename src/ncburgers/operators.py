@@ -105,14 +105,10 @@ OpAtom = Union[OpD, OpDer, OpDerInv, OpLeft, OpRight, OpComm]
 OpWord = Tuple[OpAtom, ...]
 
 
-def _op_atom_key(a: OpAtom):
+def op_atom_key(a: OpAtom):
     """The rank, then the payload by value: a tag's value, a word's word_key."""
     rank = a[0]
     return (rank, *(p.value if rank < 3 else word_key(p) for p in a[1:]))
-
-
-def op_word_key(w: OpWord):
-    return (len(w), tuple(_op_atom_key(a) for a in w))
 
 
 class OpExpr(LinearCombination):

@@ -69,6 +69,15 @@ def test_hierarchy_structured_deterministic(capsys):
     assert doc["family"] == "direct" and doc["order"] == 3
 
 
+@pytest.mark.parametrize("family, terms", [("mirror", 7), ("direct", 7), ("heat", 1)])
+def test_hierarchy_structured_counts_the_printed_eta_terms(capsys, family, terms):
+    args = ["hierarchy", "--family", family, "--order", "3", "--coords", "eta", "--format", "structured"]
+    code, out, _ = run_cli(capsys, *args)
+    doc = json.loads(out)
+    assert code == 0 and doc["terms"] == terms
+    assert doc["rhs"].count(" + ") + doc["rhs"].count(" - ") + 1 == terms
+
+
 def test_verify_strong_symmetry_exit_zero(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "strong-symmetry", "--family", "mirror", "--member", "1"

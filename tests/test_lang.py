@@ -125,6 +125,19 @@ def test_print_eta_without_base_jets(src, eta_text):
     assert print_field(parse_field(src), "eta") == eta_text
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("r uinv", "uinv cannot be written in ID eta coordinates"),
+        ("r DDinv[s V]", "DDinv[s V] cannot be written in ID eta coordinates"),
+    ],
+)
+def test_print_eta_names_the_atom_it_cannot_write(src, message):
+    with pytest.raises(ValueError) as info:
+        print_field(parse_field(src), "eta")
+    assert str(info.value) == message
+
+
 def test_print_eta_orders_nested_bodies_as_fraction_text():
     # eta words are ordered by their text, which embeds nested bodies with
     # each coefficient written as a Fraction: Fraction(1, 2) sorts before
@@ -274,6 +287,7 @@ def test_missing_factor_messages():
 
 FIELD_EXPECTED = ("r", "s", "u", "v", "V", "W", "sigma", "uinv")
 FACTOR_EXPECTED = ("identifier", "(", "IDinv[")
+OP_EXPECTED = ("D", "ID", "IDinv", "L[") + FIELD_EXPECTED
 
 
 @pytest.mark.parametrize(
@@ -302,6 +316,12 @@ FACTOR_EXPECTED = ("identifier", "(", "IDinv[")
         (parse_field, "r_xq", (1, 4, "unknown symbol 'q'", FIELD_EXPECTED)),
         (parse_field, "D(r) q", (1, 6, "unknown symbol 'q'", FIELD_EXPECTED)),
         (parse_field, "IDinv[r] q", (1, 10, "unknown symbol 'q'", FIELD_EXPECTED)),
+        (parse_op, "D q", (1, 3, "unknown symbol 'q'", OP_EXPECTED)),
+        (parse_op, "ID q", (1, 4, "unknown symbol 'q'", OP_EXPECTED)),
+        (parse_op, "Id q", (1, 4, "unknown symbol 'q'", OP_EXPECTED)),
+        (parse_op, "L[r] q", (1, 6, "unknown symbol 'q'", OP_EXPECTED)),
+        (parse_op, "IDinv q", (1, 7, "unknown symbol 'q'", OP_EXPECTED)),
+        (parse_op, "D ]", (1, 3, "trailing input", ())),
     ],
 )
 def test_diagnostics_pinned(parse, src, diagnostic):
@@ -508,3 +528,15 @@ def test_each_antiderivative_is_printed_once(monkeypatch):
         joins.clear()
         assert print_field(e, mode) == _reference_print(e, mode == "latex")
         assert len(joins) == 1 + 1 + 6  # the body, the field, and the reference's 1 + 5 bodies
+
+
+def test_an_antiderivative_in_several_operator_words_is_printed_once(monkeypatch):
+    joins = []
+    join = lang._join_terms
+    monkeypatch.setattr(lang, "_join_terms", lambda rows, latex: joins.append(rows) or join(rows, latex))
+    P = parse_op("L[IDinv[r V]] R[IDinv[r V]] + C[IDinv[r V] r] D")
+    assert print_op(P) == "IDinv[r V] R[IDinv[r V]] + C[IDinv[r V] r] D"
+    for mode in ("x", "latex"):
+        joins.clear()
+        print_op(P, mode)
+        assert len(joins) == 2  # the body and the operator
