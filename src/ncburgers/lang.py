@@ -229,9 +229,8 @@ def _term(lx: _Lexer, factor):
             word, run = FieldExpr.from_word(run), []
             out = word if out is None else out * word
         out = f if out is None else out * f
-    # an identifier that names no atom and starts no factor: anywhere in field
-    # text, after a factor in operator text
-    if (is_field or out is not None) and (tok := lx.peek()) is not None and tok[0].isalpha():
+    # an identifier that names no atom and starts no factor
+    if (tok := lx.peek()) is not None and tok[0].isalpha():
         atoms = sorted(JET_IDENTS) + sorted(TEST_IDENTS) + ["uinv"]
         expected = atoms if is_field else ["D", "ID", "IDinv", "L["] + atoms
         raise lx.error("unknown symbol %r" % tok, tuple(expected))

@@ -20,9 +20,9 @@ each word's split is memoized.  A word's split is greedy: construct the one
 preimage candidate u (lower the outermost positive jet, or wrap the
 innermost factor in a fresh antiderivative), accept it only if the leading
 word of E(u) under a fixed term order (outermost jets first) is exactly the
-word being eliminated, and split the rest of E(u), whose words all come
-later in that order.  Most words are decided from their shape alone, with
-no ranking: a word with an order-0 jet or test field before the atom the
+word w being eliminated, so that E(u) is w plus later words in that order,
+and split the rest of E(u).  Most words are decided from their shape alone,
+with no ranking: a word with an order-0 jet or test field before the atom the
 candidate changes is rejected before E(u) is built, because raising that
 atom gives a word of E(u) that outranks it; a word whose first atom is the
 one changed is accepted, because every other word of E(u) keeps the lowered
@@ -84,7 +84,6 @@ from .fields import (
     TestField,
     Word,
     _d_atom,
-    _rat,
     add_into,
     commutator,
     der,
@@ -143,9 +142,10 @@ def _step(w: Word) -> Optional[Tuple[Word, dict]]:
     it makes a word of E(u) that agrees with w before it and outranks w
     there, and no other Leibniz term makes that word, so it stays in E(u)
     and beats w.  A word whose pivot is its first atom is accepted unranked:
-    every other word of E(u) keeps u's pivot, a rank below w's, so w leads
-    with coefficient 1.  Only a pivot behind antiderivatives needs the full
-    test."""
+    every other word of E(u) keeps u's pivot, a rank below w's, so w leads.
+    Only a pivot behind antiderivatives needs the full test.  Raising the
+    pivot (in the wrap case, E of the new antiderivative) is the one term
+    that yields w, so an accepted w's E(u) is w plus later words."""
     if not w:
         return None
     last = len(w) - 1
@@ -161,12 +161,7 @@ def _step(w: Word) -> Optional[Tuple[Word, dict]]:
         # nothing left to lower: wrap the innermost (last) factor
         u = w[:-1] + (Integral(_PLAIN, _eta_word(w[-1:])),)
     image = _eta_word(u).leibniz(_d_atom).terms
-    return (u, image) if i == 0 or image and max(image, key=_greedy_key) == w else None
-
-
-def _quotient(c, d):
-    """c / d exactly: never a float, an int whenever the quotient is whole."""
-    return c // d if type(c) is int and c % d == 0 else _rat(Fraction(c) / d)
+    return (u, image) if i == 0 or max(image, key=_greedy_key) == w else None
 
 
 def _add_splits(pairs, g: dict, h: dict) -> Tuple[dict, dict]:
@@ -193,15 +188,14 @@ def _add_splits(pairs, g: dict, h: dict) -> Tuple[dict, dict]:
 @lru_cache(maxsize=1024)
 def _split_word(w: Word) -> Tuple[tuple, tuple]:
     """split(w) = (g, h): w = E(g) + h with h made of rejected words, as
-    shared tuples of (word, coefficient) pairs.  E(u) is d w plus words after
+    shared tuples of (word, coefficient) pairs.  E(u) is w plus words after
     w in greedy order, so the recursion on those words terminates."""
     step = _step(w)
     if step is None:
         return (), ((w, 1),)
     u, image = step
-    d = image[w]
-    rest = ((iw, _quotient(-ic, d)) for iw, ic in image.items() if iw != w)
-    g, h = _add_splits(rest, {u: _quotient(1, d)}, {})
+    rest = ((iw, -ic) for iw, ic in image.items() if iw != w)
+    g, h = _add_splits(rest, {u: 1}, {})
     return tuple(g.items()), tuple(h.items())
 
 
@@ -219,10 +213,10 @@ def _greedy_split(f: EtaExpr) -> Tuple[dict, dict]:
 #
 # One algebra isomorphism and its inverse, both valid only where
 # ``_standard_field(tag, ctx)`` holds: then the tag's commutator field is the
-# base jet, so each value depends on its memo key alone.  Toward eta the
-# x-derivative is E + sign*[base, .]; toward x the eta derivation E is
-# ``der(tag, .)`` = D - sign*[base, .].  Antiderivatives of ``tag`` in x and
-# ``PLAIN`` ones in eta map to each other through their bodies.
+# base jet, a word of both coordinates, so each value depends on its memo key
+# alone.  Toward eta the x-derivative is E + sign*[base, .]; toward x the eta
+# derivation E is ``der(tag, .)`` = D - sign*[base, .].  Antiderivatives of
+# ``tag`` in x and ``PLAIN`` ones in eta map to each other through bodies.
 
 
 # Sized to one proofs benchmark pass, whose 1,950 words fit in 2048 entries,
@@ -252,11 +246,9 @@ def _word_image(tag: DerivationTag, cls: type, w: Word) -> LinearCombination:
             return cls._raw({w: 1})
         f = _word_image(tag, cls, (kind(atom[1], atom[2] - 1),))
         df = f.leibniz(_d_atom)
-        if not to_eta:
-            return df - DEFAULT_CONTEXT.bracket(tag, f)  # E is der(tag, .) in x
         if not tag.sign:
             return df
-        return df + commutator(_eta_word((Jet(tag.base),)), f).scale(tag.sign)
+        return df + commutator(cls._raw({(Jet(tag.base),): 1}), f).scale(tag.sign if to_eta else -tag.sign)
     if kind is Integral and atom[1] is (tag if to_eta else _PLAIN):
         body = _image(tag, cls, atom[2])
         return cls._raw({(Integral(_PLAIN if to_eta else tag, body),): 1})

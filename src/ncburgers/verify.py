@@ -230,10 +230,13 @@ def flow_commutation(
 ) -> VerificationReport:
     """Lie bracket K'[G] - G'[K] of the m-th and n-th hierarchy members.
 
-    With ``scenes``, a proved claim is also put to the exact matrix oracle:
-    the halves K'[G] and G'[K] are evaluated separately and compared, so
-    that verdict does not rest on the reducer, and a disagreement makes the
-    claim nonzero.  A scene list with no point raises ``ValueError``."""
+    With ``scenes``, a proved claim is also put to the exact matrix oracle,
+    which evaluates K'[G] and G'[K] separately and makes the claim nonzero
+    if they differ.  They cannot differ today: the halves hold no
+    antiderivatives, which ``deep_reduce`` keeps as they are, so a proved
+    claim's halves are the same expression term for term, both built by
+    ``frechet_field`` and ``subst_test``.  A scene list with no point raises
+    ``ValueError``."""
     claim = "flow-commutation[%s, m=%d, n=%d]" % (family.value, m, n)
     halves: List[FieldExpr] = []
 

@@ -203,7 +203,7 @@ def test_reduce_commutative_scalars_commute(capsys, text, expected):
 
 
 @pytest.mark.parametrize("text, diagnostic", [
-    ("L[r] + q", "line 1, column 8: expected an operator factor "),
+    ("L[r] + q", "line 1, column 8: unknown symbol 'q' "),
     ("D + ]", "line 1, column 5: expected an operator factor "),
     ("q +", "line 1, column 1: unknown symbol 'q' (expected r, s, u, v, V, W, sigma, uinv)\n"),
     ("r + 3/0 s", "line 1, column 5: zero denominator in '3/0'\n"),

@@ -81,7 +81,6 @@ PRIVATE_IMPORTS = [
     ("lang.py", ".reduction", "_image"),
     ("operators.py", ".fields", "_AtomTuple"),
     ("reduction.py", ".fields", "_d_atom"),
-    ("reduction.py", ".fields", "_rat"),
     ("variational.py", ".operators", "_mult_op"),
 ]
 

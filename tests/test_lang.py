@@ -322,6 +322,9 @@ OP_EXPECTED = ("D", "ID", "IDinv", "L[") + FIELD_EXPECTED
         (parse_op, "L[r] q", (1, 6, "unknown symbol 'q'", OP_EXPECTED)),
         (parse_op, "IDinv q", (1, 7, "unknown symbol 'q'", OP_EXPECTED)),
         (parse_op, "D ]", (1, 3, "trailing input", ())),
+        (parse_op, "D + q", (1, 5, "unknown symbol 'q'", OP_EXPECTED)),
+        (parse_op, "2 q", (1, 3, "unknown symbol 'q'", OP_EXPECTED)),
+        (parse_op, "(q)", (1, 2, "unknown symbol 'q'", OP_EXPECTED)),
     ],
 )
 def test_diagnostics_pinned(parse, src, diagnostic):

@@ -486,7 +486,10 @@ def test_step_shape_rules_agree_with_the_full_step(monkeypatch):
     for w, accepted in HAND_WORDS:
         assert (_full_step(w) is not None) == accepted, w
     for w in words + [w for w, _ in HAND_WORDS]:
-        assert reduction._step(w) == _full_step(w), w
+        step = reduction._step(w)
+        assert step == _full_step(w), w
+        # an accepted word leads E(u) with coefficient 1, so _split_word divides by nothing
+        assert step is None or step[1][w] == 1, w
 
 
 def _count_calls(monkeypatch, name):
