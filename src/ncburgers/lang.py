@@ -13,10 +13,12 @@ Field grammar (juxtaposition binds tighter than + and -):
 A term's plain atoms and its groups of one nonempty word make one word;
 products are taken only at groups of several terms.  An antiderivative group
 is not trusted to be canonical: its body goes through ``reduction.derinv``
-again, so parsing canonical text still pays for those calls: about 0.1 s of
-one ``properties`` benchmark pass (0.55-0.65 s in all, on a two-core Xeon
-virtual machine), half of the time in ``parse_field``.  That cost is kept on
-purpose, because any text, printed or typed, parses to the same canonical form.
+again, so any text, printed or typed, parses to the same canonical form.  A
+body that ``derinv`` wrapped around a rejected word, as in printed canonical
+text, is found in ``reduction._BodyWords`` and skips the conversion to eta
+coordinates; typed text, a body whose entry has been evicted and a body of
+one atom (the split's wrapped last factor, one memoized image) take the full
+route.
 
 Reserved identifiers: r, s, u, uinv, v, V, W, sigma.  Operator expressions
 reuse the field grammar for multiplication factors; a bare field factor

@@ -40,6 +40,16 @@ and plain tags; the direct inverse is the mirror image
 The nesting bound is checked once per call, on the split, before any x
 image is built: the change of coordinates keeps nesting.
 
+An antiderivative that ``derinv`` wraps around a rejected eta word w has as
+its body the x image B of w, and the bounded memo ``_BodyWords`` remembers w
+under ``(tag, B)``.  Wherever ``_standard_field`` holds the change of
+coordinates is an isomorphism, so the eta image of B is exactly w.  A later
+``derinv`` of B in such a context (a printed body parsed again, or
+``fields.normal_field`` integrating a body once more) reads w there instead
+of converting B's words to eta and summing them until they cancel down to
+w, and w takes the same split, nesting check and x images.  In any other
+context the memo is not read.
+
 ``deep_reduce`` extends this to products mixing antiderivative atoms with
 further factors: every such word is replaced by the antiderivative of its
 own tagged derivative (its tail first: the word without its first atom, or
@@ -65,6 +75,7 @@ instead of looping when the nesting depth or pass budget is exhausted.
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -184,7 +195,8 @@ def _add_splits(pairs, g: dict, h: dict) -> Tuple[dict, dict]:
 # A word's split reads the word alone, not its coefficient or the context.
 # Over one pass of the proofs benchmark 1,024 entries hit 89% of 7,200
 # calls and never fill (809 misses), and over one of the properties
-# benchmark they hit 52% of 10,634, missing 5,077 times.
+# benchmark they hit 52% of 10,634, missing 5,077 times; ``_BodyWords``
+# changes neither count, as a hit splits the eta word the conversion made.
 @lru_cache(maxsize=1024)
 def _split_word(w: Word) -> Tuple[tuple, tuple]:
     """split(w) = (g, h): w = E(g) + h with h made of rejected words, as
@@ -226,8 +238,9 @@ def _greedy_split(f: EtaExpr) -> Tuple[dict, dict]:
 # next use, so it misses on nearly every call of the cycle: at 1024 entries
 # the pass missed 5,634 times, not 1,950.  Bounded because an unbounded memo
 # keeps every word of every field reduced in the process: one properties
-# pass uses 10,207 words, 3,559 of them once, for 7.4 MB more in-process
-# peak memory than 1024 entries (2048 cost 0.4 MB, 3072 cost 2.2 MB).
+# pass uses 6,208 words, 2,601 of them once (most bodies come back through
+# ``_BodyWords``), for 4.0 MB more in-process peak memory than 1024 entries
+# (2048 cost 0.6 MB, 3072 cost 1.6 MB).
 @lru_cache(maxsize=2048)
 def _word_image(tag: DerivationTag, cls: type, w: Word) -> LinearCombination:
     """A word's image in ``cls`` coordinates, ``EtaExpr`` for eta and
@@ -260,6 +273,55 @@ def _image(tag: DerivationTag, cls: type, f: LinearCombination) -> LinearCombina
     return cls.sum((_word_image(tag, cls, w), c) for w, c in f.terms.items())
 
 
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _BodyWords:
+    """The process's one memo, this class itself, from ``(tag, B)`` to the
+    rejected eta word w whose x image is the antiderivative body B (see the
+    module docstring), with the ``cache_info()`` and ``cache_clear()`` of a
+    ``functools`` cache.  A hit moves its entry to the back, and a new entry
+    past ``maxsize`` evicts the front one, both in O(1).
+
+    Sized to one properties benchmark pass: at 512 entries 3,224 of its
+    3,464 ``_derinv`` calls hit (seed 1), as many as an unbounded memo, and
+    256 entries hit 2,484; its largest print-parse case holds 428
+    antiderivatives.  At 4,096 entries the pass peaks 2.3 MB higher.  A
+    proofs pass writes 6,006 times and hits twice, so a write that finds
+    its key does nothing more."""
+
+    maxsize = 512
+    hits = misses = 0
+    _words: OrderedDict = OrderedDict()
+
+    @classmethod
+    def get(cls, key) -> Optional[Word]:
+        w = cls._words.get(key)
+        if w is None:
+            cls.misses += 1
+        else:
+            cls.hits += 1
+            cls._words.move_to_end(key)
+        return w
+
+    @classmethod
+    def put(cls, key, w: Word) -> None:
+        words = cls._words
+        if key not in words:
+            words[key] = w
+            if len(words) > cls.maxsize:
+                words.popitem(last=False)
+
+    @classmethod
+    def cache_info(cls) -> _CacheInfo:
+        return _CacheInfo(cls.hits, cls.misses, cls.maxsize, len(cls._words))
+
+    @classmethod
+    def cache_clear(cls) -> None:
+        cls._words.clear()
+        cls.hits = cls.misses = 0
+
+
 def _standard_field(tag: DerivationTag, ctx: Context) -> bool:
     return tag is DerivationTag.PLAIN or ctx.field == DEFAULT_CONTEXT.field
 
@@ -274,7 +336,10 @@ def derinv(
     word without an eta image, and every word in a context whose commutator
     field is not the plain base jet (the Cole-Hopf substitution), becomes
     its own antiderivative atom, so ``derinv`` is linear in every context.
-    The direct inverse is the mirror image of the mirror one.
+    The direct inverse is the mirror image of the mirror one.  In a standard
+    context an ``f`` that an earlier call wrapped around a rejected eta word
+    is read from ``_BodyWords`` as that word, which is exact because the
+    change of coordinates is an isomorphism there; the result is the same.
     """
     if tag == DerivationTag.DIRECT:
         return mirror_image(_derinv(DerivationTag.MIRROR, mirror_image(f), ctx))
@@ -284,16 +349,22 @@ def derinv(
 def _derinv(tag: DerivationTag, f: FieldExpr, ctx: Context) -> FieldExpr:
     """``derinv`` for the mirror and plain tags."""
     standard = _standard_field(tag, ctx)
-    eta_terms, foreign = [], {}
-    for w, c in f.terms.items():
-        try:
-            if standard:  # else no word has an eta image
-                eta_terms.append((_word_image(tag, EtaExpr, w), c))
-                continue
-        except _ForeignAtom:
-            pass
-        foreign[w] = c
-    g, h = _greedy_split(EtaExpr.sum(eta_terms))
+    foreign = {}
+    w = _BodyWords.get((tag, f)) if standard else None
+    if w is not None:  # f is the body of an antiderivative wrapped around w
+        eta = _eta_word(w)
+    else:
+        eta_terms = []
+        for w, c in f.terms.items():
+            try:
+                if standard:  # else no word has an eta image
+                    eta_terms.append((_word_image(tag, EtaExpr, w), c))
+                    continue
+            except _ForeignAtom:
+                pass
+            foreign[w] = c
+        eta = EtaExpr.sum(eta_terms)
+    g, h = _greedy_split(eta)
     # the change of coordinates keeps nesting; a rejected or foreign word is wrapped once more
     wrapped = EtaExpr._raw({**h, **foreign})
     depth = max(expr_nesting(EtaExpr._raw(g)), 1 + expr_nesting(wrapped) if wrapped.terms else 0)
@@ -302,8 +373,16 @@ def _derinv(tag: DerivationTag, f: FieldExpr, ctx: Context) -> FieldExpr:
     return FieldExpr.sum(chain(
         ((_word_image(tag, FieldExpr, w), c) for w, c in g.items()),
         ((FieldExpr.from_atom(Integral(tag, FieldExpr.from_word(w))), c) for w, c in foreign.items()),
-        ((FieldExpr.from_atom(Integral(tag, _word_image(tag, FieldExpr, w))), c) for w, c in h.items()),
+        ((_antiderivative(tag, w), c) for w, c in h.items()),
     ))
+
+
+def _antiderivative(tag: DerivationTag, w: Word) -> FieldExpr:
+    """The x antiderivative of the rejected eta word w, its body the x image
+    B of w; ``_BodyWords`` remembers w as the eta image of B."""
+    body = _word_image(tag, FieldExpr, w)
+    _BodyWords.put((tag, body), w)
+    return FieldExpr.from_atom(Integral(tag, body))
 
 
 def _word_tag(word: Word) -> Optional[DerivationTag]:

@@ -5,7 +5,7 @@ import pytest
 
 from ncburgers.fields import test as tfield
 
-from ncburgers import fields, lang
+from ncburgers import fields, lang, reduction
 from ncburgers.fields import DerivationTag, FieldExpr, Integral, Jet, d_total, jet, uinv
 from ncburgers.hierarchy import EquationFamily, hierarchy_member, recursion_operator
 from ncburgers.lang import (
@@ -543,3 +543,72 @@ def test_an_antiderivative_in_several_operator_words_is_printed_once(monkeypatch
         joins.clear()
         print_op(P, mode)
         assert len(joins) == 2  # the body and the operator
+
+
+def _antiderivatives(f):
+    """Every antiderivative atom of ``f`` as printed: each occurrence, at every depth."""
+    for w in f.terms:
+        for a in w:
+            if isinstance(a, Integral):
+                yield a
+                yield from _antiderivatives(a.body)
+
+
+def _one_atom(body):
+    """Whether ``body`` is one word of one atom, as when derinv's split wraps
+    a word's last factor; the body of a rejected word has no such word."""
+    return len(body.terms) == 1 and len(next(iter(body.terms))) == 1
+
+
+def test_parsing_printed_antiderivatives_reads_the_body_word_memo(monkeypatch):
+    # derinv wrapped the body of each printed antiderivative around a
+    # rejected word, or it is one atom, so parsing it back converts no word
+    # of a longer body to eta coordinates
+    memo = reduction._BodyWords
+    rng = random.Random(43)
+    kw = dict(symbols=("r",), tests=("V",), max_terms=2, max_len=2, max_order=1)
+    eta_words = []
+    image = reduction._word_image
+
+    def recorded(tag, cls, w):
+        if cls is reduction.EtaExpr:
+            eta_words.append(w)
+        return image(tag, cls, w)
+
+    read = 0
+    for tag in (M, DerivationTag.DIRECT, DerivationTag.PLAIN):
+        for _ in range(5):
+            e = derinv(tag, random_field(rng, **kw) * derinv(tag, random_field(rng, **kw)))
+            bodies = [a.body for a in _antiderivatives(e)]
+            n = sum(not _one_atom(b) for b in bodies)
+            text = print_field(e)
+            before = memo.cache_info()
+            monkeypatch.setattr(reduction, "_word_image", recorded)
+            assert parse_field(text) == e
+            monkeypatch.setattr(reduction, "_word_image", image)
+            after = memo.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (n, len(bodies) - n)
+            assert not set(eta_words) & {w for b in bodies if not _one_atom(b) for w in b.terms}
+            read += n
+    assert read >= 50, read
+
+
+def test_round_trip_takes_the_full_route_too(monkeypatch):
+    # the round-trip draws parse printed bodies mostly from the body-word
+    # memo; parsed again with the memo empty and holding nothing, every body
+    # goes through the x -> eta conversion and must give the same field
+    memo = reduction._BodyWords
+    rng = random.Random(71)
+    draws = [random_nonlocal_field(rng, symbols=("r",), tests=("V", "W")) for _ in range(120)]
+    r0, v = jet("r"), tfield("V")
+    draws.append(derinv(M, r0 * derinv(M, r0 * derinv(M, r0 * v))))
+    texts = [print_field(e) for e in draws]
+    by_memo = [parse_field(t) for t in texts]
+    monkeypatch.setattr(memo, "maxsize", 0)
+    by_conversion = []
+    for t in texts:
+        memo.cache_clear()
+        by_conversion.append(parse_field(t))
+        assert memo.cache_info().hits == 0
+    assert by_conversion == by_memo == draws
+    assert sum(1 for e in draws for _ in _antiderivatives(e)) >= 100

@@ -615,3 +615,71 @@ def test_deep_reduce_commutes_with_the_mirror_image():
         rewritten += reduced != f
         assert deep_reduce(fields.mirror_image(f)) == fields.mirror_image(reduced)
     assert rewritten >= 10, rewritten
+
+
+def _check_body_words():
+    """Every entry (tag, B) -> w of the body-word memo, checked against the
+    full conversion: the eta image of B is the one word w.  Returns how many
+    entries were checked, after asserting that none was evicted."""
+    memo = reduction._BodyWords
+    entries = list(memo._words.items())
+    assert len(entries) == memo.cache_info().currsize < memo.maxsize
+    for (tag, body), w in entries:
+        assert reduction._image(tag, reduction.EtaExpr, body) == reduction.EtaExpr._raw({w: 1}), (tag, body, w)
+    return len(entries)
+
+
+def test_the_body_word_memo_agrees_with_the_conversion(monkeypatch):
+    # room for every entry written, so that each one is checked
+    monkeypatch.setattr(reduction._BodyWords, "maxsize", 4096)
+    reduction._BodyWords.cache_clear()
+    for family in (EquationFamily.MIRROR, EquationFamily.DIRECT):
+        for n in (5, 6, 7):
+            assert verify.strong_symmetry_member(family, n).ok
+        assert verify.hereditary_defect(family).ok
+    proofs = _check_body_words()
+    reduction._BodyWords.cache_clear()
+    rng = random.Random(37)
+    integrated = 0
+    for _ in range(100):
+        e = random_nonlocal_field(rng, symbols=("r", "s"), tests=("V",), max_terms=3, max_len=2)
+        for tag in (M, DIR, P):
+            try:
+                derinv(tag, e)
+            except NestingLimitExceeded:  # a blow-up ends before any body is written
+                continue
+            integrated += 1
+    draws = _check_body_words()
+    reduction._BodyWords.cache_clear()  # leave no more entries than the real bound
+    assert integrated >= 290 and proofs >= 400 and draws >= 1000, (integrated, proofs, draws)
+
+
+def test_the_body_word_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(reduction._BodyWords, "maxsize", 8)
+    reduction._BodyWords.cache_clear()
+    rng = random.Random(41)
+    for _ in range(30):
+        derinv(M, random_nonlocal_field(rng, symbols=("r",), tests=("V", "W")))
+        assert reduction._BodyWords.cache_info().currsize <= 8
+    assert reduction._BodyWords.cache_info().currsize == 8
+
+
+def test_the_body_word_memo_is_read_only_in_a_standard_context():
+    # under the Cole-Hopf substitution no word has an eta image, so a body
+    # the default context wrote must not be read there
+    ch = fields.cole_hopf_context()
+    e = derinv(M, rx * tfield("V") * r)
+    body = max((a.body for w in e.terms for a in w if isinstance(a, Integral)), key=len)
+    assert len(body) == 3
+    assert derinv(M, body) == FieldExpr.from_atom(Integral(M, body))
+    before = reduction._BodyWords.cache_info()
+    assert before.currsize > 0
+    read = [derinv(M, body, ch), derinv(DIR, fields.mirror_image(body), ch)]
+    assert reduction._BodyWords.cache_info().hits == before.hits
+    reduction._BodyWords.cache_clear()
+    assert [derinv(M, body, ch), derinv(DIR, fields.mirror_image(body), ch)] == read
+    # each word becomes its own antiderivative
+    assert read[0] == FieldExpr.sum(
+        (FieldExpr.from_atom(Integral(M, FieldExpr.from_word(w))), c) for w, c in body.terms.items()
+    )
+    assert read[1] == fields.mirror_image(read[0])
