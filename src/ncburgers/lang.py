@@ -15,10 +15,10 @@ products are taken only at groups of several terms.  An antiderivative group
 is not trusted to be canonical: its body goes through ``reduction.derinv``
 again, so any text, printed or typed, parses to the same canonical form.  A
 body that ``derinv`` wrapped around a rejected word, as in printed canonical
-text, is found in ``reduction._BodyWords`` and skips the conversion to eta
-coordinates; typed text, a body whose entry has been evicted and a body of
-one atom (the split's wrapped last factor, one memoized image) take the full
-route.
+text, and a body integrated before are found in ``reduction._Antiderivatives``
+with their antiderivatives; typed text, a body whose entry has been evicted
+and a first body of one atom (the split's wrapped last factor, which is not
+remembered) take the full route.
 
 Reserved identifiers: r, s, u, uinv, v, V, W, sigma.  Operator expressions
 reuse the field grammar for multiplication factors; a bare field factor

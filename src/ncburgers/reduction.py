@@ -40,15 +40,19 @@ and plain tags; the direct inverse is the mirror image
 The nesting bound is checked once per call, on the split, before any x
 image is built: the change of coordinates keeps nesting.
 
-An antiderivative that ``derinv`` wraps around a rejected eta word w has as
-its body the x image B of w, and the bounded memo ``_BodyWords`` remembers w
-under ``(tag, B)``.  Wherever ``_standard_field`` holds the change of
-coordinates is an isomorphism, so the eta image of B is exactly w.  A later
-``derinv`` of B in such a context (a printed body parsed again, or
-``fields.normal_field`` integrating a body once more) reads w there instead
-of converting B's words to eta and summing them until they cancel down to
-w, and w takes the same split, nesting check and x images.  In any other
-context the memo is not read.
+``derinv`` remembers its results.  Wherever ``_standard_field`` holds, a
+result depends on the tag and the input alone, up to the nesting bound, so
+the bounded memo ``_Antiderivatives`` maps ``(tag, f)`` to the result and its
+nesting; a hit in a context whose ``integral_depth`` that nesting exceeds
+raises the error the full route would, and a split that raises stores
+nothing.  The direct claims of the paper integrate the mirror images of what
+the mirror claims integrated, so they read it.  An antiderivative wrapped
+around a rejected eta word w is remembered too, as ``derinv`` of its body,
+the x image B of w: the change of coordinates is an isomorphism there, so
+the eta image of B is w, whose split is w alone.  A later ``derinv`` of B (a
+printed body parsed again, or ``fields.normal_field`` integrating a body once
+more) reads it, and each such atom is built once.  In any other context the
+memo is neither read nor written.
 
 ``deep_reduce`` extends this to products mixing antiderivative atoms with
 further factors: every such word is replaced by the antiderivative of its
@@ -193,10 +197,10 @@ def _add_splits(pairs, g: dict, h: dict) -> Tuple[dict, dict]:
 
 
 # A word's split reads the word alone, not its coefficient or the context.
-# Over one pass of the proofs benchmark 1,024 entries hit 89% of 7,200
+# Over one pass of the proofs benchmark 1,024 entries hit 80% of 3,949
 # calls and never fill (809 misses), and over one of the properties
-# benchmark they hit 52% of 10,634, missing 5,077 times; ``_BodyWords``
-# changes neither count, as a hit splits the eta word the conversion made.
+# benchmark they hit 31% of 7,370, missing 5,076 times; a ``derinv`` that
+# ``_Antiderivatives`` answers splits nothing.
 @lru_cache(maxsize=1024)
 def _split_word(w: Word) -> Tuple[tuple, tuple]:
     """split(w) = (g, h): w = E(g) + h with h made of rejected words, as
@@ -231,16 +235,14 @@ def _greedy_split(f: EtaExpr) -> Tuple[dict, dict]:
 # ``tag`` in x and ``PLAIN`` ones in eta map to each other through bodies.
 
 
-# Sized to one proofs benchmark pass, whose 1,950 words fit in 2048 entries,
-# so the direct claims, which run derinv on the mirror images of the mirror
-# claims' fields, find every image already made.  An LRU a little smaller
-# than a working set that recurs in a cycle evicts each word just before its
-# next use, so it misses on nearly every call of the cycle: at 1024 entries
-# the pass missed 5,634 times, not 1,950.  Bounded because an unbounded memo
-# keeps every word of every field reduced in the process: one properties
-# pass uses 6,208 words, 2,601 of them once (most bodies come back through
-# ``_BodyWords``), for 4.0 MB more in-process peak memory than 1024 entries
-# (2048 cost 0.6 MB, 3072 cost 1.6 MB).
+# Sized to one proofs benchmark pass, whose 1,950 words fit in 2048 entries.
+# An LRU a little smaller than a working set that recurs in a cycle evicts
+# each word just before its next use, so it misses on nearly every call of
+# the cycle: at 1024 entries the pass missed 3,038 times, not 1,950.  Bounded
+# because an unbounded memo keeps every word of every field reduced in the
+# process: one properties pass uses 6,208 words, 3,879 of them once (most
+# bodies come back through ``_Antiderivatives``), for 3.7 MB more in-process
+# peak memory than 1024 entries (2048 cost 0.3 MB, 3072 cost 1.2 MB).
 @lru_cache(maxsize=2048)
 def _word_image(tag: DerivationTag, cls: type, w: Word) -> LinearCombination:
     """A word's image in ``cls`` coordinates, ``EtaExpr`` for eta and
@@ -276,49 +278,46 @@ def _image(tag: DerivationTag, cls: type, f: LinearCombination) -> LinearCombina
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-class _BodyWords:
-    """The process's one memo, this class itself, from ``(tag, B)`` to the
-    rejected eta word w whose x image is the antiderivative body B (see the
-    module docstring), with the ``cache_info()`` and ``cache_clear()`` of a
-    ``functools`` cache.  A hit moves its entry to the back, and a new entry
-    past ``maxsize`` evicts the front one, both in O(1).
+class _Antiderivatives:
+    """The process's one memo of ``_derinv`` results, this class itself, from
+    ``(tag, f)`` to ``(derinv(tag, f), nesting)`` (see the module docstring),
+    with the ``cache_info()`` and ``cache_clear()`` of a ``functools`` cache.
+    A hit moves its entry to the back, and a new entry past ``maxsize``
+    evicts the front one, both in O(1).
 
-    Sized to one properties benchmark pass: at 512 entries 3,224 of its
-    3,464 ``_derinv`` calls hit (seed 1), as many as an unbounded memo, and
-    256 entries hit 2,484; its largest print-parse case holds 428
-    antiderivatives.  At 4,096 entries the pass peaks 2.3 MB higher.  A
-    proofs pass writes 6,006 times and hits twice, so a write that finds
-    its key does nothing more."""
+    Sized to one proofs benchmark pass, which keeps 468 antiderivatives and
+    137 results: at 1,024 entries it hits 157 times and evicts nothing, and
+    at 512 evictions cut its hits to 85.  A properties pass hits 3,274 of its
+    3,464 calls, and 3,281 unbounded, for 3.6 MB more peak memory."""
 
-    maxsize = 512
+    maxsize = 1024
     hits = misses = 0
-    _words: OrderedDict = OrderedDict()
+    _entries: OrderedDict = OrderedDict()
 
     @classmethod
-    def get(cls, key) -> Optional[Word]:
-        w = cls._words.get(key)
-        if w is None:
+    def get(cls, key) -> Optional[Tuple[FieldExpr, int]]:
+        entry = cls._entries.get(key)
+        if entry is None:
             cls.misses += 1
         else:
             cls.hits += 1
-            cls._words.move_to_end(key)
-        return w
+            cls._entries.move_to_end(key)
+        return entry
 
     @classmethod
-    def put(cls, key, w: Word) -> None:
-        words = cls._words
-        if key not in words:
-            words[key] = w
-            if len(words) > cls.maxsize:
-                words.popitem(last=False)
+    def put(cls, key, entry: Tuple[FieldExpr, int]) -> None:
+        entries = cls._entries
+        entries[key] = entry
+        if len(entries) > cls.maxsize:
+            entries.popitem(last=False)
 
     @classmethod
     def cache_info(cls) -> _CacheInfo:
-        return _CacheInfo(cls.hits, cls.misses, cls.maxsize, len(cls._words))
+        return _CacheInfo(cls.hits, cls.misses, cls.maxsize, len(cls._entries))
 
     @classmethod
     def cache_clear(cls) -> None:
-        cls._words.clear()
+        cls._entries.clear()
         cls.hits = cls.misses = 0
 
 
@@ -337,9 +336,10 @@ def derinv(
     field is not the plain base jet (the Cole-Hopf substitution), becomes
     its own antiderivative atom, so ``derinv`` is linear in every context.
     The direct inverse is the mirror image of the mirror one.  In a standard
-    context an ``f`` that an earlier call wrapped around a rejected eta word
-    is read from ``_BodyWords`` as that word, which is exact because the
-    change of coordinates is an isomorphism there; the result is the same.
+    context the result is read from ``_Antiderivatives`` when an earlier call
+    integrated the same input under the same tag, or wrapped an
+    antiderivative around it as a rejected word's body; one nested deeper
+    than ``ctx.integral_depth`` raises, as the full route does.
     """
     if tag == DerivationTag.DIRECT:
         return mirror_image(_derinv(DerivationTag.MIRROR, mirror_image(f), ctx))
@@ -349,40 +349,49 @@ def derinv(
 def _derinv(tag: DerivationTag, f: FieldExpr, ctx: Context) -> FieldExpr:
     """``derinv`` for the mirror and plain tags."""
     standard = _standard_field(tag, ctx)
-    foreign = {}
-    w = _BodyWords.get((tag, f)) if standard else None
-    if w is not None:  # f is the body of an antiderivative wrapped around w
-        eta = _eta_word(w)
-    else:
-        eta_terms = []
-        for w, c in f.terms.items():
-            try:
-                if standard:  # else no word has an eta image
-                    eta_terms.append((_word_image(tag, EtaExpr, w), c))
-                    continue
-            except _ForeignAtom:
-                pass
-            foreign[w] = c
-        eta = EtaExpr.sum(eta_terms)
-    g, h = _greedy_split(eta)
+    if standard:
+        entry = _Antiderivatives.get((tag, f))
+        if entry is not None:
+            result, depth = entry
+            if depth > ctx.integral_depth:
+                raise NestingLimitExceeded("antiderivative nesting exceeded depth %d" % ctx.integral_depth)
+            return result
+    foreign, eta_terms = {}, []
+    for w, c in f.terms.items():
+        try:
+            if standard:  # else no word has an eta image
+                eta_terms.append((_word_image(tag, EtaExpr, w), c))
+                continue
+        except _ForeignAtom:
+            pass
+        foreign[w] = c
+    g, h = _greedy_split(EtaExpr.sum(eta_terms))
     # the change of coordinates keeps nesting; a rejected or foreign word is wrapped once more
     wrapped = EtaExpr._raw({**h, **foreign})
     depth = max(expr_nesting(EtaExpr._raw(g)), 1 + expr_nesting(wrapped) if wrapped.terms else 0)
     if depth > ctx.integral_depth:
         raise NestingLimitExceeded("antiderivative nesting exceeded depth %d" % ctx.integral_depth)
-    return FieldExpr.sum(chain(
+    result = FieldExpr.sum(chain(
         ((_word_image(tag, FieldExpr, w), c) for w, c in g.items()),
         ((FieldExpr.from_atom(Integral(tag, FieldExpr.from_word(w))), c) for w, c in foreign.items()),
         ((_antiderivative(tag, w), c) for w, c in h.items()),
     ))
+    if standard:
+        _Antiderivatives.put((tag, f), (result, depth))
+    return result
 
 
 def _antiderivative(tag: DerivationTag, w: Word) -> FieldExpr:
     """The x antiderivative of the rejected eta word w, its body the x image
-    B of w; ``_BodyWords`` remembers w as the eta image of B."""
-    body = _word_image(tag, FieldExpr, w)
-    _BodyWords.put((tag, body), w)
-    return FieldExpr.from_atom(Integral(tag, body))
+    B of w, built once: it is also ``derinv(tag, B)``, which
+    ``_Antiderivatives`` remembers."""
+    key = (tag, _word_image(tag, FieldExpr, w))
+    entry = _Antiderivatives._entries.get(key)
+    if entry is None:
+        atom = FieldExpr.from_atom(Integral(tag, key[1]))
+        entry = (atom, expr_nesting(atom))
+        _Antiderivatives.put(key, entry)
+    return entry[0]
 
 
 def _word_tag(word: Word) -> Optional[DerivationTag]:
@@ -391,12 +400,17 @@ def _word_tag(word: Word) -> Optional[DerivationTag]:
     return next(iter(tags)) if len(tags) == 1 and len(word) >= 2 else None
 
 
-def _has_eta_image(tag: DerivationTag, word: Word) -> bool:
+def _has_eta_image(tag: DerivationTag, word: Word, cache: dict) -> bool:
     """Whether every atom of ``word``, at every depth, has an eta image: no
-    ``u^-1`` and no antiderivative of a tag other than ``tag``."""
+    ``u^-1`` and no antiderivative of a tag other than ``tag``.  The verdict
+    on each antiderivative of ``tag`` is kept in ``cache`` under the atom,
+    which no word equals."""
     return all(
         type(a) is not InverseSymbol
-        and (type(a) is not Integral or a[1] is tag and all(_has_eta_image(tag, w) for w in a[2].terms))
+        and (type(a) is not Integral or a[1] is tag and (
+            cache[a] if a in cache
+            else cache.setdefault(a, all(_has_eta_image(tag, w, cache) for w in a[2].terms))
+        ))
         for a in word
     )
 
@@ -417,7 +431,7 @@ def _canon_word(word: Word, ctx: Context, cache: dict) -> FieldExpr:
             out = cache[tail] * head if direct else head * cache[tail]
         elif (
             type(lead) is Integral
-            or not _has_eta_image(tag, word)
+            or not _has_eta_image(tag, word, cache)
             or expr_nesting(out) > ctx.integral_depth
         ):
             out = derinv(tag, der(tag, out, ctx), ctx)

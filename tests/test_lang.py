@@ -561,10 +561,12 @@ def _one_atom(body):
 
 
 def test_parsing_printed_antiderivatives_reads_the_body_word_memo(monkeypatch):
-    # derinv wrapped the body of each printed antiderivative around a
-    # rejected word, or it is one atom, so parsing it back converts no word
-    # of a longer body to eta coordinates
-    memo = reduction._BodyWords
+    # derinv remembers the antiderivative it wraps around each rejected word
+    # as the integral of its body, so parsing printed text reads every body
+    # of more than one atom from the memo; a one-atom body is the split's
+    # wrapped last factor, which derinv never remembers, so it is integrated
+    # once beforehand.  Then no word at all is converted to eta coordinates.
+    memo = reduction._Antiderivatives
     rng = random.Random(43)
     kw = dict(symbols=("r",), tests=("V",), max_terms=2, max_len=2, max_order=1)
     eta_words = []
@@ -579,25 +581,27 @@ def test_parsing_printed_antiderivatives_reads_the_body_word_memo(monkeypatch):
     for tag in (M, DerivationTag.DIRECT, DerivationTag.PLAIN):
         for _ in range(5):
             e = derinv(tag, random_field(rng, **kw) * derinv(tag, random_field(rng, **kw)))
-            bodies = [a.body for a in _antiderivatives(e)]
-            n = sum(not _one_atom(b) for b in bodies)
+            atoms = list(_antiderivatives(e))
+            for a in atoms:
+                if _one_atom(a.body):
+                    derinv(a.tag, a.body)
             text = print_field(e)
             before = memo.cache_info()
             monkeypatch.setattr(reduction, "_word_image", recorded)
             assert parse_field(text) == e
             monkeypatch.setattr(reduction, "_word_image", image)
             after = memo.cache_info()
-            assert (after.hits - before.hits, after.misses - before.misses) == (n, len(bodies) - n)
-            assert not set(eta_words) & {w for b in bodies if not _one_atom(b) for w in b.terms}
-            read += n
+            assert (after.hits - before.hits, after.misses - before.misses) == (len(atoms), 0)
+            assert eta_words == []
+            read += sum(not _one_atom(a.body) for a in atoms)
     assert read >= 50, read
 
 
 def test_round_trip_takes_the_full_route_too(monkeypatch):
-    # the round-trip draws parse printed bodies mostly from the body-word
-    # memo; parsed again with the memo empty and holding nothing, every body
-    # goes through the x -> eta conversion and must give the same field
-    memo = reduction._BodyWords
+    # the round-trip draws parse printed bodies mostly from the derinv memo;
+    # parsed again with the memo empty and holding nothing, every body goes
+    # through the x -> eta conversion and must give the same field
+    memo = reduction._Antiderivatives
     rng = random.Random(71)
     draws = [random_nonlocal_field(rng, symbols=("r",), tests=("V", "W")) for _ in range(120)]
     r0, v = jet("r"), tfield("V")

@@ -2,6 +2,7 @@ import importlib
 import pkgutil
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -66,14 +67,29 @@ def test_derinv_of_exact_images_round_trip():
 
 
 def _package_caches():
-    """Every functools cache among the module attributes of the package."""
+    """Every cache among the module attributes of the package: an object
+    whose ``cache_clear`` is bound to it, as a ``functools`` cache's is."""
     caches = {}
     for info in pkgutil.iter_modules(ncburgers.__path__):
         module = importlib.import_module("ncburgers." + info.name)
         for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
+            if getattr(getattr(value, "cache_clear", None), "__self__", None) is value:
                 caches[id(value)] = value
     return list(caches.values())
+
+
+# the paper's eight claims in the order of the proofs benchmark: the mirror
+# family first, so that the direct claims come second
+_PAPERS_CLAIMS = [
+    claim
+    for family in (EquationFamily.MIRROR, EquationFamily.DIRECT)
+    for claim in (
+        partial(verify.strong_symmetry_member, family, 5),
+        partial(verify.hereditary_defect, family),
+        partial(verify.strong_symmetry_member, family, 6),
+        partial(verify.strong_symmetry_member, family, 7),
+    )
+]
 
 
 def test_derinv_unchanged_after_cache_clear():
@@ -86,6 +102,7 @@ def test_derinv_unchanged_after_cache_clear():
     before = [derinv(tag, e) for tag, e in cases]
     caches = _package_caches()
     assert reduction._split_word in caches and fields._mirror_atom in caches
+    assert reduction._Antiderivatives in caches
     for cache in caches:
         cache.cache_clear()
         assert cache.cache_info().currsize == 0
@@ -104,10 +121,7 @@ def test_the_papers_proofs_compute_each_memo_entry_once():
     # fields, so a memo too small for their shared words rebuilds them
     for cache in _package_caches():
         cache.cache_clear()
-    for family in (EquationFamily.MIRROR, EquationFamily.DIRECT):
-        for n in (5, 6, 7):
-            assert verify.strong_symmetry_member(family, n).ok
-        assert verify.hereditary_defect(family).ok
+    assert all(claim().ok for claim in _PAPERS_CLAIMS)
     for cache in (reduction._word_image, reduction._split_word, fields._mirror_atom):
         info = cache.cache_info()
         assert 0 < info.misses == info.currsize, (cache.__name__, info)
@@ -401,6 +415,7 @@ def test_an_endless_split_is_inconclusive(monkeypatch):
 
     monkeypatch.setattr(reduction, "_step", endless)
     reduction._split_word.cache_clear()
+    reduction._Antiderivatives.cache_clear()  # a remembered result would make no split
     try:
         with pytest.raises(NestingLimitExceeded, match="recursion limit"):
             derinv(P, r)
@@ -617,28 +632,30 @@ def test_deep_reduce_commutes_with_the_mirror_image():
     assert rewritten >= 10, rewritten
 
 
-def _check_body_words():
-    """Every entry (tag, B) -> w of the body-word memo, checked against the
-    full conversion: the eta image of B is the one word w.  Returns how many
-    entries were checked, after asserting that none was evicted."""
-    memo = reduction._BodyWords
-    entries = list(memo._words.items())
+def _check_antiderivatives():
+    """Every entry (tag, f) -> (result, nesting) of the ``derinv`` memo,
+    checked against ``derinv`` recomputed with the memo empty, and its
+    nesting against the result's.  Returns how many entries were checked,
+    after asserting that none was evicted."""
+    memo = reduction._Antiderivatives
+    entries = list(memo._entries.items())
     assert len(entries) == memo.cache_info().currsize < memo.maxsize
-    for (tag, body), w in entries:
-        assert reduction._image(tag, reduction.EtaExpr, body) == reduction.EtaExpr._raw({w: 1}), (tag, body, w)
+    memo.cache_clear()
+    size, memo.maxsize = memo.maxsize, 0  # each recomputation neither reads nor keeps an entry
+    for (tag, f), (result, nesting) in entries:
+        assert derinv(tag, f) == result, (tag, f)
+        assert nesting == fields.expr_nesting(result), (tag, f)
+    memo.maxsize = size
+    assert memo.cache_info().currsize == 0
     return len(entries)
 
 
 def test_the_body_word_memo_agrees_with_the_conversion(monkeypatch):
     # room for every entry written, so that each one is checked
-    monkeypatch.setattr(reduction._BodyWords, "maxsize", 4096)
-    reduction._BodyWords.cache_clear()
-    for family in (EquationFamily.MIRROR, EquationFamily.DIRECT):
-        for n in (5, 6, 7):
-            assert verify.strong_symmetry_member(family, n).ok
-        assert verify.hereditary_defect(family).ok
-    proofs = _check_body_words()
-    reduction._BodyWords.cache_clear()
+    monkeypatch.setattr(reduction._Antiderivatives, "maxsize", 4096)
+    reduction._Antiderivatives.cache_clear()
+    assert all(claim().ok for claim in _PAPERS_CLAIMS)
+    proofs = _check_antiderivatives()
     rng = random.Random(37)
     integrated = 0
     for _ in range(100):
@@ -646,22 +663,67 @@ def test_the_body_word_memo_agrees_with_the_conversion(monkeypatch):
         for tag in (M, DIR, P):
             try:
                 derinv(tag, e)
-            except NestingLimitExceeded:  # a blow-up ends before any body is written
+            except NestingLimitExceeded:  # a split that raises stores nothing
                 continue
             integrated += 1
-    draws = _check_body_words()
-    reduction._BodyWords.cache_clear()  # leave no more entries than the real bound
-    assert integrated >= 290 and proofs >= 400 and draws >= 1000, (integrated, proofs, draws)
+    draws = _check_antiderivatives()
+    assert integrated >= 290 and proofs >= 500 and draws >= 1000, (integrated, proofs, draws)
+
+
+def test_the_direct_claims_reuse_the_mirror_claims_results():
+    # a proofs pass but for its Cole-Hopf identities, whose context reads no
+    # memo: the direct inverse is the mirror image of the mirror inverse of
+    # the mirror image, so the direct claims integrate what the mirror ones did
+    memo = reduction._Antiderivatives
+    memo.cache_clear()
+    shallow = fields.default_context(1)
+    assert all(claim().ok for claim in _PAPERS_CLAIMS)
+    controls = [verify.strong_symmetry_member(EquationFamily.MIRROR, 7, shallow)]
+    for family, base in ((EquationFamily.MIRROR, "r"), (EquationFamily.DIRECT, "s")):
+        controls.append(verify.strong_symmetry_defect(family, jet(base) * jet(base)))
+        controls.append(verify.hereditary_defect(family, shallow))
+    assert [report.status.value for report in controls] == ["inconclusive"] + ["nonzero", "inconclusive"] * 2
+    info = memo.cache_info()
+    assert info.hits >= 150 and info.currsize < info.maxsize, info  # and nothing was evicted
+
+
+def test_each_claim_alone_reads_nothing_from_the_memo():
+    # every hit crosses claims, so a single claim gains nothing from the
+    # memo, and its report is the one it gives after the other claims ran
+    memo = reduction._Antiderivatives
+    memo.cache_clear()
+    reports = [claim() for claim in _PAPERS_CLAIMS]
+    for claim, report in zip(_PAPERS_CLAIMS, reports):
+        memo.cache_clear()
+        assert claim() == report
+        assert memo.cache_info().hits == 0, report.claim
+
+
+def test_a_shallow_context_that_reads_a_deep_entry_still_raises():
+    # the memo keeps each result's nesting, so a context whose depth bound
+    # it exceeds raises as the full route does, whatever wrote the entry
+    f = parse_field("IDinv[V] r V + r_x IDinv[V r] V")
+    memo = reduction._Antiderivatives
+    memo.cache_clear()
+    out = derinv(M, f, Context(r, integral_depth=4))
+    assert fields.expr_nesting(out) == 2
+    for tag, e in ((M, f), (DIR, fields.mirror_image(f))):
+        hits = memo.cache_info().hits
+        with pytest.raises(NestingLimitExceeded, match="nesting exceeded depth 1"):
+            derinv(tag, e, Context(r, integral_depth=1))
+        assert memo.cache_info().hits == hits + 1
+        assert derinv(tag, e, Context(r, integral_depth=2)) == (out if tag is M else fields.mirror_image(out))
+        assert memo.cache_info().hits == hits + 2
 
 
 def test_the_body_word_memo_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(reduction._BodyWords, "maxsize", 8)
-    reduction._BodyWords.cache_clear()
+    monkeypatch.setattr(reduction._Antiderivatives, "maxsize", 8)
+    reduction._Antiderivatives.cache_clear()
     rng = random.Random(41)
     for _ in range(30):
         derinv(M, random_nonlocal_field(rng, symbols=("r",), tests=("V", "W")))
-        assert reduction._BodyWords.cache_info().currsize <= 8
-    assert reduction._BodyWords.cache_info().currsize == 8
+        assert reduction._Antiderivatives.cache_info().currsize <= 8
+    assert reduction._Antiderivatives.cache_info().currsize == 8
 
 
 def test_the_body_word_memo_is_read_only_in_a_standard_context():
@@ -672,11 +734,11 @@ def test_the_body_word_memo_is_read_only_in_a_standard_context():
     body = max((a.body for w in e.terms for a in w if isinstance(a, Integral)), key=len)
     assert len(body) == 3
     assert derinv(M, body) == FieldExpr.from_atom(Integral(M, body))
-    before = reduction._BodyWords.cache_info()
+    before = reduction._Antiderivatives.cache_info()
     assert before.currsize > 0
     read = [derinv(M, body, ch), derinv(DIR, fields.mirror_image(body), ch)]
-    assert reduction._BodyWords.cache_info().hits == before.hits
-    reduction._BodyWords.cache_clear()
+    assert reduction._Antiderivatives.cache_info() == before
+    reduction._Antiderivatives.cache_clear()
     assert [derinv(M, body, ch), derinv(DIR, fields.mirror_image(body), ch)] == read
     # each word becomes its own antiderivative
     assert read[0] == FieldExpr.sum(
