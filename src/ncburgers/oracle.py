@@ -1,26 +1,30 @@
 """Independent validation by exact matrix instantiation.
 
 Symbols are assigned square-matrix-valued polynomials in x with exact
-rational entries.  One pass evaluates a field expression in a scene: each
-distinct jet goes once per scene and point through one closed form for
-polynomial derivatives, and words become matrix products.  The pass
-carries dual numbers a + eps b as pairs (a, b), with (a, b)(c, d) =
-(ac, ad + bc), where b is nonzero only for the jets of the symbol a
-directional derivative is taken along; it returns the value and the eps
-part side by side.  The products run on integer matrices: at a point
-x0 = p/q every jet of a scene is an integer matrix over D = L q^degree, L
-being one denominator fixed for every coefficient of the scene, so a word
-of n atoms is an integer matrix over D^n and a sum is one numerator over
-C D^N, C being the lcm of its coefficients' denominators and N its longest
-word.  A scene is only its matrices: its dimension and its degree, the
-highest coefficient index of any symbol, are read from them.
-``Fraction`` entries are built only for a returned value.  The d x d
-product and the sum a + k b are written out entry by entry, compiled once
-per dimension from their source text, and stay exact integer arithmetic.
-A symbolic zero must then evaluate to the zero matrix in every scene, with
-no tolerance.  A separate floating-point check feeds an explicit matrix
-heat-equation solution through the Cole-Hopf map and measures the residual
-of the mirror Burgers equation on a grid; only it needs numpy.
+rational entries.  A field expression is compiled once into a plan
+(``_plan``), the same at every scene and point: its distinct atoms, the
+prefix trie of its words and its coefficients over one denominator.  A
+pass evaluates the plan at one point: each distinct jet goes once per
+scene and point through one closed form for polynomial derivatives, and
+each trie node is one matrix product, so a prefix shared by several words
+is multiplied once.  The pass carries dual numbers a + eps b as pairs
+(a, b), with (a, b)(c, d) = (ac, ad + bc), where b is nonzero only for the
+jets of the symbol a directional derivative is taken along; it returns the
+value and the eps part side by side.  The products run on integer
+matrices: at a point x0 = p/q every jet of a scene is an integer matrix
+over D = L q^degree, L being one denominator fixed for every coefficient
+of the scene, so a word of n atoms is an integer matrix over D^n and a sum
+is one numerator over C D^N, C being the lcm of its coefficients'
+denominators and N its longest word.  A scene is only its matrices: its
+dimension and its degree, the highest coefficient index of any symbol,
+are read from them.  ``Fraction`` entries are built only for a returned
+value.  The d x d product and the sum a + k b are written out entry by
+entry, compiled once per dimension from their source text, and stay exact
+integer arithmetic.  A symbolic zero must then evaluate to the zero matrix
+in every scene, with no tolerance.  A separate floating-point check feeds
+an explicit matrix heat-equation solution through the Cole-Hopf map and
+measures the residual of the mirror Burgers equation on a grid; only it
+needs numpy.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm, perm
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .fields import Atom, FieldExpr, Jet, TestField
+from .fields import FieldExpr, Integral, Jet, TestField
 
 if TYPE_CHECKING:  # numpy is imported only by the floating-point check below
     import numpy as np
@@ -145,6 +149,10 @@ class MatrixScene:
         return ((0,) * self.dim,) * self.dim
 
     @cached_property
+    def _one(self) -> IntMatrix:
+        return tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
+
+    @cached_property
     def _jets(self) -> Dict[Tuple[str, int, Fraction], IntMatrix]:
         return {}
 
@@ -181,50 +189,73 @@ def make_scene(seed: int, dim: int = 3, degree: int = 2) -> MatrixScene:
     return MatrixScene(seed, assignment, points)
 
 
+@lru_cache(maxsize=128)
+def _plan(e: FieldExpr) -> tuple:
+    """What the words and coefficients of ``e`` alone determine, the same at
+    every scene and point: (the distinct atoms in order; one step (parent
+    node or -1, atom index) per node of the words' prefix trie, a parent
+    before its children; per word (its node, -1 for the empty word, its
+    coefficient as an integer over C, N - its length); C, N), C being the
+    lcm of the coefficients' denominators and N the longest word."""
+    atoms, nodes, steps, words = {}, {}, [], []  # nodes maps (parent, atom index) to a node
+    den = lcm(*(coeff.denominator for coeff in e.terms.values()))
+    longest = max(map(len, e.terms), default=0)
+    for word, coeff in e.terms.items():
+        node = -1
+        for atom in word:
+            step = (node, atoms.setdefault(atom, len(atoms)))
+            node = nodes.setdefault(step, len(steps))
+            if node == len(steps):
+                steps.append(step)
+        words.append((node, coeff.numerator * (den // coeff.denominator), longest - len(word)))
+    for atom in atoms:
+        if not isinstance(atom, (Jet, TestField)):
+            raise ValueError("matrix evaluation has no value for %r: %s" % (
+                FieldExpr.from_atom(atom), "an antiderivative is nonlocal"
+                if type(atom) is Integral else "a scene has no matrix for it"))
+    return tuple(atoms), tuple(steps), tuple(words), den, longest
+
+
 def _eval_pass(
     e: FieldExpr, scene: MatrixScene, x0: Fraction, base: str = "", direction: str = ""
 ) -> Tuple[IntMatrix, IntMatrix, int]:
     """The value of ``e`` and the epsilon part of ``e(base + epsilon*direction)``
     as integer matrices over one denominator, returned third.  Every atom is
     a jet over the point's D (``MatrixScene.jet_den``), so a word of n atoms
-    is an integer matrix over D^n, and with C the lcm of the coefficients'
-    denominators and N the longest word, the sum is over C D^N.  Every
-    distinct atom is read once per call, as (a, b), b being None unless the
-    atom is a jet of ``base``; a word multiplies these dual pairs as
-    (a, b)(c, d) = (ac, ad + bc)."""
-    values: Dict[Atom, Tuple[IntMatrix, Optional[IntMatrix]]] = {}
+    is an integer matrix over D^n, and the sum is over C D^N (``_plan``).
+    Every distinct atom is read once per call, as (a, b), b being None
+    unless the atom is a jet of ``base``; each node of the prefix trie
+    multiplies its parent's dual pair by its atom's, (a, b)(c, d) =
+    (ac, ad + bc), so a prefix that words share is multiplied once."""
+    atoms, steps, words, den, longest = _plan(e)
     d = scene.dim
     times, add = int_mul_kernel(d), int_add_kernel(d)
+    values = [scene.point_jet(atom[1], atom[2], x0) for atom in atoms]
+    duals = [scene.point_jet(direction, atom[2], x0) if type(atom) is Jet and atom[1] == base else None
+             for atom in atoms]
+    prods, epss = [], []  # each trie node's dual pair
+    for parent, i in steps:
+        a, b = values[i], duals[i]
+        if parent < 0:
+            p, q = a, b
+        else:
+            p, q = prods[parent], epss[parent]
+            q = None if q is None else times(q, a)
+            if b is not None:
+                pb = times(p, b)
+                q = pb if q is None else add(q, 1, pb)
+            p = times(p, a)
+        prods.append(p)
+        epss.append(q)
+    prods.append(scene._one)  # node -1, the empty word, reads the identity appended last
+    epss.append(None)
     jet_den = scene.jet_den(x0)
-    longest = max(map(len, e.terms), default=0)
-    den = lcm(*(coeff.denominator for coeff in e.terms.values()))
     powers = [jet_den ** k for k in range(longest + 1)]
     acc = eps = scene._zero
-    for word, coeff in e.terms.items():
-        p = q = None
-        for atom in word:
-            value = values.get(atom)
-            if value is None:
-                if not isinstance(atom, (Jet, TestField)):
-                    raise ValueError("matrix evaluation is defined only for local expressions")
-                value = values[atom] = (
-                    scene.point_jet(atom[1], atom.order, x0),
-                    scene.point_jet(direction, atom.order, x0)
-                    if isinstance(atom, Jet) and atom[1] == base else None,
-                )
-            a, b = value
-            if p is None:
-                p, q = a, b
-            else:
-                q = None if q is None else times(q, a)
-                if b is not None:
-                    pb = times(p, b)
-                    q = pb if q is None else add(q, 1, pb)
-                p = times(p, a)
-        if p is None:
-            p = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        factor = coeff.numerator * (den // coeff.denominator) * powers[longest - len(word)]
-        acc = add(acc, factor, p)
+    for node, factor, gap in words:
+        factor *= powers[gap]
+        acc = add(acc, factor, prods[node])
+        q = epss[node]
         if q is not None:
             eps = add(eps, factor, q)
     return acc, eps, den * powers[longest]

@@ -389,7 +389,8 @@ def _antiderivative(tag: DerivationTag, w: Word) -> FieldExpr:
     entry = _Antiderivatives._entries.get(key)
     if entry is None:
         atom = FieldExpr.from_atom(Integral(tag, key[1]))
-        entry = (atom, expr_nesting(atom))
+        # B nests as deep as w: the change of coordinates keeps nesting
+        entry = (atom, 1 + expr_nesting(_eta_word(w)))
         _Antiderivatives.put(key, entry)
     return entry[0]
 

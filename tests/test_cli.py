@@ -264,6 +264,18 @@ def test_eval_rejects_a_zero_denominator_point(tmp_path, capsys):
     assert err.startswith("error: ") and "zero denominator" in err
 
 
+@pytest.mark.parametrize("expr, reason", [
+    ("uinv", "uinv: a scene has no matrix for it"),
+    ("r IDinv[sigma]", "IDinv[sigma]: an antiderivative is nonlocal"),
+])
+def test_eval_names_an_atom_a_scene_has_no_value_for(tmp_path, capsys, expr, reason):
+    scene_file = tmp_path / "scene.txt"
+    run_cli(capsys, "scene", "--seed", "1", "--dim", "2", "--degree", "1", "--out", str(scene_file))
+    code, out, err = run_cli(capsys, "eval", "--scene", str(scene_file), "--expr", expr, "--at", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: matrix evaluation has no value for %s\n" % reason
+
+
 def test_scene_and_eval(tmp_path, capsys):
     scene_file = tmp_path / "scene.txt"
     code, _, _ = run_cli(

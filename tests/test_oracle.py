@@ -6,7 +6,8 @@ import pytest
 
 from ncburgers.fields import test as tfield
 
-from ncburgers.fields import DerivationTag, FieldExpr, Jet, jet, normal_field
+from ncburgers import oracle
+from ncburgers.fields import DerivationTag, FieldExpr, Integral, InverseSymbol, Jet, jet, normal_field
 from ncburgers.hierarchy import EquationFamily, hierarchy_member
 from ncburgers.oracle import (
     SCENE_SYMBOLS,
@@ -321,6 +322,93 @@ def test_integer_kernel_against_fraction_reference():
                     _reference_frechet(e, scene, "r", "V", x0)
     assert not mat_is_zero(_reference_frechet(edges[0], scene, "r", "V", scene.points[0]))
     assert mat_is_zero(eval_frechet_dual(edges[1] + edges[2], scene, "r", "V", scene.points[0]))
+
+
+def _prefix_sharing_field():
+    """A product of three sums, whose words share their prefixes, plus a
+    constant and a word that repeats an atom."""
+    a = r + tfield("V", 1).scale(Fraction(2, 3))
+    b = jet("s", 1) - jet("r", 2).scale(Fraction(5, 4)) + r
+    c = tfield("W") - rx.scale(Fraction(1, 6))
+    return a * b * c + FieldExpr({(): Fraction(7, 5)}) + (rx * rx * r * rx).scale(Fraction(3, 2))
+
+
+def test_one_plan_serves_every_scene_point_and_direction():
+    # scenes of dimension 1 to 4 in turn at each point index, both
+    # directional derivatives at each point, all on one expression object
+    e = _prefix_sharing_field()
+    scenes = [_dim1_scene()] + REFERENCE_SCENES[::3]
+    oracle._plan.cache_clear()
+    evaluations, nonzero = 0, set()
+    for x0s in zip(*(scene.points for scene in scenes)):
+        for scene, x0 in zip(scenes, x0s):
+            for base, direction in (("r", "V"), ("s", "W")):
+                dual = eval_frechet_dual(e, scene, base, direction, x0)
+                assert dual == _reference_frechet(e, scene, base, direction, x0)
+                assert eval_field(e, scene, x0) == _reference_field(e, scene, x0)
+                evaluations += 2
+                if not mat_is_zero(dual):
+                    nonzero.add(base)
+    assert evaluations == 3 * len(scenes) * 2 * 2 == 48
+    assert nonzero == {"r", "s"}
+    info = oracle._plan.cache_info()
+    assert (info.misses, info.hits) == (1, evaluations - 1)
+
+
+def test_a_prefix_shared_by_words_is_multiplied_once(monkeypatch):
+    products = []
+    kernel = oracle.int_mul_kernel
+
+    def counting(d):
+        times = kernel(d)
+
+        def counted(a, b):
+            products.append((a, b))
+            return times(a, b)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "int_mul_kernel", counting)
+    e = _prefix_sharing_field()
+    # a node of the words' prefix trie at depth k >= 2 is its parent times one atom
+    deep_nodes = {w[:k] for w in e.terms for k in range(2, len(w) + 1)}
+    assert len(deep_nodes) == 2 * 3 + 2 * 3 * 2 + 3 < sum(len(w) - 1 for w in e.terms if w) == 27
+    scene = make_scene(5, 3, 2)
+    for x0 in scene.points:
+        products.clear()
+        assert eval_field(e, scene, x0) == _reference_field(e, scene, x0)
+        assert len(products) == len(deep_nodes)
+    assert len(scene.points) == 3
+
+
+def test_ten_scenes_at_three_points_build_one_plan():
+    e = _prefix_sharing_field()
+    oracle._plan.cache_clear()
+    evaluations = 0
+    for scene in default_scenes(10):
+        for x0 in scene.points:
+            assert eval_field(e, scene, x0) == _reference_field(e, scene, x0)
+            evaluations += 1
+    info = oracle._plan.cache_info()
+    assert evaluations == 30
+    assert (info.misses, info.hits, info.currsize) == (1, 29, 1)
+
+
+@pytest.mark.parametrize("atom, message", [
+    (InverseSymbol("u"), "matrix evaluation has no value for uinv: a scene has no matrix for it"),
+    (Integral(M, tfield("sigma")), "matrix evaluation has no value for IDinv[sigma]: an antiderivative is nonlocal"),
+])
+def test_an_atom_without_a_scene_value_is_named(atom, message):
+    scene = make_scene(2, 2, 1)
+    e = rx * r + r * FieldExpr.from_atom(atom) * rx
+    oracle._plan.cache_clear()
+    for evaluate in (lambda: eval_field(e, scene, Fraction(0)),
+                     lambda: eval_frechet_dual(e, scene, "r", "V", Fraction(0))):
+        with pytest.raises(ValueError) as error:
+            evaluate()
+        assert str(error.value) == message
+    # a failed plan leaves no entry, so the next call fails the same way
+    assert oracle._plan.cache_info().currsize == 0
 
 
 def test_check_equal_sees_a_tiny_difference():

@@ -23,7 +23,7 @@ from ncburgers.fields import (
     jet,
     )
 import ncburgers
-from ncburgers import fields, reduction, verify
+from ncburgers import fields, oracle, reduction, verify
 from ncburgers.hierarchy import EquationFamily, hierarchy_member, recursion_operator
 from ncburgers.lang import parse_field, print_field
 from ncburgers.operators import apply_op
@@ -100,13 +100,17 @@ def test_derinv_unchanged_after_cache_clear():
         for tag in (M, DIR, P)
     ]
     before = [derinv(tag, e) for tag, e in cases]
+    # the oracle's plans are a package cache too, filled by evaluation alone
+    scene, local = oracle.make_scene(3, 2, 2), random_field(rng, symbols=("r", "s"), tests=("V",))
+    value = oracle.eval_field(local, scene, scene.points[0])
     caches = _package_caches()
     assert reduction._split_word in caches and fields._mirror_atom in caches
-    assert reduction._Antiderivatives in caches
+    assert reduction._Antiderivatives in caches and oracle._plan in caches
     for cache in caches:
         cache.cache_clear()
         assert cache.cache_info().currsize == 0
     assert [derinv(tag, e) for tag, e in cases] == before
+    assert oracle.eval_field(local, scene, scene.points[0]) == value
     assert all(cache.cache_info().currsize > 0 for cache in caches)
 
 
